@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -20,6 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError, DomainError, EmptyReliableSetError
+from .metrics import ActivationRecord
 from .model import (
     EPS_CLAMP,
     AGGREGATIONS,
@@ -173,7 +174,7 @@ class StepRecord:
 class AdaptationReport:
     method: str
     records: list[StepRecord] = field(default_factory=list)
-    sample_records: list = field(default_factory=list)  # metrics.ActivationRecord
+    sample_records: list[ActivationRecord] = field(default_factory=list)
 
     @property
     def total_samples(self) -> int:
@@ -274,24 +275,24 @@ def prototta_loss(outputs: BatchOutputs, rel: ReliableSet, head: Tensor, cfg: TT
     return ad.reduce_sum(ad.mul(Tensor(coeff), binary_entropy(outputs.mapped_sims)))
 
 
+def _prediction_entropy(probs: Tensor) -> Tensor:
+    """Shannon entropy of each row of the prediction distribution, on the tape."""
+    p = ad.clamp(probs, _PROB_FLOOR, 1.0)
+    return ad.scale(ad.reduce_sum(ad.mul(p, ad.log(p)), axis=1), -1.0)
+
+
 def tent_loss(outputs: BatchOutputs) -> Tensor:
     """Mean Shannon entropy of the prediction distribution over the batch."""
-    p = ad.clamp(outputs.probs, _PROB_FLOOR, 1.0)
-    per_sample = ad.scale(ad.reduce_sum(ad.mul(p, ad.log(p)), axis=1), -1.0)
-    return ad.reduce_mean(per_sample)
+    return ad.reduce_mean(_prediction_entropy(outputs.probs))
 
 
 def hybrid_loss(outputs: BatchOutputs, rel: ReliableSet, head: Tensor, cfg: TTAConfig) -> Tensor:
     """Prototype entropy plus logit entropy, both restricted to the reliable set."""
-    if len(rel) == 0:
-        raise EmptyReliableSetError("reliable set is empty; skip the update instead")
     w_proto, w_logit = cfg.hybrid_weights
-    proto_term = prototta_loss(outputs, rel, head, cfg)
+    proto_term = prototta_loss(outputs, rel, head, cfg)  # raises on an empty set
     mask = np.zeros(outputs.probs.shape[0])
     mask[rel.indices] = 1.0 / len(rel)
-    p = ad.clamp(outputs.probs, _PROB_FLOOR, 1.0)
-    per_sample = ad.scale(ad.reduce_sum(ad.mul(p, ad.log(p)), axis=1), -1.0)
-    logit_term = ad.reduce_sum(ad.mul(Tensor(mask), per_sample))
+    logit_term = ad.reduce_sum(ad.mul(Tensor(mask), _prediction_entropy(outputs.probs)))
     return ad.add(ad.scale(proto_term, w_proto), ad.scale(logit_term, w_logit))
 
 
@@ -315,15 +316,8 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: Opti
 def _apply_consensus(model: PrototypeModel, cfg: TTAConfig) -> PrototypeModel:
     if cfg.consensus is None or cfg.consensus == model.config.aggregation:
         return model
-    from dataclasses import replace
-
     k = model.config.agg_k if cfg.consensus == "topk_mean" else None
-    new_cfg = replace(model.config, aggregation=cfg.consensus, agg_k=k)
-    clone = PrototypeModel(new_cfg, seed=0)
-    clone.load_snapshot(model.state_snapshot())
-    clone.running_stats = {i: (m.copy(), v.copy()) for i, (m, v) in model.running_stats.items()}
-    clone.class_of = model.class_of.copy()
-    return clone
+    return model.copy(replace(model.config, aggregation=cfg.consensus, agg_k=k))
 
 
 def adapt_batch(
@@ -415,8 +409,6 @@ def run_stream(
     before every batch; prototypes and head weights are verified unchanged
     at the end.
     """
-    from .metrics import ActivationRecord
-
     work = _apply_consensus(model, cfg)
     clean = work.copy()
     proto_before = work.prototypes.data.copy()
@@ -429,14 +421,14 @@ def run_stream(
     else:
         state = None
     snapshot = work.state_snapshot() if cfg.episodic else None
-    state_snapshot = state.copy() if cfg.episodic and state is not None else None
+    initial_state = state.copy() if cfg.episodic and state is not None else None
     report = AdaptationReport(method=cfg.method)
     sample_base = 0
     for index, (x, y) in enumerate(batches):
-        if cfg.episodic and snapshot is not None:
+        if cfg.episodic:
             work.load_snapshot(snapshot)
-            if state is not None and state_snapshot is not None:
-                state = state_snapshot.copy()
+            if initial_state is not None:
+                state = initial_state.copy()
         clean_out = model_forward(clean, x, use_batch_stats=False)
         outputs, record = adapt_batch(
             work, (x, y), cfg, state, index=index, clean_predictions=clean_out.pseudo_labels

@@ -24,13 +24,12 @@ _NORM_FLOOR = 1e-12
 class Tensor:
     """A dense float64 array with an optional gradient slot."""
 
-    __slots__ = ("data", "requires_grad", "grad", "name")
+    __slots__ = ("data", "requires_grad", "grad")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: Array | None = None
-        self.name = name
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -44,42 +43,10 @@ class Tensor:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _raise_item(self)
 
     def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=self.requires_grad, name=self.name)
+        return Tensor(self.data.copy(), requires_grad=self.requires_grad)
 
     def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
-
-    # Arithmetic sugar; scalars route to `scale`/constant tensors.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, 1.0 / other)
-        return div(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
 def _raise_item(t: Tensor):
@@ -346,33 +313,11 @@ def log(x) -> Tensor:
     return _record(out, (x,), fn)
 
 
-def exp(x) -> Tensor:
-    x = as_tensor(x)
-    e = np.exp(x.data)
-    out = Tensor(e)
-
-    def fn(g: Array):
-        return ((x, g * e),)
-
-    return _record(out, (x,), fn)
-
-
 def clamp(x, lo: float, hi: float) -> Tensor:
     x = as_tensor(x)
     out = Tensor(np.clip(x.data, lo, hi))
     # gradient passes only strictly inside (lo, hi); zero at and beyond bounds
     mask = (x.data > lo) & (x.data < hi)
-
-    def fn(g: Array):
-        return ((x, g * mask),)
-
-    return _record(out, (x,), fn)
-
-
-def relu(x) -> Tensor:
-    x = as_tensor(x)
-    mask = x.data > 0
-    out = Tensor(np.where(mask, x.data, 0.0))
 
     def fn(g: Array):
         return ((x, g * mask),)
@@ -387,17 +332,6 @@ def tanh(x) -> Tensor:
 
     def fn(g: Array):
         return ((x, g * (1.0 - t * t)),)
-
-    return _record(out, (x,), fn)
-
-
-def absolute(x) -> Tensor:
-    x = as_tensor(x)
-    out = Tensor(np.abs(x.data))
-    sign = np.sign(x.data)
-
-    def fn(g: Array):
-        return ((x, g * sign),)
 
     return _record(out, (x,), fn)
 

@@ -32,8 +32,8 @@ from .harness import (
 )
 from .metrics import (
     ActivationRecord,
+    _median_throughput,
     dump_records,
-    load_records,
     load_scores,
     pac,
     pca_w,
@@ -159,11 +159,6 @@ class BenchmarkPlan:
         if extra:
             raise ConfigError(f"unknown plan keys: {sorted(extra)}")
         kwargs = dict(d)
-        if "corruptions" in kwargs:
-            kwargs["corruptions"] = tuple(
-                c if isinstance(c, CorruptionSpec) else CorruptionSpec.parse(c)
-                for c in kwargs["corruptions"]
-            )
         if "methods" in kwargs:
             pairs = kwargs["methods"]
             if isinstance(pairs, dict):
@@ -213,12 +208,6 @@ class BenchmarkResult:
         raise KeyError((method, corruption, seed))
 
 
-def _median_cell_throughput(report) -> float:
-    records = report.records[1:] if len(report.records) > 1 else report.records
-    rates = [r.size / r.duration_s for r in records if r.duration_s > 0]
-    return float(np.median(rates)) if rates else float("nan")
-
-
 def _run_cell(
     model: PrototypeModel,
     dataset: Dataset,
@@ -247,7 +236,7 @@ def _run_cell(
         seed=seed,
         accuracy=100.0 * report.accuracy,
         selection_rate=selection_rate(report),
-        throughput=_median_cell_throughput(report),
+        throughput=_median_throughput(report),
         batch_sizes=[r.size for r in report.records],
         batch_accuracies=[100.0 * a for a in report.batch_accuracies],
     )
@@ -297,7 +286,7 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std())
 
 
-def _accuracy_markdown(plan: BenchmarkPlan, by_mc: dict) -> str:
+def _accuracy_markdown(plan: BenchmarkPlan, by_mc: dict[tuple[str, str], list[CellResult]]) -> str:
     """Markdown table grouped by corruption family, methods as rows."""
     cors = [str(c) for c in plan.corruptions]
     groups: dict[str, list[str]] = {}
@@ -314,7 +303,7 @@ def _accuracy_markdown(plan: BenchmarkPlan, by_mc: dict) -> str:
         row = [name]
         means = []
         for c in cors:
-            m, s = _mean_std(by_mc[(name, c)])
+            m, s = _mean_std([cell.accuracy for cell in by_mc[(name, c)]])
             means.append(m)
             row.append(f"{m:.2f} ± {s:.2f}")
         tm, ts = _mean_std(means)
@@ -335,6 +324,25 @@ def _load_plan_inputs(
     return model, dataset
 
 
+def _group_cells(cells: list[CellResult]) -> dict[tuple[str, str], list[CellResult]]:
+    """The cells of each (method, corruption) pair, in plan seed order."""
+    groups: dict[tuple[str, str], list[CellResult]] = {}
+    for c in cells:
+        groups.setdefault((c.method, c.corruption), []).append(c)
+    return groups
+
+
+def _thread_count() -> int:
+    """Worker threads from ``PTTA_THREADS``, defaulting to one per CPU."""
+    workers = os.environ.get("PTTA_THREADS", "")
+    if not workers.strip():
+        return os.cpu_count() or 1
+    try:
+        return int(workers)
+    except ValueError:
+        raise ConfigError(f"PTTA_THREADS must be an integer, got {workers!r}") from None
+
+
 def _run_cells(plan: BenchmarkPlan, model: PrototypeModel, dataset: Dataset) -> list[CellResult]:
     """Run all plan cells, possibly in parallel; result order is job order."""
     want_interp = "interpretability" in plan.metrics
@@ -352,9 +360,7 @@ def _run_cells(plan: BenchmarkPlan, model: PrototypeModel, dataset: Dataset) -> 
             model, dataset, cor, name, cfg, seed, plan, want_interp, keep_records=seed == first_seed
         )
 
-    workers = os.environ.get("PTTA_THREADS", "")
-    max_workers = int(workers) if workers.strip() else (os.cpu_count() or 1)
-    max_workers = max(1, min(max_workers, len(jobs)))
+    max_workers = max(1, min(_thread_count(), len(jobs)))
     if max_workers == 1:
         return [work(job) for job in jobs]
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
@@ -379,9 +385,7 @@ def run_benchmark(
     out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
 
-    by_mc: dict[tuple[str, str], list[float]] = {}
-    for c in cells:
-        by_mc.setdefault((c.method, c.corruption), []).append(c.accuracy)
+    by_mc = _group_cells(cells)
 
     if "accuracy" in plan.metrics:
         raw_rows = [[c.method, c.corruption, c.seed, c.accuracy] for c in cells]
@@ -402,7 +406,7 @@ def run_benchmark(
         for name, _ in plan.methods:
             means = []
             for cor in plan.corruptions:
-                m, s = _mean_std(by_mc[(name, str(cor))])
+                m, s = _mean_std([c.accuracy for c in by_mc[(name, str(cor))]])
                 means.append(m)
                 agg_rows.append([name, str(cor), m, s])
             tm, ts = _mean_std(means)
@@ -417,7 +421,7 @@ def run_benchmark(
         for name, _ in plan.methods:
             per_cor: dict[str, list[float]] = {"pac": [], "pca_w": [], "stab": [], "sel": []}
             for cor in plan.corruptions:
-                seeds_cells = [c for c in cells if (c.method, c.corruption) == (name, str(cor))]
+                seeds_cells = by_mc[(name, str(cor))]
                 pac_m, pac_s = _mean_std([c.pac_mean for c in seeds_cells])
                 pw_m, pw_s = _mean_std([c.pca_w_mean for c in seeds_cells])
                 st_m, st_s = _mean_std([c.stability for c in seeds_cells])
@@ -451,25 +455,13 @@ def run_benchmark(
 
     paths["records"] = _dump_cell_records(cells, out)
 
-    if "efficiency" in plan.metrics and "unadapted" in dict(plan.methods):
+    if "efficiency" in plan.metrics and "unadapted" in plan.method_map:
         rows = []
         for name, _ in plan.methods:
             speeds_by_cor = []
             for cor in plan.corruptions:
-                ratios = []
-                for seed in plan.seeds:
-                    base = next(
-                        c
-                        for c in cells
-                        if (c.method, c.corruption, c.seed) == ("unadapted", str(cor), seed)
-                    )
-                    c = next(
-                        x
-                        for x in cells
-                        if (x.method, x.corruption, x.seed) == (name, str(cor), seed)
-                    )
-                    ratios.append(100.0 * c.throughput / base.throughput)
-                m, s = _mean_std(ratios)
+                pairs = zip(by_mc[(name, str(cor))], by_mc[("unadapted", str(cor))])
+                m, s = _mean_std([100.0 * (c.throughput / base.throughput) for c, base in pairs])
                 rows.append([name, str(cor), m, s])
                 speeds_by_cor.append(m)
             tm, ts = _mean_std(speeds_by_cor)
@@ -521,12 +513,11 @@ def run_ablation(
     sub_plan = replace(plan, methods=tuple(variants), metrics=("accuracy",))
     model, dataset = _load_plan_inputs(sub_plan, model, dataset)
     cells = _run_cells(sub_plan, model, dataset)
-    by_mc: dict[tuple[str, str], list[float]] = {}
-    for c in cells:
-        by_mc.setdefault((c.method, c.corruption), []).append(c.accuracy)
+    by_mc = _group_cells(cells)
     rows = []
     for setting, _ in variants:
-        cor_means = [float(np.mean(by_mc[(setting, str(cor))])) for cor in plan.corruptions]
+        accuracies = [[c.accuracy for c in by_mc[(setting, str(cor))]] for cor in plan.corruptions]
+        cor_means = [float(np.mean(acc)) for acc in accuracies]
         arr = np.asarray(cor_means)
         rows.append(
             AblationRow(

@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen-data", help="generate and save a synthetic dataset")
-    gen.add_argument("--out", required=True, help="output .npz path")
+    gen.add_argument("--out", required=True, help="output dataset file (PTTD1 container)")
     gen.add_argument("--classes", type=int, default=SyntheticTaskSpec.num_classes)
     gen.add_argument("--dim", type=int, default=SyntheticTaskSpec.input_dim)
     gen.add_argument("--clusters", type=int, default=SyntheticTaskSpec.clusters_per_class)
@@ -55,8 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=SyntheticTaskSpec.seed)
 
     train = sub.add_parser("train", help="train a source model on a saved dataset")
-    train.add_argument("--data", required=True, help="dataset .npz path")
-    train.add_argument("--out", required=True, help="output model .json path")
+    train.add_argument("--data", required=True, help="dataset file (PTTD1 container)")
+    train.add_argument("--out", required=True, help="output model file (PTTA1 container)")
     train.add_argument("--epochs", type=int, default=30)
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--lr", type=float, default=0.01)
@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     boards = sub.add_parser("boards", help="export per-sample prototype boards from records")
     boards.add_argument("--records", required=True, help="activation records .jsonl path")
-    boards.add_argument("--model", required=True, help="model .json path")
+    boards.add_argument("--model", required=True, help="model file (PTTA1 container)")
     boards.add_argument("--out", required=True, help="output directory")
     boards.add_argument("--method", required=True, help="method name stored in each board")
     boards.add_argument("--k", type=int, default=5, help="prototypes per board")
@@ -88,8 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_plan_arguments(sub_parser: argparse.ArgumentParser) -> None:
     sub_parser.add_argument("--plan", default=None, help="benchmark plan .json path")
-    sub_parser.add_argument("--model", default=None, help="model .json (overrides plan)")
-    sub_parser.add_argument("--data", default=None, help="dataset .npz (overrides plan)")
+    sub_parser.add_argument("--model", default=None, help="model file, PTTA1 container (overrides plan)")
+    sub_parser.add_argument("--data", default=None, help="dataset file, PTTD1 container (overrides plan)")
     sub_parser.add_argument("--out-dir", default=None, help="report directory (overrides plan)")
     sub_parser.add_argument(
         "--corruptions", nargs="+", default=None, metavar="KIND:SEV", help="e.g. gaussian_noise:5"

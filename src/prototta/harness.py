@@ -292,7 +292,7 @@ def train_source_model(
     class semantics. Deterministic per seed. Returns the model and a stats
     dict including the final clean test accuracy.
     """
-    from .adapt import OptimizerState, TTAConfig, adam_step, init_optimizer
+    from .adapt import TTAConfig, adam_step, init_optimizer
 
     if config is None:
         config = ModelConfig()

@@ -211,8 +211,11 @@ def _median_throughput(report) -> float:
 
 
 def relative_speed(report, unadapted_report) -> float:
-    """Adapted throughput as a percentage of unadapted throughput (medians)."""
-    return 100.0 * _median_throughput(report) / _median_throughput(unadapted_report)
+    """Adapted throughput as a percentage of unadapted throughput (medians).
+
+    The ratio is taken before scaling, so equal throughputs give exactly 100.0.
+    """
+    return 100.0 * (_median_throughput(report) / _median_throughput(unadapted_report))
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:

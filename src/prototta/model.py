@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -264,8 +263,9 @@ class PrototypeModel:
             t.data = snap[name].copy()
             t.grad = None
 
-    def copy(self) -> "PrototypeModel":
-        clone = PrototypeModel(self.config, seed=0)
+    def copy(self, config: ModelConfig | None = None) -> "PrototypeModel":
+        """A detached clone, optionally under another config with the same tensors."""
+        clone = PrototypeModel(self.config if config is None else config, seed=0)
         clone.load_snapshot(self.state_snapshot())
         clone.running_stats = {
             i: (m.copy(), v.copy()) for i, (m, v) in self.running_stats.items()
@@ -488,9 +488,12 @@ def load_model(path) -> PrototypeModel:
         config = ModelConfig.from_dict(header["config"])
         manifest = header["tensors"]
         stat_layers = header["running_stat_layers"]
+        class_of = header["class_of"]
     except KeyError as exc:
         raise FormatError(f"{path}: header missing field {exc}") from None
     model = PrototypeModel(config, seed=0)
+    if class_of != model.class_of.tolist():
+        raise FormatError(f"{path}: stored class_of disagrees with the config")
     expected = model.param_names()
     if [name for name, _ in manifest] != expected:
         raise FormatError(f"{path}: tensor manifest does not match config")
@@ -498,7 +501,6 @@ def load_model(path) -> PrototypeModel:
     for name, shape in zip(expected, shapes):
         if shape != model.params[name].shape:
             raise FormatError(f"{path}: {name} has shape {shape}, expected {model.params[name].shape}")
-    d = config.backbone.feature_dim
     stat_shapes = []
     for i in stat_layers:
         width = config.backbone.hidden_dims[i]
@@ -510,5 +512,4 @@ def load_model(path) -> PrototypeModel:
     rest = blocks[len(expected) :]
     for j, i in enumerate(stat_layers):
         model.running_stats[int(i)] = (rest[2 * j].copy(), rest[2 * j + 1].copy())
-    model.class_of = np.asarray(header["class_of"], dtype=np.int64)
     return model

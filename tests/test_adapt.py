@@ -288,6 +288,25 @@ class TestRunStream:
         )
         assert changed
 
+    def test_consensus_stream_keeps_caller_config_and_returns_state(self, tiny_model, tiny_dataset, rng):
+        x, y = self._batches(tiny_dataset, rng)
+        cfg = TTAConfig(method="prototta", consensus="mean", param_mode="all_adaptive", lr=0.05)
+        model = tiny_model.copy()
+        config_before = model.config
+        assert config_before.aggregation != "mean"
+        report = run_stream(model, iter_batches(x, y, 64), cfg)
+        assert model.config is config_before
+        assert report.selected_samples > 0
+        # the same stream on a model whose own config already pools by mean
+        baked = tiny_model.copy(replace(config_before, aggregation="mean", agg_k=None))
+        run_stream(baked, iter_batches(x, y, 64), replace(cfg, consensus=None))
+        for name in model.param_names():
+            assert np.array_equal(model.params[name].data, baked.params[name].data), name
+        assert any(
+            not np.array_equal(model.params[n].data, tiny_model.params[n].data)
+            for n in model.adaptable_param_names(cfg.param_mode)
+        )
+
     def test_report_bookkeeping(self, tiny_model, tiny_dataset, rng):
         x, y = self._batches(tiny_dataset, rng)
         report = run_stream(

@@ -57,14 +57,11 @@ class TestGradientChecks:
         x = rng.uniform(-2, 2, (3, 4))
         check_grad(lambda a: ad.reduce_sum(ad.sigmoid(a)), x)
         check_grad(lambda a: ad.reduce_sum(ad.tanh(a)), x)
-        check_grad(lambda a: ad.reduce_sum(ad.exp(a)), x)
         check_grad(lambda a: ad.reduce_sum(ad.log(a)), rng.uniform(0.1, 2, (3, 4)))
 
     def test_kinked_ops_away_from_kinks(self, rng):
-        # relu and absolute away from 0; clamp strictly inside its interval
+        # clamp strictly inside its interval
         x = rng.uniform(0.1, 2, (3, 4)) * rng.choice([-1.0, 1.0], (3, 4))
-        check_grad(lambda a: ad.reduce_sum(ad.relu(a)), x)
-        check_grad(lambda a: ad.reduce_sum(ad.absolute(a)), x)
         check_grad(lambda a: ad.reduce_sum(ad.clamp(a, -3.0, 3.0)), x)
 
     def test_reductions(self, rng):

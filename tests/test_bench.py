@@ -514,6 +514,23 @@ class TestCli:
         )
         assert code == 2
 
+    def test_non_integer_thread_count_exits_2(self, saved_files, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("PTTA_THREADS", "two")
+        code = main(
+            [
+                "bench",
+                "--model", str(saved_files["model"]),
+                "--data", str(saved_files["dataset"]),
+                "--out-dir", str(tmp_path / "reports"),
+                "--corruptions", "gaussian_noise:5",
+                "--methods", "unadapted",
+                "--seeds", "0",
+                "--num-batches", "1",
+            ]
+        )
+        assert code == 2
+        assert "PTTA_THREADS" in capsys.readouterr().err
+
     def test_runtime_errors_exit_3(self, tiny_model, tiny_dataset, rng, tmp_path, capsys):
         records = stream_records(tiny_model, tiny_dataset, rng)
         boards = tmp_path / "boards"

@@ -269,6 +269,11 @@ class TestRelativeSpeed:
         base = make_report([0], sizes=[100], durations=[1.0])
         assert relative_speed(adapted, base) == pytest.approx(25.0, abs=1e-9)
 
+    def test_equal_reports_are_exactly_hundred(self):
+        # 100 * a / b rounds to 99.99999999999999 for this throughput
+        report = make_report([1], sizes=[128], durations=[0.003])
+        assert relative_speed(report, report) == 100.0
+
     def test_non_positive_duration_rejected(self):
         bad = make_report([1, 1], sizes=[10, 10], durations=[1.0, 0.0])
         good = make_report([1, 1], sizes=[10, 10], durations=[1.0, 1.0])

@@ -229,6 +229,17 @@ class TestPersistence:
         with pytest.raises(FormatError):
             load_model(path)
 
+    def test_tampered_class_map_rejected(self, small_model, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(small_model, path)
+        raw = path.read_bytes()
+        stored = b'"class_of":[0,0,1,1,2,2]'
+        assert stored in raw
+        # same length, so the stored header size still holds
+        path.write_bytes(raw.replace(stored, b'"class_of":[0,1,0,1,2,2]'))
+        with pytest.raises(FormatError, match="class_of"):
+            load_model(path)
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             ModelConfig(num_classes=1)
