@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -87,23 +87,7 @@ class TTAConfig:
         return 0.5 * math.log(num_classes)
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "tau_sim": self.tau_sim,
-            "use_entropy_constraint": self.use_entropy_constraint,
-            "entropy_cap": self.entropy_cap,
-            "param_mode": self.param_mode,
-            "consensus": self.consensus,
-            "target_scope": self.target_scope,
-            "weighting": self.weighting,
-            "hybrid_weights": list(self.hybrid_weights),
-            "lr": self.lr,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "adam_eps": self.adam_eps,
-            "batch_size": self.batch_size,
-            "episodic": self.episodic,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return canonical_dumps(self.to_dict())

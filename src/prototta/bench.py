@@ -4,8 +4,10 @@ A benchmark plan names a saved model, a saved dataset, a set of corruptions,
 and a set of named method configurations. Every (method x corruption x seed)
 cell runs on a fresh model copy over an identically corrupted, identically
 shuffled stream, so method columns are directly comparable. All randomness
-is derived from the cell coordinates, which makes reports byte-identical
-across reruns regardless of thread scheduling.
+is derived from the cell coordinates, which makes every report file except
+``efficiency.csv`` byte-identical across reruns and thread counts;
+``efficiency.csv`` holds timed speeds, which vary from run to run and with
+``PTTA_THREADS``.
 """
 
 from __future__ import annotations
@@ -15,13 +17,14 @@ import hashlib
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .adapt import TARGET_SCOPES, WEIGHTINGS, TTAConfig, iter_batches, run_stream
-from .errors import ConfigError, FormatError, InsufficientDataError
+from .errors import ConfigError, DegenerateInputError, FormatError, InsufficientDataError
 from .harness import (
     CORRUPTION_GROUPS,
     CORRUPTION_KINDS,
@@ -48,6 +51,13 @@ from .model import AGGREGATIONS, PARAM_MODES, PrototypeModel, canonical_dumps, l
 DEFAULT_CORRUPTIONS = tuple(CorruptionSpec(kind, 5) for kind in CORRUPTION_KINDS)
 METRIC_CHOICES = ("accuracy", "interpretability", "efficiency")
 ABLATION_AXES = ("filter", "param_mode", "consensus", "target_scope", "weighting")
+# (column label, CellResult attribute) of each interpretability.csv metric, in column order
+INTERP_METRICS = (
+    ("pac", "pac_mean"),
+    ("pca_w", "pca_w_mean"),
+    ("stability", "stability"),
+    ("selection_rate", "selection_rate"),
+)
 
 
 def method_presets() -> dict[str, TTAConfig]:
@@ -136,18 +146,7 @@ class BenchmarkPlan:
         return dict(self.methods)
 
     def to_dict(self) -> dict:
-        return {
-            "model_path": self.model_path,
-            "dataset_path": self.dataset_path,
-            "output_dir": self.output_dir,
-            "corruptions": [str(c) for c in self.corruptions],
-            "methods": [[name, cfg.to_dict()] for name, cfg in self.methods],
-            "metrics": list(self.metrics),
-            "seeds": list(self.seeds),
-            "num_batches": self.num_batches,
-            "board_k": self.board_k,
-            "record_batches": self.record_batches,
-        }
+        return {**asdict(self), "corruptions": [str(c) for c in self.corruptions]}
 
     def to_json(self) -> str:
         return canonical_dumps(self.to_dict())
@@ -200,12 +199,6 @@ class BenchmarkResult:
     plan: BenchmarkPlan
     cells: list[CellResult]
     paths: dict[str, Path]
-
-    def cell(self, method: str, corruption: str, seed: int) -> CellResult:
-        for c in self.cells:
-            if (c.method, c.corruption, c.seed) == (method, corruption, seed):
-                return c
-        raise KeyError((method, corruption, seed))
 
 
 def _run_cell(
@@ -273,7 +266,7 @@ def _dump_cell_records(cells: list[CellResult], out: Path) -> Path:
     return rec_dir
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows: list[Sequence]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -286,28 +279,28 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std())
 
 
-def _accuracy_markdown(plan: BenchmarkPlan, by_mc: dict[tuple[str, str], list[CellResult]]) -> str:
+def _summary(plan: BenchmarkPlan, values: Callable[[str], list[float]]) -> list[tuple[str, float, float]]:
+    """``(corruption, mean, std)`` over seeds per plan corruption, then ``TOTAL`` over those means.
+
+    ``values(corruption)`` gives the per-seed values of one corruption.
+    """
+    rows = [(str(c), *_mean_std(values(str(c)))) for c in plan.corruptions]
+    return rows + [("TOTAL", *_mean_std([mean for _, mean, _ in rows]))]
+
+
+def _accuracy_markdown(plan: BenchmarkPlan, summaries: dict[str, list[tuple[str, float, float]]]) -> str:
     """Markdown table grouped by corruption family, methods as rows."""
-    cors = [str(c) for c in plan.corruptions]
     groups: dict[str, list[str]] = {}
     for c in plan.corruptions:
         groups.setdefault(CORRUPTION_GROUPS[c.kind], []).append(str(c))
+    columns = [(gname, cor) for gname, cors in groups.items() for cor in cors]
+    header = ["Method"] + [f"{gname}: {cor}" for gname, cor in columns] + ["Total"]
     lines = ["# Accuracy (%) by corruption", ""]
-    header = ["Method"]
-    for gname in groups:
-        header.extend(f"{gname}: {c}" for c in groups[gname])
-    header.append("Total")
     lines.append("| " + " | ".join(header) + " |")
     lines.append("|" + "---|" * len(header))
-    for name, _ in plan.methods:
-        row = [name]
-        means = []
-        for c in cors:
-            m, s = _mean_std([cell.accuracy for cell in by_mc[(name, c)]])
-            means.append(m)
-            row.append(f"{m:.2f} ± {s:.2f}")
-        tm, ts = _mean_std(means)
-        row.append(f"{tm:.2f} ± {ts:.2f}")
+    for name, summary in summaries.items():
+        cells = {cor: f"{m:.2f} ± {s:.2f}" for cor, m, s in summary}
+        row = [name] + [cells[cor] for _, cor in columns] + [cells["TOTAL"]]
         lines.append("| " + " | ".join(row) + " |")
     return "\n".join(lines) + "\n"
 
@@ -402,70 +395,45 @@ def run_benchmark(
             ["method", "corruption", "seed", "batch", "size", "accuracy"],
             batch_rows,
         )
-        agg_rows = []
-        for name, _ in plan.methods:
-            means = []
-            for cor in plan.corruptions:
-                m, s = _mean_std([c.accuracy for c in by_mc[(name, str(cor))]])
-                means.append(m)
-                agg_rows.append([name, str(cor), m, s])
-            tm, ts = _mean_std(means)
-            agg_rows.append([name, "TOTAL", tm, ts])
+        summaries = {
+            name: _summary(plan, lambda cor: [c.accuracy for c in by_mc[(name, cor)]])
+            for name, _ in plan.methods
+        }
         paths["accuracy"] = out / "accuracy.csv"
-        _write_csv(paths["accuracy"], ["method", "corruption", "mean", "std"], agg_rows)
+        _write_csv(
+            paths["accuracy"],
+            ["method", "corruption", "mean", "std"],
+            [[name, *row] for name, summary in summaries.items() for row in summary],
+        )
         paths["accuracy_md"] = out / "accuracy.md"
-        paths["accuracy_md"].write_text(_accuracy_markdown(plan, by_mc), encoding="utf-8")
+        paths["accuracy_md"].write_text(_accuracy_markdown(plan, summaries), encoding="utf-8")
 
     if want_interp:
         rows = []
         for name, _ in plan.methods:
-            per_cor: dict[str, list[float]] = {"pac": [], "pca_w": [], "stab": [], "sel": []}
-            for cor in plan.corruptions:
-                seeds_cells = by_mc[(name, str(cor))]
-                pac_m, pac_s = _mean_std([c.pac_mean for c in seeds_cells])
-                pw_m, pw_s = _mean_std([c.pca_w_mean for c in seeds_cells])
-                st_m, st_s = _mean_std([c.stability for c in seeds_cells])
-                se_m, se_s = _mean_std([c.selection_rate for c in seeds_cells])
-                rows.append([name, str(cor), pac_m, pac_s, pw_m, pw_s, st_m, st_s, se_m, se_s])
-                per_cor["pac"].append(pac_m)
-                per_cor["pca_w"].append(pw_m)
-                per_cor["stab"].append(st_m)
-                per_cor["sel"].append(se_m)
-            rows.append(
-                [name, "TOTAL"]
-                + [v for key in ("pac", "pca_w", "stab", "sel") for v in _mean_std(per_cor[key])]
-            )
+            columns = [
+                _summary(plan, lambda cor: [getattr(c, attr) for c in by_mc[(name, cor)]])
+                for _, attr in INTERP_METRICS
+            ]
+            for per_metric in zip(*columns):
+                rows.append([name, per_metric[0][0]] + [v for _, m, s in per_metric for v in (m, s)])
         paths["interpretability"] = out / "interpretability.csv"
-        _write_csv(
-            paths["interpretability"],
-            [
-                "method",
-                "corruption",
-                "pac_mean",
-                "pac_std",
-                "pca_w_mean",
-                "pca_w_std",
-                "stability_mean",
-                "stability_std",
-                "selection_rate_mean",
-                "selection_rate_std",
-            ],
-            rows,
-        )
+        header = [f"{label}_{stat}" for label, _ in INTERP_METRICS for stat in ("mean", "std")]
+        _write_csv(paths["interpretability"], ["method", "corruption"] + header, rows)
 
     paths["records"] = _dump_cell_records(cells, out)
 
     if "efficiency" in plan.metrics and "unadapted" in plan.method_map:
-        rows = []
-        for name, _ in plan.methods:
-            speeds_by_cor = []
-            for cor in plan.corruptions:
-                pairs = zip(by_mc[(name, str(cor))], by_mc[("unadapted", str(cor))])
-                m, s = _mean_std([100.0 * (c.throughput / base.throughput) for c, base in pairs])
-                rows.append([name, str(cor), m, s])
-                speeds_by_cor.append(m)
-            tm, ts = _mean_std(speeds_by_cor)
-            rows.append([name, "TOTAL", tm, ts])
+
+        def relative_speeds(name: str, cor: str) -> list[float]:
+            pairs = zip(by_mc[(name, cor)], by_mc[("unadapted", cor)])
+            return [100.0 * (c.throughput / base.throughput) for c, base in pairs]
+
+        rows = [
+            [name, *row]
+            for name, _ in plan.methods
+            for row in _summary(plan, lambda cor: relative_speeds(name, cor))
+        ]
         paths["efficiency"] = out / "efficiency.csv"
         _write_csv(paths["efficiency"], ["method", "corruption", "relative_speed_mean", "relative_speed_std"], rows)
 
@@ -516,26 +484,12 @@ def run_ablation(
     by_mc = _group_cells(cells)
     rows = []
     for setting, _ in variants:
-        accuracies = [[c.accuracy for c in by_mc[(setting, str(cor))]] for cor in plan.corruptions]
-        cor_means = [float(np.mean(acc)) for acc in accuracies]
-        arr = np.asarray(cor_means)
-        rows.append(
-            AblationRow(
-                axis=axis,
-                setting=setting,
-                mean=float(arr.mean()),
-                std=float(arr.std()),
-                min=float(arr.min()),
-                max=float(arr.max()),
-            )
-        )
+        *per_cor, (_, mean, std) = _summary(plan, lambda cor: [c.accuracy for c in by_mc[(setting, cor)]])
+        cor_means = [m for _, m, _ in per_cor]
+        rows.append(AblationRow(axis, setting, mean, std, min(cor_means), max(cor_means)))
     out = Path(plan.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out / f"ablation_{axis}.csv",
-        ["axis", "setting", "mean", "std", "min", "max"],
-        [[r.axis, r.setting, r.mean, r.std, r.min, r.max] for r in rows],
-    )
+    _write_csv(out / f"ablation_{axis}.csv", [f.name for f in fields(AblationRow)], [astuple(r) for r in rows])
     _dump_cell_records(cells, out)
     return rows
 
@@ -641,10 +595,13 @@ def correlate_scores(boards_dir, scores_path, out_path=None) -> CorrelationRepor
 
     rows.append(corr_row("pooled", pooled))
     for name in sorted(per_method):
-        if len(per_method[name]) >= 3:
-            rows.append(corr_row(name, per_method[name]))
-        else:
+        if len(per_method[name]) < 3:
             warnings.append(f"method {name}: only {len(per_method[name])} matches, skipped")
+            continue
+        try:
+            rows.append(corr_row(name, per_method[name]))
+        except DegenerateInputError as exc:
+            warnings.append(f"method {name}: {exc}, skipped")
     if out_path is not None:
         _write_csv(Path(out_path), ["scope", "n", "pearson", "spearman"], rows)
     return CorrelationReport(rows=rows, warnings=warnings)

@@ -8,7 +8,7 @@ well-trained source model well below its clean accuracy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -141,14 +141,7 @@ class SyntheticTaskSpec:
             raise ConfigError(f"split sizes must be positive, got {self.samples_per_split}")
 
     def to_dict(self) -> dict:
-        return {
-            "num_classes": self.num_classes,
-            "input_dim": self.input_dim,
-            "clusters_per_class": self.clusters_per_class,
-            "cluster_spread": self.cluster_spread,
-            "samples_per_split": list(self.samples_per_split),
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticTaskSpec":

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -62,13 +62,7 @@ class BackboneConfig:
         return self.hidden_dims[-1]
 
     def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "hidden_dims": list(self.hidden_dims),
-            "norm_kind": self.norm_kind,
-            "has_attention_bias": self.has_attention_bias,
-            "has_onexone": self.has_onexone,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "BackboneConfig":
@@ -95,7 +89,7 @@ class MappingScheme:
             raise ConfigError(f"temperature must be positive, got {self.temperature}")
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "temperature": self.temperature}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "MappingScheme":
@@ -130,15 +124,7 @@ class ModelConfig:
         return self.num_classes * self.protos_per_class
 
     def to_dict(self) -> dict:
-        return {
-            "backbone": self.backbone.to_dict(),
-            "num_classes": self.num_classes,
-            "protos_per_class": self.protos_per_class,
-            "sub_prototypes": self.sub_prototypes,
-            "aggregation": self.aggregation,
-            "agg_k": self.agg_k,
-            "mapping": self.mapping.to_dict(),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":

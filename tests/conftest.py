@@ -25,8 +25,8 @@ def tiny_model(tiny_dataset):
 @pytest.fixture(scope="session")
 def saved_files(tmp_path_factory, tiny_model, tiny_dataset):
     root = tmp_path_factory.mktemp("artifacts")
-    model_path = root / "model.json"
-    data_path = root / "data.npz"
+    model_path = root / "model.ptta"
+    data_path = root / "data.pttd"
     save_model(tiny_model, model_path)
     save_dataset(tiny_dataset, data_path)
     return {"model": model_path, "dataset": data_path, "root": root}

@@ -92,8 +92,8 @@ class TestPlan:
         assert len(seeds) == 100
 
     def test_missing_files_rejected_before_work(self, plan_kwargs):
-        plan = BenchmarkPlan(**{**plan_kwargs, "model_path": "nope.json"})
-        with pytest.raises(ConfigError, match="nope.json"):
+        plan = BenchmarkPlan(**{**plan_kwargs, "model_path": "nope.ptta"})
+        with pytest.raises(ConfigError, match="nope.ptta"):
             run_benchmark(plan)
 
 
@@ -144,6 +144,26 @@ class TestRunBenchmark:
                 vals = per_cell[(method, corruption)]
                 assert float(mean) == pytest.approx(np.mean(vals), abs=1e-12)
                 assert float(std) == pytest.approx(np.std(vals), abs=1e-12)
+
+    def test_markdown_cells_match_csv_means_by_column(self, plan_kwargs):
+        # plan order interleaves families, so the markdown columns are regrouped
+        corruptions = ("contrast_scale:5", "gaussian_noise:5", "block_pixelate:5")
+        run_benchmark(
+            BenchmarkPlan(**{**plan_kwargs, "corruptions": corruptions, "metrics": ("accuracy",)})
+        )
+        out = Path(plan_kwargs["output_dir"])
+        _, agg = read_csv(out / "accuracy.csv")
+        expected = {
+            (method, cor): f"{float(mean):.2f} ± {float(std):.2f}" for method, cor, mean, std in agg
+        }
+        lines = (out / "accuracy.md").read_text(encoding="utf-8").splitlines()
+        header = [h.strip() for h in lines[2].strip("|").split("|")]
+        columns = [h.split(": ", 1)[1] for h in header[1:-1]] + ["TOTAL"]
+        assert sorted(columns[:-1]) == sorted(corruptions)
+        rows = [[c.strip() for c in line.strip("|").split("|")] for line in lines[4:]]
+        assert [row[0] for row in rows] == ["unadapted", "prototta"]
+        for method, *cells in rows:
+            assert cells == [expected[(method, cor)] for cor in columns]
 
     def test_cells_recomputable_from_batch_audit(self, plan_kwargs):
         run_benchmark(BenchmarkPlan(**plan_kwargs))
@@ -393,6 +413,31 @@ class TestCorrelateScores:
         with pytest.raises(DegenerateInputError):
             correlate_scores(boards_dir, scores)
 
+    def test_constant_method_row_skipped_with_warning(self, tmp_path):
+        boards_dir = tmp_path / "boards"
+        boards_dir.mkdir()
+        for sid in range(8):
+            # "varied" owns a varying share of its top contributions; "constant" owns all of it
+            method, other = ("varied", 1) if sid < 4 else ("constant", 0)
+            board = {
+                "sample_id": sid,
+                "method": method,
+                "predicted_class": 0,
+                "ground_truth": 0,
+                "prototypes": [
+                    {"prototype_id": 0, "owning_class": 0, "contribution": 1.0},
+                    {"prototype_id": 1, "owning_class": other, "contribution": 0.1 * (sid + 1)},
+                ],
+            }
+            (boards_dir / f"{method}_{sid:06d}.json").write_text(json.dumps(board))
+        scores = tmp_path / "scores.csv"
+        self.write_scores(scores, [(sid, 0.1 * sid * sid) for sid in range(8)])
+        report = correlate_scores(boards_dir, scores, tmp_path / "correlations.csv")
+        assert [row[0] for row in report.rows] == ["pooled", "varied"]
+        assert any("constant" in w and "skipped" in w for w in report.warnings)
+        _, body = read_csv(tmp_path / "correlations.csv")
+        assert [row[0] for row in body] == ["pooled", "varied"]
+
     def test_missing_boards_dir_rejected(self, tmp_path):
         scores = tmp_path / "scores.csv"
         self.write_scores(scores, [(0, 0.5)])
@@ -402,8 +447,8 @@ class TestCorrelateScores:
 
 class TestCli:
     def test_full_workflow(self, tmp_path, capsys):
-        data = tmp_path / "data.npz"
-        model = tmp_path / "model.json"
+        data = tmp_path / "data.pttd"
+        model = tmp_path / "model.ptta"
         assert main(["gen-data", "--out", str(data), "--train-samples", "300", "--test-samples", "1536"]) == 0
         assert main(["train", "--data", str(data), "--out", str(model), "--epochs", "2"]) == 0
         assert (
@@ -492,8 +537,8 @@ class TestCli:
         "argv",
         [
             ["bench", "--plan", "missing_plan.json"],
-            ["bench", "--model", "m.json", "--data", "d.npz", "--out-dir", "o"],
-            ["train", "--data", "missing.npz", "--out", "m.json"],
+            ["bench", "--model", "m.ptta", "--data", "d.pttd", "--out-dir", "o"],
+            ["train", "--data", "missing.pttd", "--out", "m.ptta"],
             ["correlate", "--boards", "nowhere", "--scores", "nowhere.csv"],
         ],
         ids=["missing-plan", "missing-model", "missing-data", "missing-scores"],

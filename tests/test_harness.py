@@ -152,7 +152,7 @@ class TestSourceTraining:
 
 class TestDatasetPersistence:
     def test_round_trip_evaluates_identically(self, tiny_model, tiny_dataset, tmp_path):
-        path = tmp_path / "data.npz"
+        path = tmp_path / "data.pttd"
         save_dataset(tiny_dataset, path)
         loaded = load_dataset(path)
         assert np.array_equal(loaded.test_x, tiny_dataset.test_x)
@@ -163,7 +163,7 @@ class TestDatasetPersistence:
         assert a == b
 
     def test_bad_magic_rejected(self, tiny_dataset, tmp_path):
-        path = tmp_path / "data.npz"
+        path = tmp_path / "data.pttd"
         save_dataset(tiny_dataset, path)
         raw = bytearray(path.read_bytes())
         raw[:5] = b"WRONG"
