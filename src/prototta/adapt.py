@@ -98,10 +98,7 @@ class TTAConfig:
         extra = set(d) - known
         if extra:
             raise ConfigError(f"unknown config keys: {sorted(extra)}")
-        kwargs = dict(d)
-        if "hybrid_weights" in kwargs:
-            kwargs["hybrid_weights"] = tuple(kwargs["hybrid_weights"])
-        return cls(**kwargs)
+        return cls(**d)
 
     @classmethod
     def from_json(cls, text: str) -> "TTAConfig":
@@ -128,9 +125,6 @@ class OptimizerState:
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int = 0
-
-    def copy(self) -> "OptimizerState":
-        return OptimizerState([a.copy() for a in self.m], [a.copy() for a in self.v], self.t)
 
 
 def init_optimizer(params: Sequence[Tensor]) -> OptimizerState:
@@ -196,8 +190,7 @@ def binary_entropy(s: Tensor) -> Tensor:
 
 
 def shannon_entropy_rows(probs: np.ndarray) -> np.ndarray:
-    p = np.clip(probs, _PROB_FLOOR, 1.0)
-    return -(p * np.log(p)).sum(axis=1)
+    return _prediction_entropy(Tensor(probs)).data
 
 
 def geometric_filter(outputs: BatchOutputs, cfg: TTAConfig, class_of: np.ndarray) -> ReliableSet:
@@ -389,9 +382,9 @@ def run_stream(
 
     A frozen copy of the incoming model provides the clean reference
     predictions and activations (computed outside the timed region).
-    Episodic mode restores model and optimizer to their initial snapshots
-    before every batch; prototypes and head weights are verified unchanged
-    at the end.
+    Episodic mode restores the model to its initial snapshot and starts a
+    fresh optimizer before every batch; prototypes and head weights are
+    verified unchanged at the end.
     """
     work = _apply_consensus(model, cfg)
     clean = work.copy()
@@ -405,14 +398,13 @@ def run_stream(
     else:
         state = None
     snapshot = work.state_snapshot() if cfg.episodic else None
-    initial_state = state.copy() if cfg.episodic and state is not None else None
     report = AdaptationReport(method=cfg.method)
     sample_base = 0
     for index, (x, y) in enumerate(batches):
         if cfg.episodic:
             work.load_snapshot(snapshot)
-            if initial_state is not None:
-                state = initial_state.copy()
+            if adapting:
+                state = init_optimizer(params)
         clean_out = model_forward(clean, x, use_batch_stats=False)
         outputs, record = adapt_batch(
             work, (x, y), cfg, state, index=index, clean_predictions=clean_out.pseudo_labels

@@ -422,17 +422,6 @@ def topk_mean(x, k: int) -> Tensor:
             return ((x, np.broadcast_to(g[..., None] / k, x.shape).copy()),)
 
         return _record(out, (x,), fn_mean)
-    if k == 1:
-        # argmax returns the first occurrence, so ties already go low
-        idx1 = np.argmax(x.data, axis=-1)[..., None]
-        out = Tensor(np.take_along_axis(x.data, idx1, axis=-1)[..., 0])
-
-        def fn_max(g: Array):
-            gx = np.zeros_like(x.data)
-            np.put_along_axis(gx, idx1, g[..., None], axis=-1)
-            return ((x, gx),)
-
-        return _record(out, (x,), fn_max)
     # stable argsort of the negated values keeps the lowest index first on ties
     order = np.argsort(-x.data, axis=-1, kind="stable")
     idx = order[..., :k]

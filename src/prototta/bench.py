@@ -36,8 +36,10 @@ from .harness import (
 from .metrics import (
     ActivationRecord,
     _median_throughput,
+    _top_indices,
     dump_records,
     load_scores,
+    mean_std,
     pac,
     pca_w,
     pearson,
@@ -129,6 +131,8 @@ class BenchmarkPlan:
         names = [name for name, _ in self.methods]
         if len(set(names)) != len(names):
             raise ConfigError(f"method names must be unique, got {names}")
+        if len(set(self.corruptions)) != len(self.corruptions):
+            raise ConfigError(f"corruptions must be unique, got {[str(c) for c in self.corruptions]}")
         unknown = set(self.metrics) - set(METRIC_CHOICES)
         if unknown:
             raise ConfigError(f"unknown metrics {sorted(unknown)}; choose from {METRIC_CHOICES}")
@@ -274,18 +278,13 @@ def _write_csv(path: Path, header: list[str], rows: list[Sequence]) -> None:
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
-def _mean_std(values: list[float]) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=np.float64)
-    return float(arr.mean()), float(arr.std())
-
-
 def _summary(plan: BenchmarkPlan, values: Callable[[str], list[float]]) -> list[tuple[str, float, float]]:
     """``(corruption, mean, std)`` over seeds per plan corruption, then ``TOTAL`` over those means.
 
     ``values(corruption)`` gives the per-seed values of one corruption.
     """
-    rows = [(str(c), *_mean_std(values(str(c)))) for c in plan.corruptions]
-    return rows + [("TOTAL", *_mean_std([mean for _, mean, _ in rows]))]
+    rows = [(str(c), *mean_std(values(str(c)))) for c in plan.corruptions]
+    return rows + [("TOTAL", *mean_std([mean for _, mean, _ in rows]))]
 
 
 def _accuracy_markdown(plan: BenchmarkPlan, summaries: dict[str, list[tuple[str, float, float]]]) -> str:
@@ -496,6 +495,8 @@ def run_ablation(
 
 def build_board(record: ActivationRecord, model: PrototypeModel, k: int, method: str) -> dict:
     """One sample's top-k contributing prototypes under its adapted prediction."""
+    if k < 1:
+        raise ConfigError(f"board k must be at least 1, got {k}")
     P = len(model.class_of)
     if len(record.adapted_activations) != P:
         raise FormatError(
@@ -506,7 +507,7 @@ def build_board(record: ActivationRecord, model: PrototypeModel, k: int, method:
         raise FormatError(f"record {record.sample_id}: missing mapped activations")
     weights = np.abs(model.head.data[record.adapted_prediction])
     contributions = record.adapted_activations * weights
-    top = np.argsort(-contributions, kind="stable")[: min(k, P)]
+    top = _top_indices(contributions, k)
     return {
         "sample_id": record.sample_id,
         "method": method,

@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     boards.add_argument("--model", required=True, help="model file (PTTA1 container)")
     boards.add_argument("--out", required=True, help="output directory")
     boards.add_argument("--method", required=True, help="method name stored in each board")
-    boards.add_argument("--k", type=int, default=5, help="prototypes per board")
+    boards.add_argument("--k", type=int, default=5, help="prototypes per board (at least 1)")
     boards.add_argument("--limit", type=int, default=0, help="max boards (0 = all)")
 
     corr = sub.add_parser("correlate", help="correlate board ratios with external scores")

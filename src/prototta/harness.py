@@ -250,20 +250,17 @@ def _prototype_pull(model: PrototypeModel, features: Tensor, labels: np.ndarray)
     """
     protos = model.prototypes
     num_protos, k, d = protos.shape
-    feats = features.data
-    pick = np.zeros((num_protos * k, feats.shape[0]))
-    for p in range(num_protos):
-        candidates = np.flatnonzero(labels == model.class_of[p])
-        for j in range(k):
-            if len(candidates) == 0:
-                continue  # no same-class sample in this batch: no pull
-            diffs = feats[candidates] - protos.data[p, j]
-            nearest = candidates[int(np.argmin((diffs * diffs).sum(axis=1)))]
-            pick[p * k + j, nearest] = 1.0
-        # rows without a candidate stay zero and pull toward the origin of the
-        # difference, contributing a constant; mask them out instead
-    targets = ad.matmul(Tensor(pick), features)
     flat = ad.reshape(protos, (num_protos * k, d))
+    feats = features.data
+    row_class = np.repeat(model.class_of, k)
+    pick = np.zeros((num_protos * k, feats.shape[0]))
+    for c in np.unique(labels):
+        candidates = np.flatnonzero(labels == c)
+        rows = np.flatnonzero(row_class == c)
+        diffs = feats[candidates][None, :, :] - flat.data[rows][:, None, :]
+        nearest = candidates[np.argmin((diffs * diffs).sum(axis=2), axis=1)]
+        pick[rows, nearest] = 1.0
+    targets = ad.matmul(Tensor(pick), features)
     mask = (pick.sum(axis=1) > 0).astype(np.float64)[:, None]
     diff = ad.mul(Tensor(mask), ad.sub(flat, targets))
     return ad.reduce_mean(ad.mul(diff, diff))
@@ -305,7 +302,7 @@ def train_source_model(
     model.set_trainable(names)
     params = [model.params[name] for name in names]
     opt = init_optimizer(params)
-    opt_cfg = TTAConfig(method="prototta", lr=lr)  # reuse the Adam hyperparameter bundle
+    opt_cfg = TTAConfig(lr=lr)
     rng = np.random.default_rng(seed)
     n = len(dataset.train_x)
     last_loss = float("nan")

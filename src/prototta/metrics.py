@@ -82,15 +82,18 @@ def load_records(path) -> list[ActivationRecord]:
     return out
 
 
+def mean_std(values) -> tuple[float, float]:
+    """Mean and population standard deviation (ddof=0) of the values."""
+    arr = np.asarray(values, dtype=np.float64)
+    return float(arr.mean()), float(arr.std())
+
+
 @dataclass
 class MetricSummary:
     mean: float
     std: float
     values: np.ndarray = field(repr=False)
-
-
-def _summarize(values: np.ndarray) -> MetricSummary:
-    return MetricSummary(mean=float(values.mean()), std=float(values.std()), values=values)
+    excluded: int = 0  # samples counted but left unscored
 
 
 def pac(records: Sequence[ActivationRecord]) -> MetricSummary:
@@ -104,15 +107,7 @@ def pac(records: Sequence[ActivationRecord]) -> MetricSummary:
         if na <= 0 or nb <= 0:
             raise DegenerateInputError(f"zero-norm activation vector for sample {rec.sample_id}")
         values[j] = float(a @ b) / (na * nb)
-    return _summarize(values)
-
-
-@dataclass
-class PcaWResult:
-    mean: float
-    std: float
-    values: np.ndarray = field(repr=False)
-    excluded: int = 0
+    return MetricSummary(*mean_std(values), values=values)
 
 
 def _top_indices(scores: np.ndarray, k: int) -> np.ndarray:
@@ -126,7 +121,7 @@ def pca_w(
     class_of: np.ndarray,
     ground_truths: np.ndarray,
     k: int = 5,
-) -> PcaWResult:
+) -> MetricSummary:
     """Contribution share of the true class among each sample's top-k activated prototypes.
 
     Per sample, the k most activated prototypes are weighted by their
@@ -158,7 +153,7 @@ def pca_w(
     if not values:
         raise InsufficientDataError("every sample had non-positive contribution mass")
     arr = np.asarray(values)
-    return PcaWResult(mean=float(arr.mean()), std=float(arr.std()), values=arr, excluded=excluded)
+    return MetricSummary(*mean_std(arr), values=arr, excluded=excluded)
 
 
 def sample_pca_w(

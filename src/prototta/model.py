@@ -297,25 +297,27 @@ def map_similarity(raw: Tensor, scheme: MappingScheme) -> Tensor:
     return ad.clamp(normed, lo, hi)
 
 
-def _normalize(x: Tensor, model: PrototypeModel, layer: int, use_batch_stats: bool) -> Tensor:
-    gamma = model.params[f"backbone.{layer}.norm.gamma"]
-    beta = model.params[f"backbone.{layer}.norm.beta"]
+def _backbone_layer(model: PrototypeModel, i: int, h: Tensor, use_batch_stats: bool) -> tuple[Tensor, Tensor]:
+    """Layer ``i`` as linear -> norm -> bias -> tanh; returns (pre-norm, output)."""
+    z = ad.matmul(h, model.params[f"backbone.{i}.weight"])
+    gamma = model.params[f"backbone.{i}.norm.gamma"]
+    beta = model.params[f"backbone.{i}.norm.beta"]
     if model.config.backbone.norm_kind == "layer_norm":
-        return ad.layer_norm(x, gamma, beta)
-    if use_batch_stats:
-        return ad.batch_norm(x, gamma, beta)
-    return ad.batch_norm(x, gamma, beta, running=model.running_stats[layer])
+        out = ad.layer_norm(z, gamma, beta)
+    elif use_batch_stats:
+        out = ad.batch_norm(z, gamma, beta)
+    else:
+        out = ad.batch_norm(z, gamma, beta, running=model.running_stats[i])
+    bias = model.params.get(f"backbone.{i}.attn_bias")
+    if bias is not None:
+        out = ad.add(out, bias)
+    return z, ad.tanh(out)
 
 
 def backbone_features(model: PrototypeModel, x: Tensor, use_batch_stats: bool = True) -> Tensor:
     h = x
     for i in range(len(model.config.backbone.hidden_dims)):
-        h = ad.matmul(h, model.params[f"backbone.{i}.weight"])
-        h = _normalize(h, model, i, use_batch_stats)
-        bias = model.params.get(f"backbone.{i}.attn_bias")
-        if bias is not None:
-            h = ad.add(h, bias)
-        h = ad.tanh(h)
+        _, h = _backbone_layer(model, i, h, use_batch_stats)
     mix = model.params.get("backbone.mix.weight")
     if mix is not None:
         h = ad.matmul(h, mix)
@@ -325,25 +327,17 @@ def backbone_features(model: PrototypeModel, x: Tensor, use_batch_stats: bool = 
 def update_running_stats(model: PrototypeModel, x: np.ndarray) -> None:
     """Recompute batch_norm evaluation statistics from a reference set.
 
-    Walks the backbone layer by layer with current parameters, storing each
-    pre-norm activation's mean and variance over the whole set. No-op for
-    layer_norm backbones.
+    Walks the backbone layer by layer with current parameters and batch
+    statistics, storing each pre-norm activation's mean and variance over
+    the whole set. No-op for layer_norm backbones.
     """
     bb = model.config.backbone
     if bb.norm_kind != "batch_norm":
         return
-    h = np.asarray(x, dtype=np.float64)
+    h = ad.as_tensor(x)
     for i in range(len(bb.hidden_dims)):
-        z = h @ model.params[f"backbone.{i}.weight"].data
-        mean, var = z.mean(axis=0), z.var(axis=0)
-        model.running_stats[i] = (mean, var)
-        h = (z - mean) / np.sqrt(var + 1e-5)
-        h = h * model.params[f"backbone.{i}.norm.gamma"].data
-        h = h + model.params[f"backbone.{i}.norm.beta"].data
-        bias = model.params.get(f"backbone.{i}.attn_bias")
-        if bias is not None:
-            h = h + bias.data
-        h = np.tanh(h)
+        z, h = _backbone_layer(model, i, h, use_batch_stats=True)
+        model.running_stats[i] = (z.data.mean(axis=0), z.data.var(axis=0))
 
 
 def _aggregate(raw_sims: Tensor, config: ModelConfig) -> Tensor:

@@ -128,6 +128,12 @@ class TestOpSemantics:
             out = ad.topk_mean(x, 1)
         ad.backward(tape, out)
         assert np.array_equal(x.grad, [0.0, 1.0, 0.0, 0.0])
+        rows = Tensor(np.array([[3.0, 3.0, 1.0], [0.0, 2.0, 2.0], [5.0, 5.0, 5.0]]), requires_grad=True)
+        tape = Tape()
+        with tape:
+            out = ad.reduce_sum(ad.topk_mean(rows, 1))
+        ad.backward(tape, out)
+        assert np.array_equal(rows.grad, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
 
     def test_softmax_rows_sum_to_one(self, rng):
         probs = ad.softmax(Tensor(rng.normal(size=(40, 6)) * 10)).data

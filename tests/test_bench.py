@@ -66,6 +66,12 @@ class TestPlan:
                     "methods": (("a", TTAConfig()), ("a", TTAConfig(method="tent"))),
                 }
             )
+        with pytest.raises(ConfigError, match="corruptions must be unique"):
+            BenchmarkPlan(**{**plan_kwargs, "corruptions": ("gaussian_noise:5", "gaussian_noise:5")})
+        with pytest.raises(ConfigError, match="corruptions must be unique"):
+            BenchmarkPlan(
+                **{**plan_kwargs, "corruptions": (CorruptionSpec("brightness_shift", 3), "brightness_shift:3")}
+            )
         with pytest.raises(ConfigError):
             BenchmarkPlan(**{**plan_kwargs, "metrics": ("accuracy", "latency")})
         with pytest.raises(ConfigError):
@@ -310,6 +316,12 @@ class TestBoards:
         paths = export_boards(records[:1], tiny_model, k=1, method="m", out_dir=tmp_path)
         board = json.loads(paths[0].read_text())
         assert len(board["prototypes"]) == 1
+
+    def test_k_below_one_rejected(self, tiny_model, tiny_dataset, rng):
+        record = stream_records(tiny_model, tiny_dataset, rng)[0]
+        for k in (0, -2):
+            with pytest.raises(ConfigError, match="at least 1"):
+                build_board(record, tiny_model, k=k, method="m")
 
     def test_contributions_match_model_computation(self, tiny_model, tiny_dataset, rng):
         x = tiny_dataset.test_x[:4]
@@ -558,6 +570,23 @@ class TestCli:
             ]
         )
         assert code == 2
+
+    def test_repeated_corruption_exits_2(self, saved_files, tmp_path, capsys):
+        code = main(
+            [
+                "bench",
+                "--model", str(saved_files["model"]),
+                "--data", str(saved_files["dataset"]),
+                "--out-dir", str(tmp_path / "reports"),
+                "--corruptions", "gaussian_noise:5", "gaussian_noise:5",
+                "--methods", "unadapted",
+                "--seeds", "0",
+                "--num-batches", "1",
+            ]
+        )
+        assert code == 2
+        assert "corruptions must be unique" in capsys.readouterr().err
+        assert not (tmp_path / "reports").exists()
 
     def test_non_integer_thread_count_exits_2(self, saved_files, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("PTTA_THREADS", "two")

@@ -190,6 +190,23 @@ class TestBatchNormModes:
         with_running = model_forward(model, x, use_batch_stats=False).logits.data
         assert not np.allclose(with_batch, with_running)
 
+    def test_running_stats_of_a_set_reproduce_its_batch_forward(self, rng):
+        config = ModelConfig(
+            backbone=BackboneConfig(
+                input_dim=8, hidden_dims=(16, 12), norm_kind="batch_norm", has_onexone=True
+            ),
+            num_classes=3,
+            protos_per_class=2,
+            sub_prototypes=3,
+        )
+        model = PrototypeModel(config, seed=1)
+        x = rng.normal(size=(64, 8))
+        update_running_stats(model, x)
+        running = model_forward(model, x, use_batch_stats=False)
+        batch = model_forward(model, x, use_batch_stats=True)
+        assert np.array_equal(running.features.data, batch.features.data)
+        assert np.array_equal(running.logits.data, batch.logits.data)
+
     def test_layer_norm_ignores_batch_composition(self, small_model, rng):
         x = rng.normal(size=(8, 8))
         full = model_forward(small_model, x, use_batch_stats=True).logits.data
