@@ -38,8 +38,35 @@ WEIGHTINGS = ("none", "importance_only", "confidence_only", "both")
 _PROB_FLOOR = 1e-300
 
 
+class JsonConfig:
+    """Strict loading of a config dataclass: anything but a JSON object with
+    known keys whose values the constructor accepts is a ConfigError."""
+
+    LABEL = "config"
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        if not isinstance(d, dict):
+            raise ConfigError(f"{cls.LABEL} must be a JSON object, got {type(d).__name__}")
+        extra = set(d) - set(cls.__dataclass_fields__)
+        if extra:
+            raise ConfigError(f"unknown {cls.LABEL} keys: {sorted(extra)}")
+        try:
+            return cls(**d)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid {cls.LABEL}: {exc}") from None
+
+    @classmethod
+    def from_json(cls, text: str):
+        try:
+            d = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"invalid {cls.LABEL} JSON: {exc}") from None
+        return cls.from_dict(d)
+
+
 @dataclass(frozen=True)
-class TTAConfig:
+class TTAConfig(JsonConfig):
     """Everything one adaptation run needs, serializable as canonical JSON."""
 
     method: str = "prototta"
@@ -74,8 +101,10 @@ class TTAConfig:
         object.__setattr__(self, "hybrid_weights", tuple(float(w) for w in self.hybrid_weights))
         if len(self.hybrid_weights) != 2 or abs(sum(self.hybrid_weights) - 1.0) > 1e-9:
             raise ConfigError(f"hybrid_weights must be two values summing to 1, got {self.hybrid_weights}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if self.lr <= 0 or self.adam_eps <= 0:
+            raise ConfigError(f"lr and adam_eps must be positive, got {self.lr} and {self.adam_eps}")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ConfigError(f"beta1 and beta2 must be in [0, 1), got {self.beta1} and {self.beta2}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
         if self.entropy_cap is not None and self.entropy_cap <= 0:
@@ -91,21 +120,6 @@ class TTAConfig:
 
     def to_json(self) -> str:
         return canonical_dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TTAConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(d) - known
-        if extra:
-            raise ConfigError(f"unknown config keys: {sorted(extra)}")
-        return cls(**d)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TTAConfig":
-        try:
-            return cls.from_dict(json.loads(text))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid config JSON: {exc}") from None
 
 
 @dataclass
@@ -274,9 +288,11 @@ def hybrid_loss(outputs: BatchOutputs, rel: ReliableSet, head: Tensor, cfg: TTAC
 
 
 def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: OptimizerState, cfg: TTAConfig) -> None:
-    """One bias-corrected Adam update, in place."""
+    """One bias-corrected Adam update, in place; a None gradient is refused."""
     if not (len(params) == len(grads) == len(state.m) == len(state.v)):
         raise ContractError("params, grads, and optimizer state lengths disagree")
+    if any(g is None for g in grads):
+        raise ContractError("a parameter has no gradient; set it trainable before adapting")
     state.t += 1
     bc1 = 1.0 - cfg.beta1 ** state.t
     bc2 = 1.0 - cfg.beta2 ** state.t
@@ -342,8 +358,7 @@ def adapt_batch(
             skipped = True
         else:
             ad.backward(tape, loss)
-            grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
-            adam_step(params, grads, state, cfg)
+            adam_step(params, [p.grad for p in params], state, cfg)
             loss_value = loss.item()
         tape.clear()
     duration = time.perf_counter() - start
@@ -381,16 +396,17 @@ def run_stream(
     """Drive adaptation across a batch stream and collect the full report.
 
     A frozen copy of the incoming model provides the clean reference
-    predictions and activations (computed outside the timed region).
+    predictions and activations (computed outside the timed region); an
+    unadapted model never changes, so its own outputs are the reference.
     Episodic mode restores the model to its initial snapshot and starts a
     fresh optimizer before every batch; prototypes and head weights are
     verified unchanged at the end.
     """
     work = _apply_consensus(model, cfg)
-    clean = work.copy()
+    adapting = cfg.method != "unadapted"
+    clean = work.copy() if adapting else None
     proto_before = work.prototypes.data.copy()
     head_before = work.head.data.copy()
-    adapting = cfg.method != "unadapted"
     if adapting:
         work.set_trainable(work.adaptable_param_names(cfg.param_mode))
         params = [p for _, p in work.adaptable_params(cfg.param_mode)]
@@ -405,10 +421,15 @@ def run_stream(
             work.load_snapshot(snapshot)
             if adapting:
                 state = init_optimizer(params)
-        clean_out = model_forward(clean, x, use_batch_stats=False)
-        outputs, record = adapt_batch(
-            work, (x, y), cfg, state, index=index, clean_predictions=clean_out.pseudo_labels
-        )
+        if adapting:
+            clean_out = model_forward(clean, x, use_batch_stats=False)
+            outputs, record = adapt_batch(
+                work, (x, y), cfg, state, index=index, clean_predictions=clean_out.pseudo_labels
+            )
+        else:
+            outputs, record = adapt_batch(work, (x, y), cfg, state, index=index)
+            clean_out = outputs
+            record.clean_agreement = 1.0
         report.records.append(record)
         if collect_samples:
             for j in range(len(x)):

@@ -35,22 +35,13 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _raise_item(self)
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=self.requires_grad)
+        if self.data.size != 1:
+            raise ContractError(f"item() requires a single-element tensor, got shape {self.shape}")
+        return float(self.data.reshape(-1)[0])
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-
-def _raise_item(t: Tensor):
-    raise ContractError(f"item() requires a single-element tensor, got shape {t.shape}")
 
 
 def as_tensor(value) -> Tensor:
@@ -69,17 +60,13 @@ class Tape:
     def __init__(self):
         self._records: list[tuple[Tensor, Callable[[Array], Iterable[tuple[Tensor, Array]]]]] = []
         self._on_tape: set[int] = set()
-        self._watched: list[Tensor] = []
-        self._watched_ids: set[int] = set()
-
-    def watch(self, tensor: Tensor) -> None:
-        if tensor.requires_grad and id(tensor) not in self._watched_ids:
-            self._watched_ids.add(id(tensor))
-            self._watched.append(tensor)
+        # inputs that require grad, by id, in order of first use
+        self._watched: dict[int, Tensor] = {}
 
     def _track(self, out: Tensor, inputs: Sequence[Tensor], backward_fn) -> None:
         for t in inputs:
-            self.watch(t)
+            if t.requires_grad:
+                self._watched.setdefault(id(t), t)
         self._on_tape.add(id(out))
         self._records.append((out, backward_fn))
 
@@ -90,12 +77,11 @@ class Tape:
         return len(self._records)
 
     def clear(self) -> None:
-        for t in self._watched:
+        for t in self._watched.values():
             t.grad = None
         self._records.clear()
         self._on_tape.clear()
         self._watched.clear()
-        self._watched_ids.clear()
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -146,7 +132,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
         for tensor, contribution in fn(g):
             prev = adjoints.get(id(tensor))
             adjoints[id(tensor)] = contribution if prev is None else prev + contribution
-    for t in tape._watched:
+    for t in tape._watched.values():
         g = adjoints.get(id(t))
         t.grad = np.zeros_like(t.data) if g is None else np.array(g, dtype=np.float64)
 
@@ -184,6 +170,28 @@ def _expand_reduced(grad: Array, shape: tuple[int, ...], axis, keepdims: bool) -
 
 
 # ---------------------------------------------------------------------------
+# recording cores of the elementwise and reduction ops
+
+
+def _unary(x: Tensor, value, grad: Callable[[Array], Array]) -> Tensor:
+    """Record an op of one input whose input gradient is ``grad(g)``."""
+    return _record(Tensor(value), (x,), lambda g: ((x, grad(g)),))
+
+
+def _binary(a, b, op, grads) -> Tensor:
+    """Record ``op(a, b)`` with broadcasting; ``grads(g, a, b)`` gives both
+    gradients at the output shape, which are summed back to each operand's."""
+    a, b = as_tensor(a), as_tensor(b)
+    _broadcast_check(a, b)
+
+    def fn(g: Array):
+        ga, gb = grads(g, a.data, b.data)
+        return ((a, _unbroadcast(ga, a.shape)), (b, _unbroadcast(gb, b.shape)))
+
+    return _record(Tensor(op(a.data, b.data)), (a, b), fn)
+
+
+# ---------------------------------------------------------------------------
 # primitive ops
 
 
@@ -205,83 +213,34 @@ def transpose(x: Tensor) -> Tensor:
     x = as_tensor(x)
     if x.data.ndim != 2:
         raise ShapeError(f"transpose expects a 2-D tensor, got {x.shape}")
-    out = Tensor(x.data.T.copy())
-
-    def fn(g: Array):
-        return ((x, g.T),)
-
-    return _record(out, (x,), fn)
+    return _unary(x, x.data.T.copy(), lambda g: g.T)
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     x = as_tensor(x)
-    out = Tensor(x.data.reshape(shape))
-
-    def fn(g: Array):
-        return ((x, g.reshape(x.shape)),)
-
-    return _record(out, (x,), fn)
+    return _unary(x, x.data.reshape(shape), lambda g: g.reshape(x.shape))
 
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _broadcast_check(a, b)
-    out = Tensor(a.data + b.data)
-
-    def fn(g: Array):
-        return ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(g, b.shape)))
-
-    return _record(out, (a, b), fn)
+    return _binary(a, b, np.add, lambda g, x, y: (g, g))
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _broadcast_check(a, b)
-    out = Tensor(a.data - b.data)
-
-    def fn(g: Array):
-        return ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(-g, b.shape)))
-
-    return _record(out, (a, b), fn)
+    return _binary(a, b, np.subtract, lambda g, x, y: (g, -g))
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _broadcast_check(a, b)
-    out = Tensor(a.data * b.data)
-
-    def fn(g: Array):
-        return (
-            (a, _unbroadcast(g * b.data, a.shape)),
-            (b, _unbroadcast(g * a.data, b.shape)),
-        )
-
-    return _record(out, (a, b), fn)
+    return _binary(a, b, np.multiply, lambda g, x, y: (g * y, g * x))
 
 
 def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _broadcast_check(a, b)
-    out = Tensor(a.data / b.data)
-
-    def fn(g: Array):
-        return (
-            (a, _unbroadcast(g / b.data, a.shape)),
-            (b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape)),
-        )
-
-    return _record(out, (a, b), fn)
+    return _binary(a, b, np.divide, lambda g, x, y: (g / y, -g * x / (y * y)))
 
 
 def scale(x, factor: float) -> Tensor:
     x = as_tensor(x)
     factor = float(factor)
-    out = Tensor(x.data * factor)
-
-    def fn(g: Array):
-        return ((x, g * factor),)
-
-    return _record(out, (x,), fn)
+    return _unary(x, x.data * factor, lambda g: g * factor)
 
 
 def sigmoid(x) -> Tensor:
@@ -293,96 +252,63 @@ def sigmoid(x) -> Tensor:
     s[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
     s[~pos] = ez / (1.0 + ez)
-    out = Tensor(s)
-
-    def fn(g: Array):
-        return ((x, g * s * (1.0 - s)),)
-
-    return _record(out, (x,), fn)
+    return _unary(x, s, lambda g: g * s * (1.0 - s))
 
 
 def log(x) -> Tensor:
     x = as_tensor(x)
     if not (x.data > 0).all():
         raise DomainError("log requires strictly positive input")
-    out = Tensor(np.log(x.data))
-
-    def fn(g: Array):
-        return ((x, g / x.data),)
-
-    return _record(out, (x,), fn)
+    return _unary(x, np.log(x.data), lambda g: g / x.data)
 
 
 def clamp(x, lo: float, hi: float) -> Tensor:
     x = as_tensor(x)
-    out = Tensor(np.clip(x.data, lo, hi))
     # gradient passes only strictly inside (lo, hi); zero at and beyond bounds
     mask = (x.data > lo) & (x.data < hi)
-
-    def fn(g: Array):
-        return ((x, g * mask),)
-
-    return _record(out, (x,), fn)
+    return _unary(x, np.clip(x.data, lo, hi), lambda g: g * mask)
 
 
 def tanh(x) -> Tensor:
     x = as_tensor(x)
     t = np.tanh(x.data)
-    out = Tensor(t)
-
-    def fn(g: Array):
-        return ((x, g * (1.0 - t * t)),)
-
-    return _record(out, (x,), fn)
+    return _unary(x, t, lambda g: g * (1.0 - t * t))
 
 
 def reduce_sum(x, axis=None, keepdims: bool = False) -> Tensor:
     x = as_tensor(x)
-    out = Tensor(x.data.sum(axis=axis, keepdims=keepdims))
-
-    def fn(g: Array):
-        return ((x, _expand_reduced(g, x.shape, axis, keepdims).copy()),)
-
-    return _record(out, (x,), fn)
+    value = x.data.sum(axis=axis, keepdims=keepdims)
+    return _unary(x, value, lambda g: _expand_reduced(g, x.shape, axis, keepdims).copy())
 
 
 def reduce_mean(x, axis=None, keepdims: bool = False) -> Tensor:
     x = as_tensor(x)
-    out = Tensor(x.data.mean(axis=axis, keepdims=keepdims))
-    count = x.data.size if axis is None else x.data.size // out.data.size
+    value = x.data.mean(axis=axis, keepdims=keepdims)
+    count = x.data.size if axis is None else x.data.size // np.size(value)
+    return _unary(x, value, lambda g: _expand_reduced(g, x.shape, axis, keepdims) / count)
 
-    def fn(g: Array):
-        return ((x, _expand_reduced(g, x.shape, axis, keepdims) / count),)
 
-    return _record(out, (x,), fn)
+def _pick(x, arg) -> Tensor:
+    """The entry at flat index ``arg(x)`` as a scalar; the subgradient routes there."""
+    x = as_tensor(x)
+    flat_idx = int(arg(x.data))
+
+    def grad(g: Array) -> Array:
+        gx = np.zeros_like(x.data)
+        gx.reshape(-1)[flat_idx] = g
+        return gx
+
+    return _unary(x, x.data.reshape(-1)[flat_idx], grad)
 
 
 def reduce_max(x) -> Tensor:
     """Global maximum as a scalar; subgradient routes to the first occurrence."""
-    x = as_tensor(x)
-    flat_idx = int(np.argmax(x.data))
-    out = Tensor(x.data.reshape(-1)[flat_idx])
-
-    def fn(g: Array):
-        gx = np.zeros_like(x.data)
-        gx.reshape(-1)[flat_idx] = g
-        return ((x, gx),)
-
-    return _record(out, (x,), fn)
+    return _pick(x, np.argmax)
 
 
 def reduce_min(x) -> Tensor:
     """Global minimum as a scalar; subgradient routes to the first occurrence."""
-    x = as_tensor(x)
-    flat_idx = int(np.argmin(x.data))
-    out = Tensor(x.data.reshape(-1)[flat_idx])
-
-    def fn(g: Array):
-        gx = np.zeros_like(x.data)
-        gx.reshape(-1)[flat_idx] = g
-        return ((x, gx),)
-
-    return _record(out, (x,), fn)
+    return _pick(x, np.argmin)
 
 
 def softmax(logits) -> Tensor:
@@ -395,13 +321,7 @@ def softmax(logits) -> Tensor:
     shifted = x.data - x.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=1, keepdims=True)
-    out = Tensor(p)
-
-    def fn(g: Array):
-        inner = (g * p).sum(axis=1, keepdims=True)
-        return ((x, p * (g - inner)),)
-
-    return _record(out, (x,), fn)
+    return _unary(x, p, lambda g: p * (g - (g * p).sum(axis=1, keepdims=True)))
 
 
 def topk_mean(x, k: int) -> Tensor:
@@ -416,55 +336,62 @@ def topk_mean(x, k: int) -> Tensor:
         raise ValueError(f"k must satisfy 1 <= k <= {last}, got {k}")
     if k == last:
         # selecting everything: identical to a plain mean, bit for bit
-        out = Tensor(x.data.mean(axis=-1))
-
-        def fn_mean(g: Array):
-            return ((x, np.broadcast_to(g[..., None] / k, x.shape).copy()),)
-
-        return _record(out, (x,), fn_mean)
+        return _unary(x, x.data.mean(axis=-1), lambda g: np.broadcast_to(g[..., None] / k, x.shape).copy())
     # stable argsort of the negated values keeps the lowest index first on ties
     order = np.argsort(-x.data, axis=-1, kind="stable")
     idx = order[..., :k]
-    picked = np.take_along_axis(x.data, idx, axis=-1)
-    out = Tensor(picked.mean(axis=-1))
 
-    def fn(g: Array):
+    def grad(g: Array) -> Array:
         gx = np.zeros_like(x.data)
         np.put_along_axis(gx, idx, g[..., None] / k, axis=-1)
-        return ((x, gx),)
+        return gx
 
-    return _record(out, (x,), fn)
+    return _unary(x, np.take_along_axis(x.data, idx, axis=-1).mean(axis=-1), grad)
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
-    """Standardize each row over the last axis, then apply affine scale/shift."""
+def _affine_operands(x, gamma, beta) -> tuple[Tensor, Tensor, Tensor]:
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"gamma/beta must have shape ({d},), got {gamma.shape}/{beta.shape}")
-    if eps == 0.0 and d == 1:
-        raise DomainError("layer_norm with d=1 and eps=0 divides by zero")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    sigma = np.sqrt(var + eps)
-    if (sigma == 0.0).any():
-        raise DomainError("layer_norm hit a zero-variance row with eps=0")
-    xhat = (x.data - mu) / sigma
-    out = Tensor(xhat * gamma.data + beta.data)
+    return x, gamma, beta
+
+
+def _affine(x: Tensor, gamma: Tensor, beta: Tensor, xhat: Array, dx: Callable[[Array], Array]) -> Tensor:
+    """Record ``xhat * gamma + beta`` over the last axis, where xhat is x
+    normalized; ``dx`` maps the gradient of xhat to the gradient of x."""
 
     def fn(g: Array):
-        gxhat = g * gamma.data
         lead = tuple(range(g.ndim - 1))
-        dgamma = (g * xhat).sum(axis=lead)
-        dbeta = g.sum(axis=lead)
-        dx = (
-            gxhat
-            - gxhat.mean(axis=-1, keepdims=True)
-            - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
-        ) / sigma
-        return ((x, dx), (gamma, dgamma), (beta, dbeta))
+        return ((x, dx(g * gamma.data)), (gamma, (g * xhat).sum(axis=lead)), (beta, g.sum(axis=lead)))
 
-    return _record(out, (x, gamma, beta), fn)
+    return _record(Tensor(xhat * gamma.data + beta.data), (x, gamma, beta), fn)
+
+
+def _standardize(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, axis: int) -> Tensor:
+    """Standardize x with its own moments over ``axis``, differentiated through."""
+    if eps == 0.0 and x.shape[axis] == 1:
+        raise DomainError(f"eps=0 over a single value along axis {axis} divides by zero")
+    mu = x.data.mean(axis=axis, keepdims=True)
+    var = x.data.var(axis=axis, keepdims=True)
+    sigma = np.sqrt(var + eps)
+    if (sigma == 0.0).any():
+        raise DomainError(f"zero variance along axis {axis} with eps=0")
+    xhat = (x.data - mu) / sigma
+
+    def dx(gxhat: Array) -> Array:
+        return (
+            gxhat
+            - gxhat.mean(axis=axis, keepdims=True)
+            - xhat * (gxhat * xhat).mean(axis=axis, keepdims=True)
+        ) / sigma
+
+    return _affine(x, gamma, beta, xhat, dx)
+
+
+def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
+    """Standardize each row over the last axis, then apply affine scale/shift."""
+    return _standardize(*_affine_operands(x, gamma, beta), eps, -1)
 
 
 def batch_norm(x, gamma, beta, eps: float = 1e-5, running: tuple[Array, Array] | None = None) -> Tensor:
@@ -474,47 +401,15 @@ def batch_norm(x, gamma, beta, eps: float = 1e-5, running: tuple[Array, Array] |
     and only x/gamma/beta receive gradients; otherwise current-batch moments
     are used and differentiated through.
     """
-    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    x = as_tensor(x)
     if x.data.ndim != 2:
         raise ShapeError(f"batch_norm expects an n x d matrix, got {x.shape}")
-    d = x.shape[1]
-    if gamma.shape != (d,) or beta.shape != (d,):
-        raise ShapeError(f"gamma/beta must have shape ({d},), got {gamma.shape}/{beta.shape}")
-    if running is not None:
-        mean, var = running
-        sigma = np.sqrt(np.asarray(var, dtype=np.float64) + eps)
-        xhat = (x.data - mean) / sigma
-        out = Tensor(xhat * gamma.data + beta.data)
-
-        def fn_fixed(g: Array):
-            return (
-                (x, g * gamma.data / sigma),
-                (gamma, (g * xhat).sum(axis=0)),
-                (beta, g.sum(axis=0)),
-            )
-
-        return _record(out, (x, gamma, beta), fn_fixed)
-
-    if eps == 0.0 and x.shape[0] == 1:
-        raise DomainError("batch_norm with a single row and eps=0 divides by zero")
-    mu = x.data.mean(axis=0, keepdims=True)
-    var = x.data.var(axis=0, keepdims=True)
-    sigma = np.sqrt(var + eps)
-    if (sigma == 0.0).any():
-        raise DomainError("batch_norm hit a zero-variance feature with eps=0")
-    xhat = (x.data - mu) / sigma
-    out = Tensor(xhat * gamma.data + beta.data)
-
-    def fn(g: Array):
-        gxhat = g * gamma.data
-        dx = (
-            gxhat
-            - gxhat.mean(axis=0, keepdims=True)
-            - xhat * (gxhat * xhat).mean(axis=0, keepdims=True)
-        ) / sigma
-        return ((x, dx), (gamma, (g * xhat).sum(axis=0)), (beta, g.sum(axis=0)))
-
-    return _record(out, (x, gamma, beta), fn)
+    x, gamma, beta = _affine_operands(x, gamma, beta)
+    if running is None:
+        return _standardize(x, gamma, beta, eps, 0)
+    mean, var = running
+    sigma = np.sqrt(np.asarray(var, dtype=np.float64) + eps)
+    return _affine(x, gamma, beta, (x.data - mean) / sigma, lambda gxhat: gxhat / sigma)
 
 
 def cosine_similarity(a, b) -> Tensor:

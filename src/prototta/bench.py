@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .adapt import TARGET_SCOPES, WEIGHTINGS, TTAConfig, iter_batches, run_stream
+from .adapt import TARGET_SCOPES, WEIGHTINGS, JsonConfig, TTAConfig, iter_batches, run_stream
 from .errors import ConfigError, DegenerateInputError, FormatError, InsufficientDataError
 from .harness import (
     CORRUPTION_GROUPS,
@@ -99,7 +99,9 @@ def derive_seed(*parts) -> int:
 
 
 @dataclass(frozen=True)
-class BenchmarkPlan:
+class BenchmarkPlan(JsonConfig):
+    LABEL = "plan"
+
     model_path: str
     dataset_path: str
     output_dir: str
@@ -112,8 +114,14 @@ class BenchmarkPlan:
     record_batches: int = 4
 
     def __post_init__(self):
-        if not self.methods:
-            object.__setattr__(self, "methods", tuple(method_presets().items()))
+        methods = self.methods or method_presets()
+        if isinstance(methods, dict):
+            methods = methods.items()
+        object.__setattr__(
+            self,
+            "methods",
+            tuple((name, cfg if isinstance(cfg, TTAConfig) else TTAConfig.from_dict(cfg)) for name, cfg in methods),
+        )
         object.__setattr__(
             self,
             "corruptions",
@@ -126,8 +134,6 @@ class BenchmarkPlan:
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if not self.corruptions:
             raise ConfigError("plan needs at least one corruption")
-        if not self.methods:
-            raise ConfigError("plan needs at least one method")
         names = [name for name, _ in self.methods]
         if len(set(names)) != len(names):
             raise ConfigError(f"method names must be unique, got {names}")
@@ -154,30 +160,6 @@ class BenchmarkPlan:
 
     def to_json(self) -> str:
         return canonical_dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BenchmarkPlan":
-        known = set(cls.__dataclass_fields__)
-        extra = set(d) - known
-        if extra:
-            raise ConfigError(f"unknown plan keys: {sorted(extra)}")
-        kwargs = dict(d)
-        if "methods" in kwargs:
-            pairs = kwargs["methods"]
-            if isinstance(pairs, dict):
-                pairs = pairs.items()
-            kwargs["methods"] = tuple(
-                (name, cfg if isinstance(cfg, TTAConfig) else TTAConfig.from_dict(cfg))
-                for name, cfg in pairs
-            )
-        return cls(**kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "BenchmarkPlan":
-        try:
-            return cls.from_dict(json.loads(text))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid plan JSON: {exc}") from None
 
 
 @dataclass

@@ -13,11 +13,13 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from .adapt import iter_batches
 from .autodiff import Tensor
-from .errors import ConfigError, FormatError, TrainingError
+from .errors import ConfigError, TrainingError
 from .model import (
     ModelConfig,
     PrototypeModel,
+    _header_fields,
     _read_blocks,
     _read_container,
     _write_container,
@@ -71,7 +73,7 @@ class CorruptionSpec:
 
     @classmethod
     def parse(cls, text: str) -> "CorruptionSpec":
-        kind, sep, sev = text.partition(":")
+        kind, sep, sev = str(text).partition(":")
         if not sep:
             raise ConfigError(f"corruption spec must look like kind:severity, got {text!r}")
         try:
@@ -206,15 +208,10 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 def load_dataset(path) -> Dataset:
     header, body = _read_container(path, DATASET_MAGIC)
-    try:
+    with _header_fields(path):
         spec = SyntheticTaskSpec.from_dict(header["spec"])
-        shapes = header["shapes"]
-    except KeyError as exc:
-        raise FormatError(f"{path}: header missing field {exc}") from None
-    tx = tuple(shapes["train_x"])
-    ex = tuple(shapes["test_x"])
-    cs = tuple(shapes["centers"])
-    blocks = _read_blocks(body, [tx, (tx[0],), ex, (ex[0],), cs], path)
+        tx, ex, cs = (tuple(header["shapes"][key]) for key in ("train_x", "test_x", "centers"))
+        blocks = _read_blocks(body, [tx, (tx[0],), ex, (ex[0],), cs], path)
     return Dataset(
         spec=spec,
         train_x=blocks[0],
@@ -228,10 +225,9 @@ def load_dataset(path) -> Dataset:
 def evaluate(model: PrototypeModel, x: np.ndarray, y: np.ndarray, batch_size: int = 512) -> float:
     """Plain accuracy with evaluation-mode statistics, no adaptation."""
     correct = 0
-    for start in range(0, len(x), batch_size):
-        xb = x[start : start + batch_size]
+    for xb, yb in iter_batches(x, y, batch_size):
         out = model_forward(model, xb, use_batch_stats=False)
-        correct += int((out.pseudo_labels == y[start : start + batch_size]).sum())
+        correct += int((out.pseudo_labels == yb).sum())
     return correct / len(x)
 
 
@@ -304,13 +300,10 @@ def train_source_model(
     opt = init_optimizer(params)
     opt_cfg = TTAConfig(lr=lr)
     rng = np.random.default_rng(seed)
-    n = len(dataset.train_x)
     last_loss = float("nan")
     for epoch in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            xb, yb = dataset.train_x[idx], dataset.train_y[idx]
+        order = rng.permutation(len(dataset.train_x))
+        for xb, yb in iter_batches(dataset.train_x[order], dataset.train_y[order], batch_size):
             tape = ad.Tape()
             with tape:
                 out = model_forward(model, xb, use_batch_stats=True)
@@ -321,8 +314,7 @@ def train_source_model(
             if not np.isfinite(loss.data).all():
                 raise TrainingError(f"loss diverged at epoch {epoch}")
             ad.backward(tape, loss)
-            grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
-            adam_step(params, grads, opt, opt_cfg)
+            adam_step(params, [p.grad for p in params], opt, opt_cfg)
             tape.clear()
             last_loss = loss.item()
     model.set_trainable([])

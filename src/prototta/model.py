@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -430,6 +431,17 @@ def _read_container(path, magic: bytes) -> tuple[dict, memoryview]:
     return header, memoryview(raw)[start + hlen :]
 
 
+@contextmanager
+def _header_fields(path):
+    """Turn a missing or ill-typed header field into a FormatError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise FormatError(f"{path}: header missing field {exc}") from None
+    except (TypeError, ValueError, IndexError) as exc:
+        raise FormatError(f"{path}: malformed header: {exc}") from None
+
+
 def _read_blocks(body: memoryview, shapes: list[tuple[int, ...]], path) -> list[np.ndarray]:
     blocks = []
     offset = 0
@@ -464,32 +476,28 @@ def save_model(model: PrototypeModel, path) -> None:
 
 def load_model(path) -> PrototypeModel:
     header, body = _read_container(path, MODEL_MAGIC)
-    try:
+    with _header_fields(path):
         config = ModelConfig.from_dict(header["config"])
-        manifest = header["tensors"]
+        names = [name for name, _ in header["tensors"]]
+        shapes = [tuple(shape) for _, shape in header["tensors"]]
         stat_layers = header["running_stat_layers"]
         class_of = header["class_of"]
-    except KeyError as exc:
-        raise FormatError(f"{path}: header missing field {exc}") from None
     model = PrototypeModel(config, seed=0)
     if class_of != model.class_of.tolist():
         raise FormatError(f"{path}: stored class_of disagrees with the config")
     expected = model.param_names()
-    if [name for name, _ in manifest] != expected:
+    if names != expected:
         raise FormatError(f"{path}: tensor manifest does not match config")
-    shapes = [tuple(shape) for _, shape in manifest]
     for name, shape in zip(expected, shapes):
         if shape != model.params[name].shape:
             raise FormatError(f"{path}: {name} has shape {shape}, expected {model.params[name].shape}")
-    stat_shapes = []
-    for i in stat_layers:
-        width = config.backbone.hidden_dims[i]
-        stat_shapes.extend([(width,), (width,)])
+    if stat_layers != sorted(model.running_stats):
+        raise FormatError(f"{path}: running statistics of layers {stat_layers} do not match config")
+    stat_shapes = [stat.shape for i in stat_layers for stat in model.running_stats[i]]
     blocks = _read_blocks(body, shapes + stat_shapes, path)
     for name, block in zip(expected, blocks[: len(expected)]):
         model.params[name].data = block.copy()
-    model.running_stats = {}
     rest = blocks[len(expected) :]
     for j, i in enumerate(stat_layers):
-        model.running_stats[int(i)] = (rest[2 * j].copy(), rest[2 * j + 1].copy())
+        model.running_stats[i] = (rest[2 * j].copy(), rest[2 * j + 1].copy())
     return model

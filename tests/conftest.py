@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,20 @@ def small_model():
         sub_prototypes=2,
     )
     return PrototypeModel(config, seed=0)
+
+
+@pytest.fixture()
+def rewrite_header():
+    """Replace the JSON header of a saved container with ``edit(header)``."""
+
+    def rewrite(path, magic: bytes, edit):
+        raw = path.read_bytes()
+        start = len(magic) + 8
+        end = start + int.from_bytes(raw[len(magic) : start], "little")
+        header = json.dumps(edit(json.loads(raw[start:end]))).encode("utf-8")
+        path.write_bytes(raw[: len(magic)] + len(header).to_bytes(8, "little") + header + raw[end:])
+
+    return rewrite
 
 
 @pytest.fixture()

@@ -61,6 +61,9 @@ class TestConfig:
             {"weighting": "squared"},
             {"entropy_cap": -1.0},
             {"batch_size": 0},
+            {"beta1": 1.0},
+            {"beta2": -0.1},
+            {"adam_eps": 0.0},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -209,6 +212,18 @@ class TestAdaptBatch:
         with pytest.raises(ContractError):
             adapt_batch(tiny_model.copy(), batch, TTAConfig(method="tent"), None)
 
+    def test_untrainable_parameters_are_contract_error(self, tiny_model, batch):
+        # never set trainable, so no parameter is on the tape and none gets a gradient
+        model = tiny_model.copy()
+        cfg = TTAConfig(method="tent")
+        state = init_optimizer([p for _, p in model.adaptable_params(cfg.param_mode)])
+        before = model.state_snapshot()
+        with pytest.raises(ContractError, match="no gradient"):
+            adapt_batch(model, batch, cfg, state)
+        assert state.t == 0
+        after = model.state_snapshot()
+        assert all(np.array_equal(before[k], after[k]) for k in before)
+
     def _step(self, model, batch, cfg):
         model.set_trainable(model.adaptable_param_names(cfg.param_mode))
         state = init_optimizer([p for _, p in model.adaptable_params(cfg.param_mode)])
@@ -341,6 +356,22 @@ class TestRunStream:
         )
         assert report.selected_samples == 0
         assert all(r.skipped for r in report.records)
+
+    def test_unadapted_stream_is_its_own_clean_reference(self, tiny_model, tiny_dataset, rng, monkeypatch):
+        calls = []
+
+        def counting_forward(*args, **kwargs):
+            calls.append(1)
+            return model_forward(*args, **kwargs)
+
+        monkeypatch.setattr("prototta.adapt.model_forward", counting_forward)
+        x, y = self._batches(tiny_dataset, rng)
+        report = run_stream(tiny_model.copy(), iter_batches(x, y, 64), TTAConfig(method="unadapted"))
+        assert len(calls) == 3
+        assert [r.clean_agreement for r in report.records] == [1.0, 1.0, 1.0]
+        for r in report.sample_records:
+            assert np.array_equal(r.clean_activations, r.adapted_activations)
+            assert r.clean_prediction == r.adapted_prediction
 
 
 class TestIterBatches:

@@ -52,6 +52,13 @@ class TestGradientChecks:
         full = rng.uniform(-2, 2, (3, 4))
         check_grad(lambda a: ad.reduce_sum(ad.mul(ad.add(a, Tensor(row)), 1.3)), full)
         check_grad(lambda a: ad.reduce_sum(ad.mul(Tensor(full), a)), row)
+        positive = rng.uniform(0.5, 2, (3, 4))
+        for operand in (row, full):
+            check_grad(lambda a: ad.reduce_sum(ad.mul(ad.sub(a, Tensor(positive)), positive)), operand)
+            check_grad(lambda a: ad.reduce_sum(ad.mul(ad.sub(Tensor(positive), a), positive)), operand)
+        check_grad(lambda a: ad.reduce_sum(ad.mul(ad.div(a, Tensor(positive)), positive)), row)
+        check_grad(lambda a: ad.reduce_sum(ad.mul(ad.div(Tensor(full), a), positive)), np.abs(row) + 0.5)
+        check_grad(lambda a: ad.reduce_sum(ad.mul(ad.div(Tensor(row), a), full)), positive)
 
     def test_nonlinearities(self, rng):
         x = rng.uniform(-2, 2, (3, 4))
@@ -94,6 +101,20 @@ class TestGradientChecks:
         check_grad(lambda a: ad.reduce_sum(ad.layer_norm(a, Tensor(gamma), Tensor(beta))), x)
         check_grad(lambda a: ad.reduce_sum(ad.batch_norm(a, Tensor(gamma), Tensor(beta))), x)
         check_grad(lambda g: ad.reduce_sum(ad.batch_norm(Tensor(x), g, Tensor(beta))), gamma)
+        weights = rng.uniform(0.5, 1.5, (6, 5))
+        check_grad(lambda b: ad.reduce_sum(ad.mul(ad.batch_norm(Tensor(x), Tensor(gamma), b), weights)), beta)
+        running = (rng.uniform(-0.5, 0.5, 5), rng.uniform(0.5, 2.0, 5))
+
+        def fixed(a, g, b):
+            return ad.reduce_sum(ad.mul(ad.batch_norm(a, g, b, running=running), weights))
+
+        check_grad(lambda a: fixed(a, Tensor(gamma), Tensor(beta)), x)
+        check_grad(lambda g: fixed(Tensor(x), g, Tensor(beta)), gamma)
+        check_grad(lambda b: fixed(Tensor(x), Tensor(gamma), b), beta)
+        x3 = rng.uniform(-2, 2, (2, 3, 5))
+        w3 = rng.uniform(0.5, 1.5, (2, 3, 5))
+        check_grad(lambda a: ad.reduce_sum(ad.mul(ad.layer_norm(a, Tensor(gamma), Tensor(beta)), w3)), x3)
+        check_grad(lambda g: ad.reduce_sum(ad.mul(ad.layer_norm(Tensor(x3), g, Tensor(beta)), w3)), gamma)
 
     def test_cosine_similarity(self, rng):
         a = rng.uniform(-2, 2, (4, 6))

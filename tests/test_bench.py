@@ -559,6 +559,37 @@ class TestCli:
         assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"num_batches": "4"},
+            {"seeds": ["a"]},
+            {"methods": [["x", {"lr": "a"}]]},
+            {"methods": [["x", {"beta1": "a"}]]},
+            {"corruptions": [5]},
+            None,
+        ],
+        ids=["num-batches-string", "seed-string", "lr-string", "beta1-string", "corruption-int", "plan-list"],
+    )
+    def test_ill_typed_plan_exits_2(self, saved_files, tmp_path, capsys, change):
+        plan = {
+            "model_path": str(saved_files["model"]),
+            "dataset_path": str(saved_files["dataset"]),
+            "output_dir": str(tmp_path / "reports"),
+            "corruptions": ["gaussian_noise:5"],
+            "seeds": [0],
+            "num_batches": 1,
+        }
+        plan_path = tmp_path / "plan.json"
+        # None stands for a plan that is a JSON list instead of an object
+        plan_path.write_text(json.dumps([1, 2] if change is None else {**plan, **change}))
+        assert main(["bench", "--plan", str(plan_path)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        if change is None:
+            assert "must be a JSON object" in err
+        assert not (tmp_path / "reports").exists()
+
     def test_bad_corruption_string_exits_2(self, saved_files, tmp_path, capsys):
         code = main(
             [

@@ -162,6 +162,24 @@ class TestDatasetPersistence:
         b = evaluate(tiny_model, tiny_dataset.test_x, tiny_dataset.test_y)
         assert a == b
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: {**h, "spec": {**h["spec"], "seed": "x"}},
+            lambda h: {**h, "shapes": None},
+            lambda h: [h],
+            lambda h: {**h, "shapes": {**h["shapes"], "train_x": []}},
+            lambda h: {**h, "shapes": {**h["shapes"], "train_x": [-1, h["shapes"]["train_x"][1]]}},
+        ],
+        ids=["seed-string", "shapes-null", "header-list", "empty-shape", "negative-dim"],
+    )
+    def test_malformed_header_is_format_error(self, tiny_dataset, tmp_path, rewrite_header, edit):
+        path = tmp_path / "data.pttd"
+        save_dataset(tiny_dataset, path)
+        rewrite_header(path, b"PTTD1", edit)
+        with pytest.raises(FormatError):
+            load_dataset(path)
+
     def test_bad_magic_rejected(self, tiny_dataset, tmp_path):
         path = tmp_path / "data.pttd"
         save_dataset(tiny_dataset, path)

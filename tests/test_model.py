@@ -257,6 +257,24 @@ class TestPersistence:
         with pytest.raises(FormatError, match="class_of"):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: {**h, "config": {**h["config"], "num_classes": "five"}},
+            lambda h: {**h, "running_stat_layers": [7]},
+            lambda h: [h],
+            lambda h: {**h, "tensors": 5},
+            lambda h: {**h, "config": {**h["config"], "backbone": None}},
+        ],
+        ids=["num-classes-string", "unknown-stat-layer", "header-list", "tensors-int", "backbone-null"],
+    )
+    def test_malformed_header_is_format_error(self, small_model, tmp_path, rewrite_header, edit):
+        path = tmp_path / "model.bin"
+        save_model(small_model, path)
+        rewrite_header(path, b"PTTA1", edit)
+        with pytest.raises(FormatError):
+            load_model(path)
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             ModelConfig(num_classes=1)
