@@ -64,6 +64,12 @@ class JsonConfig:
             raise ConfigError(f"invalid {cls.LABEL} JSON: {exc}") from None
         return cls.from_dict(d)
 
+    @staticmethod
+    def _require(kind: type, label: str, value) -> None:
+        """ConfigError unless ``value`` is a ``kind``; a bool does not count as an int."""
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+            raise ConfigError(f"{label} must be {kind.__name__}, got {value!r}")
+
 
 @dataclass(frozen=True)
 class TTAConfig(JsonConfig):
@@ -86,6 +92,9 @@ class TTAConfig(JsonConfig):
     episodic: bool = False
 
     def __post_init__(self):
+        for name in ("use_entropy_constraint", "episodic"):
+            self._require(bool, name, getattr(self, name))
+        self._require(int, "batch_size", self.batch_size)
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         if not 0.0 < self.tau_sim < 1.0:

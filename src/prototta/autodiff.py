@@ -413,33 +413,25 @@ def batch_norm(x, gamma, beta, eps: float = 1e-5, running: tuple[Array, Array] |
 
 
 def cosine_similarity(a, b) -> Tensor:
-    """Row-wise cosine over the last axis; leading axes broadcast."""
+    """Cosine of every row of an n x d ``a`` with every row of an m x d ``b``: n x m."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.shape[-1] != b.shape[-1]:
-        raise ShapeError(f"last-axis sizes disagree: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a.data, axis=-1)
-    nb = np.linalg.norm(b.data, axis=-1)
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise ShapeError(f"cosine_similarity expects n x d and m x d matrices, got {a.shape} and {b.shape}")
+    na = np.linalg.norm(a.data, axis=1, keepdims=True)
+    nb = np.linalg.norm(b.data, axis=1, keepdims=True)
     for label, norms in (("a", na), ("b", nb)):
         if (norms <= _NORM_FLOOR).any():
-            row = np.unravel_index(int(np.argmin(norms)), norms.shape) if norms.ndim else ()
-            raise DegenerateInputError(f"zero-norm row {row} in operand {label}")
-    dot = np.einsum("...d,...d->...", a.data, b.data)
-    denom = na * nb
-    c = dot / denom
-    out = Tensor(c)
+            raise DegenerateInputError(f"zero-norm row {int(np.argmin(norms))} in operand {label}")
+    ahat, bhat = a.data / na, b.data / nb
+    c = ahat @ bhat.T
 
     def fn(g: Array):
-        af = np.broadcast_to(a.data, g.shape + (a.shape[-1],))
-        bf = np.broadcast_to(b.data, g.shape + (b.shape[-1],))
-        naf = np.broadcast_to(na, g.shape)[..., None]
-        nbf = np.broadcast_to(nb, g.shape)[..., None]
-        cf = c[..., None]
-        ge = g[..., None]
-        da = ge * (bf / (naf * nbf) - cf * af / (naf * naf))
-        db = ge * (af / (naf * nbf) - cf * bf / (nbf * nbf))
-        return ((a, _unbroadcast(da, a.shape)), (b, _unbroadcast(db, b.shape)))
+        gc = g * c
+        ga = (g @ bhat - ahat * gc.sum(axis=1, keepdims=True)) / na
+        gb = (g.T @ ahat - bhat * gc.sum(axis=0)[:, None]) / nb
+        return ((a, ga), (b, gb))
 
-    return _record(out, (a, b), fn)
+    return _record(Tensor(c), (a, b), fn)
 
 
 def finite_difference_grad(f: Callable[[Tensor], float], params: Tensor, eps: float = 1e-5) -> Tensor:

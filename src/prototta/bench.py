@@ -131,7 +131,11 @@ class BenchmarkPlan(JsonConfig):
             ),
         )
         object.__setattr__(self, "metrics", tuple(self.metrics))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        object.__setattr__(self, "seeds", tuple(self.seeds))
+        for seed in self.seeds:
+            self._require(int, "seed", seed)
+        for name in ("num_batches", "board_k", "record_batches"):
+            self._require(int, name, getattr(self, name))
         if not self.corruptions:
             raise ConfigError("plan needs at least one corruption")
         names = [name for name, _ in self.methods]
@@ -144,6 +148,8 @@ class BenchmarkPlan(JsonConfig):
             raise ConfigError(f"unknown metrics {sorted(unknown)}; choose from {METRIC_CHOICES}")
         if not self.seeds:
             raise ConfigError("plan needs at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must be unique, got {list(self.seeds)}")
         if self.num_batches < 1:
             raise ConfigError(f"num_batches must be positive, got {self.num_batches}")
         if self.board_k < 1:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, DegenerateInputError, DomainError, FormatError, ShapeError
+from .errors import ConfigError, DomainError, FormatError, ShapeError
 
 EPS_CLAMP = 1e-7
 
@@ -362,13 +362,9 @@ def model_forward(model: PrototypeModel, x: Tensor | np.ndarray, use_batch_stats
     if not np.isfinite(x.data).all():
         raise DomainError("input contains non-finite values")
     features = backbone_features(model, x, use_batch_stats)
-    norms = np.linalg.norm(features.data, axis=1)
-    if (norms <= 1e-12).any():
-        sample = int(np.argmin(norms))
-        raise DegenerateInputError(f"feature collapse: zero-norm feature for sample {sample}")
     n = x.shape[0]
-    d = model.config.backbone.feature_dim
-    raw_sims = ad.cosine_similarity(ad.reshape(features, (n, 1, 1, d)), model.prototypes)
+    P, K, d = model.prototypes.shape
+    raw_sims = ad.reshape(ad.cosine_similarity(features, ad.reshape(model.prototypes, (P * K, d))), (n, P, K))
     agg_sims = _aggregate(raw_sims, model.config)
     if model.config.mapping.kind == "log_inverse_distance":
         # squared euclidean distance between unit vectors: 2 * (1 - cos)

@@ -64,6 +64,11 @@ class TestConfig:
             {"beta1": 1.0},
             {"beta2": -0.1},
             {"adam_eps": 0.0},
+            {"episodic": "no"},
+            {"use_entropy_constraint": "false"},
+            {"episodic": 1},
+            {"batch_size": 1.5},
+            {"batch_size": True},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import prototta.autodiff as ad
 from prototta.autodiff import Tape, Tensor, finite_difference_grad
-from prototta.errors import DomainError, ShapeError
+from prototta.errors import DegenerateInputError, DomainError, ShapeError
 
 
 def check_grad(build, param_data, tol=1e-4, eps=1e-5):
@@ -121,6 +121,10 @@ class TestGradientChecks:
         b = rng.uniform(-2, 2, (4, 6))
         check_grad(lambda t: ad.reduce_sum(ad.cosine_similarity(t, Tensor(b))), a)
         check_grad(lambda t: ad.reduce_sum(ad.cosine_similarity(Tensor(a), t)), b)
+        tall = rng.uniform(-2, 2, (5, 6))
+        weights = rng.uniform(0.5, 1.5, (5, 3))
+        check_grad(lambda t: ad.reduce_sum(ad.mul(ad.cosine_similarity(t, Tensor(b[:3])), weights)), tall)
+        check_grad(lambda t: ad.reduce_sum(ad.mul(ad.cosine_similarity(Tensor(tall), t), weights)), b[:3])
 
     def test_reshape_transpose(self, rng):
         x = rng.uniform(-2, 2, (3, 4))
@@ -208,6 +212,16 @@ class TestOpSemantics:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):
             ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+        with pytest.raises(ShapeError):
+            ad.cosine_similarity(Tensor(np.ones((2, 1, 3))), Tensor(np.ones((4, 3))))
+        with pytest.raises(ShapeError):
+            ad.cosine_similarity(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
+
+    def test_cosine_zero_row_is_degenerate(self):
+        b = np.ones((4, 3))
+        b[2] = 0.0
+        with pytest.raises(DegenerateInputError, match="row 2 in operand b"):
+            ad.cosine_similarity(Tensor(np.ones((2, 3))), Tensor(b))
 
     def test_log_domain_error(self):
         with pytest.raises(DomainError):

@@ -76,6 +76,8 @@ class TestPlan:
             BenchmarkPlan(**{**plan_kwargs, "metrics": ("accuracy", "latency")})
         with pytest.raises(ConfigError):
             BenchmarkPlan(**{**plan_kwargs, "seeds": ()})
+        with pytest.raises(ConfigError, match="seeds must be unique"):
+            BenchmarkPlan(**{**plan_kwargs, "seeds": (0, 1, 0)})
         with pytest.raises(ConfigError):
             BenchmarkPlan(**{**plan_kwargs, "num_batches": 0})
         with pytest.raises(ConfigError):
@@ -206,8 +208,8 @@ class TestRunBenchmark:
         assert cell.accuracy == pytest.approx(100.0 * expected, abs=1e-12)
         assert cell.selection_rate == 0.0
 
-    def test_repeated_seed_gives_zero_std(self, plan_kwargs):
-        plan = BenchmarkPlan(**{**plan_kwargs, "seeds": (0, 0), "metrics": ("accuracy",)})
+    def test_single_seed_gives_zero_std(self, plan_kwargs):
+        plan = BenchmarkPlan(**{**plan_kwargs, "seeds": (0,), "metrics": ("accuracy",)})
         run_benchmark(plan)
         _, agg = read_csv(Path(plan_kwargs["output_dir"]) / "accuracy.csv")
         for _method, corruption, _mean, std in agg:
@@ -568,8 +570,20 @@ class TestCli:
             {"methods": [["x", {"beta1": "a"}]]},
             {"corruptions": [5]},
             None,
+            {"methods": [["x", {"episodic": "no"}]]},
+            {"methods": [["x", {"use_entropy_constraint": "false"}]]},
+            {"methods": [["x", {"batch_size": 1.5}]]},
+            {"num_batches": 1.5},
+            {"record_batches": 1.5},
+            {"board_k": 1.5},
+            {"seeds": [1.7]},
+            {"seeds": [True]},
         ],
-        ids=["num-batches-string", "seed-string", "lr-string", "beta1-string", "corruption-int", "plan-list"],
+        ids=[
+            "num-batches-string", "seed-string", "lr-string", "beta1-string", "corruption-int", "plan-list",
+            "episodic-string", "entropy-constraint-string", "batch-size-float", "num-batches-float",
+            "record-batches-float", "board-k-float", "seed-float", "seed-bool",
+        ],
     )
     def test_ill_typed_plan_exits_2(self, saved_files, tmp_path, capsys, change):
         plan = {

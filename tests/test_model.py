@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from prototta.autodiff import Tensor
-from prototta.errors import ConfigError, DomainError, FormatError
+from prototta.errors import ConfigError, DegenerateInputError, DomainError, FormatError
 from prototta.model import (
     EPS_CLAMP,
     BackboneConfig,
@@ -130,6 +130,17 @@ class TestForward:
         np.testing.assert_allclose(out.confidences, out.probs.data.max(axis=1), atol=1e-15)
         assert np.array_equal(out.pseudo_labels, out.probs.data.argmax(axis=1))
         assert out.raw_sims.shape == (32, len(small_model.class_of), 2)
+        feats = out.features.data / np.linalg.norm(out.features.data, axis=1, keepdims=True)
+        protos = small_model.prototypes.data
+        protos = protos / np.linalg.norm(protos, axis=-1, keepdims=True)
+        np.testing.assert_allclose(out.raw_sims.data, np.einsum("nd,pkd->npk", feats, protos), rtol=0, atol=1e-12)
+
+    def test_zero_features_are_degenerate(self, small_model, rng):
+        last = len(small_model.config.backbone.hidden_dims) - 1
+        for part in ("norm.gamma", "norm.beta", "attn_bias"):
+            small_model.params[f"backbone.{last}.{part}"].data[:] = 0.0
+        with pytest.raises(DegenerateInputError, match="operand a"):
+            model_forward(small_model, rng.normal(size=(4, 8)), use_batch_stats=False)
 
     def test_logits_are_aggregated_sims_through_head(self, small_model, rng):
         out = model_forward(small_model, rng.normal(size=(4, 8)), use_batch_stats=False)
