@@ -13,6 +13,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
+from numbers import Real
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -66,9 +67,11 @@ class JsonConfig:
 
     @staticmethod
     def _require(kind: type, label: str, value) -> None:
-        """ConfigError unless ``value`` is a ``kind``; a bool does not count as an int."""
-        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-            raise ConfigError(f"{label} must be {kind.__name__}, got {value!r}")
+        """ConfigError unless ``value`` is a ``kind``; a bool counts only as a
+        bool, and a ``Real`` must be finite."""
+        ok = isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+        if not ok or (kind is Real and not math.isfinite(value)):
+            raise ConfigError(f"{label} must be {'finite real' if kind is Real else kind.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -95,6 +98,12 @@ class TTAConfig(JsonConfig):
         for name in ("use_entropy_constraint", "episodic"):
             self._require(bool, name, getattr(self, name))
         self._require(int, "batch_size", self.batch_size)
+        reals = [(name, getattr(self, name)) for name in ("tau_sim", "lr", "beta1", "beta2", "adam_eps")]
+        reals += [("hybrid_weights", w) for w in self.hybrid_weights]
+        if self.entropy_cap is not None:
+            reals.append(("entropy_cap", self.entropy_cap))
+        for name, value in reals:
+            self._require(Real, name, value)
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         if not 0.0 < self.tau_sim < 1.0:
@@ -137,7 +146,7 @@ class ReliableSet:
 
     indices: np.ndarray  # selected sample positions within the batch
     confidences: np.ndarray  # max class probability per selected sample
-    target_sets: list[np.ndarray]  # prototype indices per selected sample
+    target_sets: np.ndarray  # row i: ascending prototype indices of selected sample i
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -229,37 +238,26 @@ def geometric_filter(outputs: BatchOutputs, cfg: TTAConfig, class_of: np.ndarray
         cap = cfg.resolved_entropy_cap(outputs.probs.shape[1])
         keep &= shannon_entropy_rows(outputs.probs.data) < cap
     indices = np.flatnonzero(keep)
-    num_protos = mapped.shape[1]
-    all_protos = np.arange(num_protos)
-    target_sets = []
-    for i in indices:
-        if cfg.target_scope == "all_prototypes":
-            target_sets.append(all_protos)
-        else:
-            target_sets.append(np.flatnonzero(class_of == outputs.pseudo_labels[i]))
-    return ReliableSet(
-        indices=indices,
-        confidences=outputs.confidences[indices].copy(),
-        target_sets=target_sets,
-    )
+    if cfg.target_scope == "all_prototypes":
+        target_sets = np.tile(np.arange(len(class_of)), (len(indices), 1))
+    else:
+        owned = np.stack([np.flatnonzero(class_of == c) for c in range(outputs.probs.shape[1])])
+        target_sets = owned[outputs.pseudo_labels[indices]]
+    return ReliableSet(indices=indices, confidences=outputs.confidences[indices].copy(), target_sets=target_sets)
 
 
 def _loss_coefficients(outputs: BatchOutputs, rel: ReliableSet, head: Tensor, cfg: TTAConfig) -> np.ndarray:
     """Constant per-(sample, prototype) weights c_i * w_p over the reliable set."""
-    n, num_protos = outputs.mapped_sims.shape
-    coeff = np.zeros((n, num_protos))
-    use_importance = cfg.weighting in ("importance_only", "both")
-    use_confidence = cfg.weighting in ("confidence_only", "both")
-    for i, targets, conf in zip(rel.indices, rel.target_sets, rel.confidences):
-        label = outputs.pseudo_labels[i]
-        if use_importance:
-            w = np.abs(head.data[label, targets])
-            total = w.sum()
-            w = w / total if total > 0 else np.full(len(targets), 1.0 / len(targets))
-        else:
-            w = np.full(len(targets), 1.0 / len(targets))
-        c = conf if use_confidence else 1.0
-        coeff[i, targets] = c * w
+    targets = rel.target_sets
+    w = np.full(targets.shape, 1.0 / targets.shape[1])
+    if cfg.weighting in ("importance_only", "both"):
+        importance = np.abs(head.data[outputs.pseudo_labels[rel.indices][:, None], targets])
+        total = importance.sum(axis=1, keepdims=True)
+        np.divide(importance, total, out=w, where=total > 0)
+    if cfg.weighting in ("confidence_only", "both"):
+        w *= rel.confidences[:, None]
+    coeff = np.zeros(outputs.mapped_sims.shape)
+    coeff[rel.indices[:, None], targets] = w
     return coeff / len(rel)
 
 

@@ -136,9 +136,13 @@ class BenchmarkPlan(JsonConfig):
             self._require(int, "seed", seed)
         for name in ("num_batches", "board_k", "record_batches"):
             self._require(int, name, getattr(self, name))
+        for name in ("model_path", "dataset_path", "output_dir"):
+            self._require(str, name, getattr(self, name))
         if not self.corruptions:
             raise ConfigError("plan needs at least one corruption")
         names = [name for name, _ in self.methods]
+        for name in names:
+            self._require(str, "method name", name)
         if len(set(names)) != len(names):
             raise ConfigError(f"method names must be unique, got {names}")
         if len(set(self.corruptions)) != len(self.corruptions):

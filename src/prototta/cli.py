@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .bench import (
@@ -88,9 +89,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_plan_arguments(sub_parser: argparse.ArgumentParser) -> None:
     sub_parser.add_argument("--plan", default=None, help="benchmark plan .json path")
-    sub_parser.add_argument("--model", default=None, help="model file, PTTA1 container (overrides plan)")
-    sub_parser.add_argument("--data", default=None, help="dataset file, PTTD1 container (overrides plan)")
-    sub_parser.add_argument("--out-dir", default=None, help="report directory (overrides plan)")
+    # every dest except "plan" is a BenchmarkPlan field, which a given flag overrides
+    sub_parser.add_argument("--model", dest="model_path", help="model file, PTTA1 container (overrides plan)")
+    sub_parser.add_argument("--data", dest="dataset_path", help="dataset file, PTTD1 container (overrides plan)")
+    sub_parser.add_argument("--out-dir", dest="output_dir", help="report directory (overrides plan)")
     sub_parser.add_argument(
         "--corruptions", nargs="+", default=None, metavar="KIND:SEV", help="e.g. gaussian_noise:5"
     )
@@ -109,28 +111,15 @@ def _add_plan_arguments(sub_parser: argparse.ArgumentParser) -> None:
 
 
 def _plan_from_args(args: argparse.Namespace) -> BenchmarkPlan:
+    base = {}
     if args.plan is not None:
         path = Path(args.plan)
         if not path.is_file():
             raise ConfigError(f"plan file not found: {path}")
         base = BenchmarkPlan.from_json(path.read_text(encoding="utf-8")).to_dict()
-    else:
-        if args.model is None or args.data is None or args.out_dir is None:
-            raise ConfigError("without --plan, all of --model, --data, --out-dir are required")
-        base = BenchmarkPlan(
-            model_path=args.model, dataset_path=args.data, output_dir=args.out_dir
-        ).to_dict()
-    overrides = {
-        "model_path": args.model,
-        "dataset_path": args.data,
-        "output_dir": args.out_dir,
-        "corruptions": args.corruptions,
-        "metrics": tuple(args.metrics) if args.metrics else None,
-        "seeds": tuple(args.seeds) if args.seeds else None,
-        "num_batches": args.num_batches,
-        "board_k": args.board_k,
-        "record_batches": args.record_batches,
-    }
+    elif args.model_path is None or args.dataset_path is None or args.output_dir is None:
+        raise ConfigError("without --plan, all of --model, --data, --out-dir are required")
+    overrides = {f.name: getattr(args, f.name) for f in fields(BenchmarkPlan)}
     if args.methods:
         presets = method_presets()
         overrides["methods"] = [[name, presets[name].to_dict()] for name in args.methods]

@@ -17,6 +17,7 @@ from .adapt import iter_batches
 from .autodiff import Tensor
 from .errors import ConfigError, TrainingError
 from .model import (
+    BackboneConfig,
     ModelConfig,
     PrototypeModel,
     _header_fields,
@@ -274,14 +275,17 @@ def train_source_model(
     """Jointly train backbone, prototypes, and head on the clean train split.
 
     Cross-entropy plus a small prototype-pull term that drags each
-    sub-prototype toward its nearest same-class feature, giving prototypes
-    class semantics. Deterministic per seed. Returns the model and a stats
-    dict including the final clean test accuracy.
+    sub-prototype toward its nearest same-class feature. Deterministic per
+    seed. With no config, the default model takes the dataset's class count
+    and input width. Returns the model and a stats dict including the final
+    clean test accuracy.
     """
     from .adapt import TTAConfig, adam_step, init_optimizer
 
+    if epochs < 0 or batch_size < 1:
+        raise ConfigError(f"need epochs >= 0 and batch_size >= 1, got {epochs} and {batch_size}")
     if config is None:
-        config = ModelConfig()
+        config = ModelConfig(BackboneConfig(input_dim=dataset.spec.input_dim), num_classes=dataset.spec.num_classes)
     if config.backbone.input_dim != dataset.spec.input_dim:
         raise ConfigError(
             f"model input_dim {config.backbone.input_dim} != dataset {dataset.spec.input_dim}"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -69,6 +70,16 @@ class TestConfig:
             {"episodic": 1},
             {"batch_size": 1.5},
             {"batch_size": True},
+            {"lr": True},
+            {"lr": math.nan},
+            {"lr": math.inf},
+            {"entropy_cap": math.nan},
+            {"entropy_cap": math.inf},
+            {"entropy_cap": True},
+            {"beta1": False},
+            {"adam_eps": True},
+            {"hybrid_weights": (True, False)},
+            {"hybrid_weights": (0.7, "0.3")},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -177,6 +188,40 @@ class TestLosses:
         assert hybrid_loss(out, rel, tiny_model.head, cfg).item() == pytest.approx(
             expected, abs=1e-12
         )
+
+    @pytest.mark.parametrize("scope", ["target_only", "all_prototypes"])
+    @pytest.mark.parametrize("weighting", ["none", "importance_only", "confidence_only", "both"])
+    def test_losses_match_per_sample_weights_with_a_zeroed_class(self, tiny_model, batch, weighting, scope):
+        out = forward_eval(tiny_model, batch[0])
+        cfg = TTAConfig(method="prototta_plus", tau_sim=0.6, weighting=weighting, target_scope=scope)
+        rel = geometric_filter(out, cfg, tiny_model.class_of)
+        assert len(rel) > 0
+        labels = out.pseudo_labels[rel.indices]
+        # zero the own-prototype weights of the class most selected samples predict, so
+        # their importance total is 0 under target_only and the uniform fallback applies
+        zeroed = np.bincount(labels).argmax()
+        head = Tensor(tiny_model.head.data.copy())
+        head.data[zeroed, tiny_model.class_of == zeroed] = 0.0
+        coeff = np.zeros(out.mapped_sims.shape)
+        for i, label, conf in zip(rel.indices, labels, rel.confidences):
+            if scope == "all_prototypes":
+                targets = np.arange(len(tiny_model.class_of))
+            else:
+                targets = np.flatnonzero(tiny_model.class_of == label)
+            w = np.full(len(targets), 1.0 / len(targets))
+            importance = np.abs(head.data[label, targets])
+            if weighting in ("importance_only", "both") and importance.sum() > 0:
+                w = importance / importance.sum()
+            coeff[i, targets] = (conf if weighting in ("confidence_only", "both") else 1.0) * w
+        coeff /= len(rel)
+        proto = (coeff * binary_entropy(out.mapped_sims).data).sum()
+        mask = np.zeros(len(out.probs.data))
+        mask[rel.indices] = 1.0 / len(rel)
+        logit = (mask * shannon_entropy_rows(out.probs.data)).sum()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert prototta_loss(out, rel, head, cfg).item() == proto
+            assert hybrid_loss(out, rel, head, cfg).item() == 0.7 * proto + 0.3 * logit
 
     def test_tent_loss_equals_mean_entropy(self, tiny_model, batch):
         out = forward_eval(tiny_model, batch[0])

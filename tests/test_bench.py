@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from prototta.cli import main
 from prototta.errors import ConfigError, DegenerateInputError, FormatError, InsufficientDataError
 from prototta.harness import CorruptionSpec, corrupt, evaluate
 from prototta.metrics import ActivationRecord, load_records, pearson
-from prototta.model import model_forward, prototype_contributions
+from prototta.model import load_model, model_forward, prototype_contributions
 
 
 @pytest.fixture()
@@ -578,11 +579,23 @@ class TestCli:
             {"board_k": 1.5},
             {"seeds": [1.7]},
             {"seeds": [True]},
+            {"methods": [["x", {"lr": True}]]},
+            {"methods": [["x", {"lr": math.nan}]]},
+            {"methods": [["x", {"lr": math.inf}]]},
+            {"methods": [["x", {"entropy_cap": math.nan}]]},
+            {"methods": [["x", {"beta1": False}]]},
+            {"methods": [["x", {"adam_eps": True}]]},
+            {"model_path": 5},
+            {"dataset_path": 6},
+            {"output_dir": 7},
+            {"methods": [[5, {"method": "unadapted"}]]},
         ],
         ids=[
             "num-batches-string", "seed-string", "lr-string", "beta1-string", "corruption-int", "plan-list",
             "episodic-string", "entropy-constraint-string", "batch-size-float", "num-batches-float",
-            "record-batches-float", "board-k-float", "seed-float", "seed-bool",
+            "record-batches-float", "board-k-float", "seed-float", "seed-bool", "lr-bool", "lr-nan", "lr-inf",
+            "entropy-cap-nan", "beta1-bool", "adam-eps-bool", "model-path-int", "dataset-path-int",
+            "output-dir-int", "method-name-int",
         ],
     )
     def test_ill_typed_plan_exits_2(self, saved_files, tmp_path, capsys, change):
@@ -603,6 +616,26 @@ class TestCli:
         if change is None:
             assert "must be a JSON object" in err
         assert not (tmp_path / "reports").exists()
+
+    def test_train_takes_task_shape_from_dataset(self, tmp_path):
+        data = tmp_path / "data.pttd"
+        model = tmp_path / "model.ptta"
+        gen = ["gen-data", "--out", str(data), "--classes", "3", "--dim", "16"]
+        assert main([*gen, "--train-samples", "60", "--test-samples", "30"]) == 0
+        assert main(["train", "--data", str(data), "--out", str(model), "--epochs", "1"]) == 0
+        config = load_model(model).config
+        assert (config.num_classes, config.backbone.input_dim) == (3, 16)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--batch-size", "0"], ["--batch-size", "-4"], ["--epochs", "-3"]],
+        ids=["batch-size-zero", "batch-size-negative", "epochs-negative"],
+    )
+    def test_bad_training_sizes_exit_2(self, saved_files, tmp_path, capsys, flags):
+        model = tmp_path / "model.ptta"
+        assert main(["train", "--data", str(saved_files["dataset"]), "--out", str(model), *flags]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not model.exists()
 
     def test_bad_corruption_string_exits_2(self, saved_files, tmp_path, capsys):
         code = main(
