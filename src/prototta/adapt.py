@@ -439,18 +439,19 @@ def run_stream(
             record.clean_agreement = 1.0
         report.records.append(record)
         if collect_samples:
-            for j in range(len(x)):
-                report.sample_records.append(
-                    ActivationRecord(
-                        sample_id=sample_base + j,
-                        clean_activations=clean_out.agg_sims.data[j].copy(),
-                        adapted_activations=outputs.agg_sims.data[j].copy(),
-                        clean_prediction=int(clean_out.pseudo_labels[j]),
-                        adapted_prediction=int(outputs.pseudo_labels[j]),
-                        ground_truth=int(y[j]) if y is not None else -1,
-                        mapped_activations=outputs.mapped_sims.data[j].copy(),
-                    )
+            # one copy of each block per batch; a record holds views of its rows
+            report.sample_records.extend(
+                map(
+                    ActivationRecord,
+                    range(sample_base, sample_base + len(x)),
+                    clean_out.agg_sims.data.copy(),
+                    outputs.agg_sims.data.copy(),
+                    clean_out.pseudo_labels.tolist(),
+                    outputs.pseudo_labels.tolist(),
+                    [-1] * len(x) if y is None else np.asarray(y, dtype=np.int64).tolist(),
+                    outputs.mapped_sims.data.copy(),
                 )
+            )
         sample_base += len(x)
     if not np.array_equal(work.prototypes.data, proto_before) or not np.array_equal(
         work.head.data, head_before

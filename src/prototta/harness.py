@@ -135,8 +135,8 @@ class SyntheticTaskSpec:
     def __post_init__(self):
         if self.num_classes < 2:
             raise ConfigError(f"need at least 2 classes, got {self.num_classes}")
-        if self.cluster_spread <= 0:
-            raise ConfigError(f"cluster_spread must be positive, got {self.cluster_spread}")
+        if not 0 < self.cluster_spread < np.inf:
+            raise ConfigError(f"cluster_spread must be finite and positive, got {self.cluster_spread}")
         if self.clusters_per_class < 1 or self.input_dim < 1:
             raise ConfigError("clusters_per_class and input_dim must be positive")
         object.__setattr__(self, "samples_per_split", tuple(int(n) for n in self.samples_per_split))
@@ -284,6 +284,8 @@ def train_source_model(
 
     if epochs < 0 or batch_size < 1:
         raise ConfigError(f"need epochs >= 0 and batch_size >= 1, got {epochs} and {batch_size}")
+    if not 0 <= pull_coeff < np.inf:
+        raise ConfigError(f"pull_coeff must be finite and non-negative, got {pull_coeff}")
     if config is None:
         config = ModelConfig(BackboneConfig(input_dim=dataset.spec.input_dim), num_classes=dataset.spec.num_classes)
     if config.backbone.input_dim != dataset.spec.input_dim:

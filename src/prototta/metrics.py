@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     DegenerateInputError,
+    DomainError,
     FormatError,
     InsufficientDataError,
     MeasurementError,
@@ -100,19 +101,21 @@ def pac(records: Sequence[ActivationRecord]) -> MetricSummary:
     """Mean cosine between each sample's clean and adapted activation vectors."""
     if not records:
         raise InsufficientDataError("need at least one record")
-    values = np.empty(len(records))
-    for j, rec in enumerate(records):
-        a, b = rec.clean_activations, rec.adapted_activations
-        na, nb = np.linalg.norm(a), np.linalg.norm(b)
-        if na <= 0 or nb <= 0:
-            raise DegenerateInputError(f"zero-norm activation vector for sample {rec.sample_id}")
-        values[j] = float(a @ b) / (na * nb)
+    a = np.stack([r.clean_activations for r in records])
+    b = np.stack([r.adapted_activations for r in records])
+    # each 1xP @ Px1 product is the BLAS dot that ``x @ y`` and np.linalg.norm take on one row
+    na = np.sqrt((a[:, None] @ a[..., None])[:, 0, 0])
+    nb = np.sqrt((b[:, None] @ b[..., None])[:, 0, 0])
+    bad = np.flatnonzero((na <= 0) | (nb <= 0))
+    if len(bad):
+        raise DegenerateInputError(f"zero-norm activation vector for sample {records[bad[0]].sample_id}")
+    values = (a[:, None] @ b[..., None])[:, 0, 0] / (na * nb)
     return MetricSummary(*mean_std(values), values=values)
 
 
 def _top_indices(scores: np.ndarray, k: int) -> np.ndarray:
-    # stable sort of the negated scores: ties resolve to the lowest index
-    return np.argsort(-scores, kind="stable")[:k]
+    # stable sort of the negated scores along the last axis: ties resolve to the lowest index
+    return np.argsort(-scores, axis=-1, kind="stable")[..., :k]
 
 
 def pca_w(
@@ -128,7 +131,9 @@ def pca_w(
     contribution toward the ground-truth class (activation times absolute
     head weight); the score is the weight fraction owned by that class.
     Samples whose top-k contribution mass is not positive are excluded and
-    counted rather than scored.
+    counted rather than scored. ``ground_truths`` holds one class in [0, C)
+    per sample. The owned share sums all k entries with other classes' zeroed,
+    which for k >= 8 groups the sum differently from a per-sample loop (ULPs).
     """
     agg_sims = np.asarray(agg_sims, dtype=np.float64)
     if agg_sims.ndim != 2:
@@ -137,23 +142,20 @@ def pca_w(
     if not 1 <= k <= num_protos:
         raise ShapeError(f"k must be in [1, {num_protos}], got {k}")
     head = np.asarray(head, dtype=np.float64)
-    class_of = np.asarray(class_of)
-    values = []
-    excluded = 0
-    for i in range(n):
-        y = int(ground_truths[i])
-        top = _top_indices(agg_sims[i], k)
-        contrib = agg_sims[i, top] * np.abs(head[y, top])
-        total = contrib.sum()
-        if total <= 0:
-            excluded += 1
-            continue
-        own = contrib[class_of[top] == y].sum()
-        values.append(own / total)
-    if not values:
+    y = np.asarray(ground_truths)
+    if y.shape != (n,):
+        raise ShapeError(f"expected {n} ground truths, got shape {y.shape}")
+    if not np.issubdtype(y.dtype, np.integer) or ((y < 0) | (y >= len(head))).any():
+        raise DomainError(f"ground truths must be integer classes in [0, {len(head)})")
+    top = _top_indices(agg_sims, k)
+    contrib = np.take_along_axis(agg_sims, top, axis=1) * np.abs(head[y[:, None], top])
+    total = contrib.sum(axis=1)
+    own = np.where(np.asarray(class_of)[top] == y[:, None], contrib, 0.0).sum(axis=1)
+    excluded = total <= 0
+    if excluded.all():
         raise InsufficientDataError("every sample had non-positive contribution mass")
-    arr = np.asarray(values)
-    return MetricSummary(*mean_std(arr), values=arr, excluded=excluded)
+    values = own[~excluded] / total[~excluded]
+    return MetricSummary(*mean_std(values), values=values, excluded=int(excluded.sum()))
 
 
 def sample_pca_w(
@@ -234,14 +236,9 @@ def rankdata_average(x: Sequence[float]) -> np.ndarray:
     """Ranks starting at 1; tied values share the average of their positions."""
     x = np.asarray(x, dtype=np.float64)
     order = np.argsort(x, kind="mergesort")
+    _, first, counts = np.unique(x[order], return_index=True, return_counts=True, equal_nan=False)
     ranks = np.empty(len(x))
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(first + 0.5 * (counts - 1) + 1.0, counts)
     return ranks
 
 

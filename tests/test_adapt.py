@@ -407,21 +407,41 @@ class TestRunStream:
         assert report.selected_samples == 0
         assert all(r.skipped for r in report.records)
 
-    def test_unadapted_stream_is_its_own_clean_reference(self, tiny_model, tiny_dataset, rng, monkeypatch):
+    def _recorded_stream(self, method, tiny_model, tiny_dataset, rng, monkeypatch):
+        """Run three batches of 64 and return the report and every forward's outputs."""
         calls = []
 
-        def counting_forward(*args, **kwargs):
-            calls.append(1)
-            return model_forward(*args, **kwargs)
+        def recording_forward(*args, **kwargs):
+            calls.append(model_forward(*args, **kwargs))
+            return calls[-1]
 
-        monkeypatch.setattr("prototta.adapt.model_forward", counting_forward)
+        monkeypatch.setattr("prototta.adapt.model_forward", recording_forward)
         x, y = self._batches(tiny_dataset, rng)
-        report = run_stream(tiny_model.copy(), iter_batches(x, y, 64), TTAConfig(method="unadapted"))
+        return run_stream(tiny_model.copy(), iter_batches(x, y, 64), TTAConfig(method=method)), calls, y
+
+    def test_unadapted_stream_is_its_own_clean_reference(self, tiny_model, tiny_dataset, rng, monkeypatch):
+        report, calls, y = self._recorded_stream("unadapted", tiny_model, tiny_dataset, rng, monkeypatch)
         assert len(calls) == 3
         assert [r.clean_agreement for r in report.records] == [1.0, 1.0, 1.0]
-        for r in report.sample_records:
+        for i, r in enumerate(report.sample_records):
+            out = calls[i // 64]
             assert np.array_equal(r.clean_activations, r.adapted_activations)
-            assert r.clean_prediction == r.adapted_prediction
+            assert not np.shares_memory(r.clean_activations, r.adapted_activations)
+            assert np.array_equal(r.adapted_activations, out.agg_sims.data[i % 64])
+            assert np.array_equal(r.mapped_activations, out.mapped_sims.data[i % 64])
+            assert r.clean_prediction == r.adapted_prediction == out.pseudo_labels[i % 64]
+            assert r.ground_truth == y[i] and type(r.ground_truth) is int
+
+    def test_sample_records_are_rows_of_each_batch_outputs(self, tiny_model, tiny_dataset, rng, monkeypatch):
+        report, calls, y = self._recorded_stream("prototta", tiny_model, tiny_dataset, rng, monkeypatch)
+        assert len(calls) == 6  # a clean forward, then the adapting one, per batch
+        for i, r in enumerate(report.sample_records):
+            clean, adapted, j = calls[2 * (i // 64)], calls[2 * (i // 64) + 1], i % 64
+            assert np.array_equal(r.clean_activations, clean.agg_sims.data[j])
+            assert np.array_equal(r.adapted_activations, adapted.agg_sims.data[j])
+            assert np.array_equal(r.mapped_activations, adapted.mapped_sims.data[j])
+            assert (r.clean_prediction, r.adapted_prediction) == (clean.pseudo_labels[j], adapted.pseudo_labels[j])
+            assert not np.shares_memory(r.adapted_activations, adapted.agg_sims.data)
 
 
 class TestIterBatches:

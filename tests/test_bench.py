@@ -229,7 +229,10 @@ class TestRunBenchmark:
         run_benchmark(plan1)
         monkeypatch.setenv("PTTA_THREADS", "1")
         run_benchmark(plan2)
-        for name in ("accuracy.csv", "accuracy_raw.csv", "accuracy_batches.csv", "interpretability.csv", "accuracy.md"):
+        records = [sorted(p.name for p in (tmp_path / side / "records").glob("*.jsonl")) for side in "ab"]
+        assert records[0] and records[0] == records[1]
+        records = [f"records/{name}" for name in records[0]]
+        for name in ("accuracy.csv", "accuracy_raw.csv", "accuracy_batches.csv", "interpretability.csv", "accuracy.md", *records):
             a = (tmp_path / "a" / name).read_bytes()
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b, name
@@ -628,14 +631,21 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--batch-size", "0"], ["--batch-size", "-4"], ["--epochs", "-3"]],
-        ids=["batch-size-zero", "batch-size-negative", "epochs-negative"],
+        [["--batch-size", "0"], ["--batch-size", "-4"], ["--epochs", "-3"], ["--pull-coeff", "nan"], ["--pull-coeff", "-50"]],
+        ids=["batch-size-zero", "batch-size-negative", "epochs-negative", "pull-coeff-nan", "pull-coeff-negative"],
     )
     def test_bad_training_sizes_exit_2(self, saved_files, tmp_path, capsys, flags):
         model = tmp_path / "model.ptta"
         assert main(["train", "--data", str(saved_files["dataset"]), "--out", str(model), *flags]) == 2
         assert "error:" in capsys.readouterr().err
         assert not model.exists()
+
+    @pytest.mark.parametrize("spread", ["nan", "inf", "0"])
+    def test_non_finite_or_zero_spread_exits_2(self, tmp_path, capsys, spread):
+        data = tmp_path / "data.pttd"
+        assert main(["gen-data", "--out", str(data), "--spread", spread]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not data.exists()
 
     def test_bad_corruption_string_exits_2(self, saved_files, tmp_path, capsys):
         code = main(

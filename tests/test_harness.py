@@ -110,8 +110,9 @@ class TestDatasetGeneration:
     def test_invalid_specs_rejected(self):
         with pytest.raises(ConfigError):
             SyntheticTaskSpec(num_classes=1)
-        with pytest.raises(ConfigError):
-            SyntheticTaskSpec(cluster_spread=0.0)
+        for spread in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                SyntheticTaskSpec(cluster_spread=spread)
         with pytest.raises(ConfigError):
             SyntheticTaskSpec(samples_per_split=(0, 10))
 

@@ -8,14 +8,17 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prototta.adapt import AdaptationReport, StepRecord
+from prototta.adapt import AdaptationReport, StepRecord, iter_batches, run_stream
+from prototta.bench import method_presets
 from prototta.errors import (
     DegenerateInputError,
+    DomainError,
     FormatError,
     InsufficientDataError,
     MeasurementError,
     ShapeError,
 )
+from prototta.harness import CorruptionSpec, corrupt
 from prototta.metrics import (
     ActivationRecord,
     dump_records,
@@ -50,6 +53,17 @@ def make_records(rng, n=20, num_protos=8, num_classes=4, identical=False):
             )
         )
     return records
+
+
+@pytest.fixture(scope="module")
+def stream_records(tiny_model, tiny_dataset):
+    """Sample records of every preset on three gaussian_noise:5 batches."""
+    x = corrupt(tiny_dataset.test_x[:192], CorruptionSpec("gaussian_noise", 5), seed=1)
+    y = tiny_dataset.test_y[:192]
+    return {
+        name: run_stream(tiny_model.copy(), iter_batches(x, y, 64), cfg).sample_records
+        for name, cfg in method_presets().items()
+    }
 
 
 def make_report(selected, sizes, durations, method="prototta"):
@@ -131,10 +145,23 @@ class TestPac:
         ]
         assert pac(scaled).mean == pytest.approx(pac(records).mean, abs=1e-12)
 
+    def test_matches_per_row_loop_bit_for_bit_on_stream_records(self, stream_records):
+        for method, records in stream_records.items():
+            loop = [
+                float(r.clean_activations @ r.adapted_activations)
+                / (np.linalg.norm(r.clean_activations) * np.linalg.norm(r.adapted_activations))
+                for r in records
+            ]
+            assert np.array_equal(pac(records).values, loop), method
+        assert pac(stream_records["unadapted"]).mean == pytest.approx(1.0, abs=1e-12)
+
     def test_zero_norm_names_the_sample(self, rng):
-        records = make_records(rng, n=3)
+        records = make_records(rng, n=4)
+        for r in records:
+            r.sample_id += 100
         records[1].adapted_activations = np.zeros_like(records[1].adapted_activations)
-        with pytest.raises(DegenerateInputError, match="sample 1"):
+        records[2].clean_activations = np.zeros_like(records[2].clean_activations)
+        with pytest.raises(DegenerateInputError, match=r"sample 101$"):
             pac(records)
 
     def test_empty_input_rejected(self):
@@ -156,6 +183,21 @@ def brute_force_pca_w(agg_sims, head, class_of, truths, k):
     return values, excluded
 
 
+def loop_pca_w(agg_sims, head, class_of, truths, k):
+    """The per-sample loop that ``pca_w`` replaced, kept as its bitwise reference."""
+    values, excluded = [], 0
+    for i in range(len(agg_sims)):
+        y = int(truths[i])
+        top = np.argsort(-agg_sims[i], kind="stable")[:k]
+        contrib = agg_sims[i, top] * np.abs(head[y, top])
+        total = contrib.sum()
+        if total <= 0:
+            excluded += 1
+            continue
+        values.append(contrib[class_of[top] == y].sum() / total)
+    return values, excluded
+
+
 class TestPcaW:
     def setup_method(self):
         rng = np.random.default_rng(7)
@@ -169,6 +211,23 @@ class TestPcaW:
         values, excluded = brute_force_pca_w(self.agg, self.head, self.class_of, self.truths, 5)
         assert result.excluded == excluded
         np.testing.assert_allclose(result.values, values, atol=1e-9)
+
+    @pytest.mark.parametrize("k", [1, 5, 7, 8, 12])
+    def test_matches_per_sample_loop(self, k):
+        # ties on a 0.1 grid exercise the stable order; zero rows are excluded
+        rng = np.random.default_rng(3)
+        agg = np.round(rng.uniform(0, 1, (300, 12)), 1)
+        agg[::37] = 0.0
+        head = rng.normal(size=(4, 12))
+        class_of = np.repeat(np.arange(4), 3)
+        truths = rng.integers(0, 4, 300)
+        result = pca_w(agg, head, class_of, truths, k=k)
+        values, excluded = loop_pca_w(agg, head, class_of, truths, k)
+        assert result.excluded == excluded > 0
+        if k <= 7:
+            assert np.array_equal(result.values, values)
+        else:  # the owned share sums zeros in place of other classes' entries
+            np.testing.assert_allclose(result.values, values, rtol=0, atol=1e-15)
 
     def test_head_scale_invariance(self):
         a = pca_w(self.agg, self.head, self.class_of, self.truths, k=5)
@@ -193,6 +252,18 @@ class TestPcaW:
     def test_bad_k_rejected(self):
         with pytest.raises(ShapeError):
             pca_w(self.agg, self.head, self.class_of, self.truths, k=9)
+
+    @pytest.mark.parametrize("truths", [np.zeros(19, int), np.zeros(21, int), np.zeros((20, 1), int), np.int64(0)])
+    def test_ground_truths_must_be_one_per_sample(self, truths):
+        with pytest.raises(ShapeError):
+            pca_w(self.agg, self.head, self.class_of, truths, k=5)
+
+    @pytest.mark.parametrize("bad", [-1, 4, 1.0])
+    def test_ground_truths_must_be_classes(self, bad):
+        truths = self.truths.astype(type(bad))
+        truths[3] = bad
+        with pytest.raises(DomainError):
+            pca_w(self.agg, self.head, self.class_of, truths, k=5)
 
 
 class TestSamplePcaW:
@@ -295,6 +366,20 @@ class TestCorrelations:
     def test_rankdata_matches_scipy(self, rng):
         x = rng.integers(0, 4, 15).astype(float)
         np.testing.assert_allclose(rankdata_average(x), scipy.stats.rankdata(x), atol=1e-12)
+
+    def test_rankdata_matches_the_tie_scanning_loop(self):
+        # the loop ranks -0.0 with 0.0 and keeps every NaN apart
+        x = np.array([3.0, np.nan, 0.0, 1.5, -0.0, 3.0, np.nan, 1.5, 3.0, -2.0])
+        order = np.argsort(x, kind="mergesort")
+        expected = np.empty(len(x))
+        i = 0
+        while i < len(x):
+            j = i
+            while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
+                j += 1
+            expected[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+            i = j + 1
+        assert np.array_equal(rankdata_average(x), expected)
 
     def test_perfect_rank_agreement(self):
         x = np.array([1.0, 2.0, 5.0, 9.0])
