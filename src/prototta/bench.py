@@ -305,6 +305,9 @@ def _load_plan_inputs(
         _check_plan_files(plan)
         model = load_model(plan.model_path) if model is None else model
         dataset = load_dataset(plan.dataset_path) if dataset is None else dataset
+    protos = model.config.num_prototypes
+    if plan.board_k > protos:
+        raise ConfigError(f"board_k must be at most the model's {protos} prototypes, got {plan.board_k}")
     return model, dataset
 
 
@@ -487,9 +490,9 @@ def run_ablation(
 
 def build_board(record: ActivationRecord, model: PrototypeModel, k: int, method: str) -> dict:
     """One sample's top-k contributing prototypes under its adapted prediction."""
-    if k < 1:
-        raise ConfigError(f"board k must be at least 1, got {k}")
     P = len(model.class_of)
+    if not 1 <= k <= P:
+        raise ConfigError(f"board k must be at least 1 and at most the model's {P} prototypes, got {k}")
     if len(record.adapted_activations) != P:
         raise FormatError(
             f"record {record.sample_id}: activation length {len(record.adapted_activations)}"

@@ -91,6 +91,9 @@ class TestGradientChecks:
         x = rng.permutation(20).astype(np.float64).reshape(4, 5) / 3.0
         for k in (1, 2, 3, 5):
             check_grad(lambda a, k=k: ad.reduce_sum(ad.topk_mean(a, k)), x)
+        wide = rng.permutation(24).astype(np.float64).reshape(4, 6) / 3.0
+        weights = rng.uniform(0.5, 1.5, 4)
+        check_grad(lambda a: ad.reduce_sum(ad.mul(ad.topk_mean(a, 3), weights)), wide)
 
     def test_norm_layers(self, rng):
         x = rng.uniform(-2, 2, (6, 5))
@@ -159,6 +162,55 @@ class TestOpSemantics:
             out = ad.reduce_sum(ad.topk_mean(rows, 1))
         ad.backward(tape, out)
         assert np.array_equal(rows.grad, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+
+    def test_topk_matches_stable_argsort_reference(self, rng):
+        def argsort_topk(x, k, g):
+            # reference: stable descending argsort, gather, row mean, scatter
+            idx = np.argsort(-x, axis=-1, kind="stable")[..., :k]
+            gx = np.zeros_like(x)
+            np.put_along_axis(gx, idx, g[..., None] / k, axis=-1)
+            return np.take_along_axis(x, idx, axis=-1).mean(axis=-1), gx
+
+        def bits(a):
+            return np.asarray(a, dtype=np.float64).view(np.int64)
+
+        for K in range(2, 10):
+            for lead in ((), (13,), (3, 5)):
+                shape = (*lead, K)
+                rows = [
+                    rng.normal(size=shape),
+                    rng.choice([-1.0, 0.25, 0.5, 2.0], size=shape),  # repeated values
+                    np.full(shape, 0.75),  # all-equal rows
+                    rng.choice([0.0, -0.0, -1.0], size=shape),  # signed-zero ties
+                    rng.choice([0.0, -0.0], size=shape),
+                ]
+                for data in rows:
+                    g = rng.normal(size=lead)
+                    for k in range(1, K):
+                        x = Tensor(data.copy(), requires_grad=True)
+                        tape = Tape()
+                        with tape:
+                            out = ad.topk_mean(x, k)
+                            loss = ad.reduce_sum(ad.mul(out, g))
+                        ad.backward(tape, loss)
+                        value, grad = argsort_topk(data, k, g)
+                        if k < 8:
+                            assert np.array_equal(bits(out.data), bits(value))
+                        else:
+                            # NumPy's mean sums 8 or more values pairwise, the kernel left to right
+                            bound = k * np.finfo(np.float64).eps * np.abs(data).max()
+                            np.testing.assert_allclose(out.data, value, rtol=0, atol=bound)
+                        assert np.array_equal(bits(x.grad), bits(grad))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_topk_rejects_non_finite_input(self, bad):
+        for k in (1, 2, 3):
+            x = np.array([[0.5, 1.0, 2.0], [5.0, 0.0, 0.0]])
+            x[1, 1] = bad
+            with pytest.raises(DomainError, match="finite"):
+                ad.topk_mean(Tensor(x), k)
+        with pytest.raises(DomainError, match="finite"):
+            ad.topk_mean(Tensor(np.array([5.0, bad, bad])), 2)
 
     def test_softmax_rows_sum_to_one(self, rng):
         probs = ad.softmax(Tensor(rng.normal(size=(40, 6)) * 10)).data

@@ -25,7 +25,7 @@ from prototta.bench import (
 from prototta.cli import main
 from prototta.errors import ConfigError, DegenerateInputError, FormatError, InsufficientDataError
 from prototta.harness import CorruptionSpec, corrupt, evaluate
-from prototta.metrics import ActivationRecord, load_records, pearson
+from prototta.metrics import ActivationRecord, dump_records, load_records, pearson
 from prototta.model import load_model, model_forward, prototype_contributions
 
 
@@ -692,6 +692,36 @@ class TestCli:
         )
         assert code == 2
         assert "PTTA_THREADS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", [["bench", "--methods", "unadapted", "tent"], ["ablate", "--axis", "filter"]])
+    def test_board_k_above_prototype_count_exits_2(self, saved_files, tiny_model, tmp_path, capsys, verb):
+        P = tiny_model.config.num_prototypes
+        code = main(
+            [
+                *verb,
+                "--model", str(saved_files["model"]),
+                "--data", str(saved_files["dataset"]),
+                "--out-dir", str(tmp_path / "reports"),
+                "--corruptions", "gaussian_noise:5",
+                "--seeds", "0",
+                "--num-batches", "1",
+                "--board-k", str(P + 1),
+            ]
+        )
+        assert code == 2
+        assert f"board_k must be at most the model's {P} prototypes" in capsys.readouterr().err
+        assert not (tmp_path / "reports").exists()
+
+    def test_boards_k_above_prototype_count_exits_2(self, saved_files, tiny_model, tiny_dataset, rng, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        dump_records(stream_records(tiny_model, tiny_dataset, rng)[:4], records)
+        P = tiny_model.config.num_prototypes
+        argv = ["boards", "--records", str(records), "--model", str(saved_files["model"]), "--method", "m"]
+        assert main([*argv, "--out", str(tmp_path / "full"), "--k", str(P)]) == 0
+        assert len(list((tmp_path / "full").glob("*.json"))) == 4
+        assert main([*argv, "--out", str(tmp_path / "boards"), "--k", str(P + 1)]) == 2
+        assert f"at most the model's {P} prototypes" in capsys.readouterr().err
+        assert not list((tmp_path / "boards").glob("*.json"))
 
     def test_runtime_errors_exit_3(self, tiny_model, tiny_dataset, rng, tmp_path, capsys):
         records = stream_records(tiny_model, tiny_dataset, rng)
