@@ -9,10 +9,9 @@ asserted after every stream.
 
 from __future__ import annotations
 
-import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from numbers import Real
 from typing import Iterable, Sequence
 
@@ -27,8 +26,9 @@ from .model import (
     AGGREGATIONS,
     PARAM_MODES,
     BatchOutputs,
+    JsonConfig,
     PrototypeModel,
-    canonical_dumps,
+    check_type,
     model_forward,
 )
 
@@ -37,41 +37,6 @@ TARGET_SCOPES = ("target_only", "all_prototypes")
 WEIGHTINGS = ("none", "importance_only", "confidence_only", "both")
 
 _PROB_FLOOR = 1e-300
-
-
-class JsonConfig:
-    """Strict loading of a config dataclass: anything but a JSON object with
-    known keys whose values the constructor accepts is a ConfigError."""
-
-    LABEL = "config"
-
-    @classmethod
-    def from_dict(cls, d: dict):
-        if not isinstance(d, dict):
-            raise ConfigError(f"{cls.LABEL} must be a JSON object, got {type(d).__name__}")
-        extra = set(d) - set(cls.__dataclass_fields__)
-        if extra:
-            raise ConfigError(f"unknown {cls.LABEL} keys: {sorted(extra)}")
-        try:
-            return cls(**d)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid {cls.LABEL}: {exc}") from None
-
-    @classmethod
-    def from_json(cls, text: str):
-        try:
-            d = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid {cls.LABEL} JSON: {exc}") from None
-        return cls.from_dict(d)
-
-    @staticmethod
-    def _require(kind: type, label: str, value) -> None:
-        """ConfigError unless ``value`` is a ``kind``; a bool counts only as a
-        bool, and a ``Real`` must be finite."""
-        ok = isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
-        if not ok or (kind is Real and not math.isfinite(value)):
-            raise ConfigError(f"{label} must be {'finite real' if kind is Real else kind.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -95,15 +60,9 @@ class TTAConfig(JsonConfig):
     episodic: bool = False
 
     def __post_init__(self):
-        for name in ("use_entropy_constraint", "episodic"):
-            self._require(bool, name, getattr(self, name))
-        self._require(int, "batch_size", self.batch_size)
-        reals = [(name, getattr(self, name)) for name in ("tau_sim", "lr", "beta1", "beta2", "adam_eps")]
-        reals += [("hybrid_weights", w) for w in self.hybrid_weights]
-        if self.entropy_cap is not None:
-            reals.append(("entropy_cap", self.entropy_cap))
-        for name, value in reals:
-            self._require(Real, name, value)
+        super().__post_init__()
+        for w in self.hybrid_weights:
+            check_type(Real, "hybrid_weights", w)
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         if not 0.0 < self.tau_sim < 1.0:
@@ -132,12 +91,6 @@ class TTAConfig(JsonConfig):
         if self.entropy_cap is not None:
             return self.entropy_cap
         return 0.5 * math.log(num_classes)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self) -> str:
-        return canonical_dumps(self.to_dict())
 
 
 @dataclass

@@ -17,13 +17,14 @@ import hashlib
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
+from numbers import Real
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .adapt import TARGET_SCOPES, WEIGHTINGS, JsonConfig, TTAConfig, iter_batches, run_stream
+from .adapt import TARGET_SCOPES, WEIGHTINGS, TTAConfig, iter_batches, run_stream
 from .errors import ConfigError, DegenerateInputError, FormatError, InsufficientDataError
 from .harness import (
     CORRUPTION_GROUPS,
@@ -48,7 +49,7 @@ from .metrics import (
     selection_rate,
     spearman,
 )
-from .model import AGGREGATIONS, PARAM_MODES, PrototypeModel, canonical_dumps, load_model
+from .model import AGGREGATIONS, PARAM_MODES, JsonConfig, PrototypeModel, check_type, load_model
 
 DEFAULT_CORRUPTIONS = tuple(CorruptionSpec(kind, 5) for kind in CORRUPTION_KINDS)
 METRIC_CHOICES = ("accuracy", "interpretability", "efficiency")
@@ -100,8 +101,6 @@ def derive_seed(*parts) -> int:
 
 @dataclass(frozen=True)
 class BenchmarkPlan(JsonConfig):
-    LABEL = "plan"
-
     model_path: str
     dataset_path: str
     output_dir: str
@@ -114,6 +113,7 @@ class BenchmarkPlan(JsonConfig):
     record_batches: int = 4
 
     def __post_init__(self):
+        super().__post_init__()
         methods = self.methods or method_presets()
         if isinstance(methods, dict):
             methods = methods.items()
@@ -133,16 +133,12 @@ class BenchmarkPlan(JsonConfig):
         object.__setattr__(self, "metrics", tuple(self.metrics))
         object.__setattr__(self, "seeds", tuple(self.seeds))
         for seed in self.seeds:
-            self._require(int, "seed", seed)
-        for name in ("num_batches", "board_k", "record_batches"):
-            self._require(int, name, getattr(self, name))
-        for name in ("model_path", "dataset_path", "output_dir"):
-            self._require(str, name, getattr(self, name))
+            check_type(int, "seed", seed)
         if not self.corruptions:
             raise ConfigError("plan needs at least one corruption")
         names = [name for name, _ in self.methods]
         for name in names:
-            self._require(str, "method name", name)
+            check_type(str, "method name", name)
         if len(set(names)) != len(names):
             raise ConfigError(f"method names must be unique, got {names}")
         if len(set(self.corruptions)) != len(self.corruptions):
@@ -164,12 +160,6 @@ class BenchmarkPlan(JsonConfig):
     @property
     def method_map(self) -> dict[str, TTAConfig]:
         return dict(self.methods)
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "corruptions": [str(c) for c in self.corruptions]}
-
-    def to_json(self) -> str:
-        return canonical_dumps(self.to_dict())
 
 
 @dataclass
@@ -528,12 +518,13 @@ def export_boards(
     method: str,
     out_dir,
 ) -> list[Path]:
+    """Write one board per record, all built (and so checked) before ``out_dir`` is made."""
+    boards = [build_board(r, model, k, method) for r in sorted(records, key=lambda r: r.sample_id)]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    for record in sorted(records, key=lambda r: r.sample_id):
-        board = build_board(record, model, k, method)
-        path = out / f"{method}_{record.sample_id:06d}.json"
+    for board in boards:
+        path = out / f"{method}_{board['sample_id']:06d}.json"
         path.write_text(json.dumps(board, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         written.append(path)
     return written
@@ -544,6 +535,24 @@ def board_sample_pca_w(board: dict) -> float:
     contributions = np.asarray([p["contribution"] for p in board["prototypes"]], dtype=np.float64)
     classes = np.asarray([p["owning_class"] for p in board["prototypes"]])
     return sample_pca_w(contributions, classes, board["ground_truth"], top_set_size=len(contributions))
+
+
+def _read_board(path: Path) -> dict:
+    """A board file with the fields ``correlate_scores`` reads; anything else is a FormatError."""
+    try:
+        board = json.loads(path.read_text(encoding="utf-8"))
+        check_type(dict, "board", board)
+        for kind, key in ((int, "sample_id"), (str, "method"), (int, "ground_truth"), (list, "prototypes")):
+            check_type(kind, key, board.get(key))
+        if not board["prototypes"]:
+            raise ConfigError("prototypes must not be empty")
+        for proto in board["prototypes"]:
+            check_type(dict, "prototype", proto)
+            check_type(Real, "contribution", proto.get("contribution"))
+            check_type(int, "owning_class", proto.get("owning_class"))
+    except (json.JSONDecodeError, ConfigError) as exc:
+        raise FormatError(f"{path}: malformed board: {exc}") from None
+    return board
 
 
 @dataclass
@@ -565,11 +574,8 @@ def correlate_scores(boards_dir, scores_path, out_path=None) -> CorrelationRepor
     warnings: list[str] = []
     seen_ids = set()
     for path in board_files:
-        try:
-            board = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid board JSON: {exc}") from None
-        sid = int(board["sample_id"])
+        board = _read_board(path)
+        sid = board["sample_id"]
         seen_ids.add(sid)
         if sid not in scores:
             warnings.append(f"no external score for sample {sid} ({path.name})")

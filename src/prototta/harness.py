@@ -8,7 +8,7 @@ well-trained source model well below its clean accuracy.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,12 +18,15 @@ from .autodiff import Tensor
 from .errors import ConfigError, TrainingError
 from .model import (
     BackboneConfig,
+    JsonConfig,
     ModelConfig,
     PrototypeModel,
+    _header_config,
     _header_fields,
     _read_blocks,
     _read_container,
     _write_container,
+    check_type,
     model_forward,
     update_running_stats,
 )
@@ -124,7 +127,7 @@ def corrupt(x: np.ndarray, spec: CorruptionSpec, seed: int = 0) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SyntheticTaskSpec:
+class SyntheticTaskSpec(JsonConfig):
     num_classes: int = 5
     input_dim: int = 32
     clusters_per_class: int = 1
@@ -133,29 +136,18 @@ class SyntheticTaskSpec:
     seed: int = 0
 
     def __post_init__(self):
+        super().__post_init__()
         if self.num_classes < 2:
             raise ConfigError(f"need at least 2 classes, got {self.num_classes}")
         if not 0 < self.cluster_spread < np.inf:
             raise ConfigError(f"cluster_spread must be finite and positive, got {self.cluster_spread}")
         if self.clusters_per_class < 1 or self.input_dim < 1:
             raise ConfigError("clusters_per_class and input_dim must be positive")
-        object.__setattr__(self, "samples_per_split", tuple(int(n) for n in self.samples_per_split))
-        if any(n < 1 for n in self.samples_per_split):
-            raise ConfigError(f"split sizes must be positive, got {self.samples_per_split}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SyntheticTaskSpec":
-        return cls(
-            num_classes=int(d["num_classes"]),
-            input_dim=int(d["input_dim"]),
-            clusters_per_class=int(d["clusters_per_class"]),
-            cluster_spread=float(d["cluster_spread"]),
-            samples_per_split=tuple(d["samples_per_split"]),
-            seed=int(d["seed"]),
-        )
+        object.__setattr__(self, "samples_per_split", tuple(self.samples_per_split))
+        for n in self.samples_per_split:
+            check_type(int, "samples_per_split", n)
+        if len(self.samples_per_split) != 2 or any(n < 1 for n in self.samples_per_split):
+            raise ConfigError(f"need two positive split sizes, got {self.samples_per_split}")
 
 
 @dataclass
@@ -210,7 +202,7 @@ def save_dataset(dataset: Dataset, path) -> None:
 def load_dataset(path) -> Dataset:
     header, body = _read_container(path, DATASET_MAGIC)
     with _header_fields(path):
-        spec = SyntheticTaskSpec.from_dict(header["spec"])
+        spec = _header_config(SyntheticTaskSpec, header["spec"])
         tx, ex, cs = (tuple(header["shapes"][key]) for key in ("train_x", "test_x", "centers"))
         blocks = _read_blocks(body, [tx, (tx[0],), ex, (ex[0],), cs], path)
     return Dataset(

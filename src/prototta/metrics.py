@@ -252,7 +252,8 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
 
 
 def load_scores(path) -> dict[int, float]:
-    """Read a `sample_id,score` CSV into a dict keyed by sample id."""
+    """Read a `sample_id,score` CSV into a dict keyed by sample id; every score
+    must be finite and every sample id appear once."""
     import csv
 
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -268,7 +269,12 @@ def load_scores(path) -> dict[int, float]:
             if not row:
                 continue
             try:
-                scores[int(row[0])] = float(row[1])
+                sid, score = int(row[0]), float(row[1])
             except (IndexError, ValueError) as exc:
                 raise FormatError(f"{path}:{row_num}: bad row {row}: {exc}") from None
+            if sid in scores:
+                raise FormatError(f"{path}:{row_num}: repeated sample_id {sid}")
+            if not np.isfinite(score):
+                raise FormatError(f"{path}:{row_num}: non-finite score {row[1]!r}")
+            scores[sid] = score
     return scores

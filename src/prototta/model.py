@@ -14,7 +14,8 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
+from numbers import Real
 
 import numpy as np
 
@@ -34,13 +35,66 @@ PARAM_MODES = ("norm_only", "norm_plus_addons", "all_adaptive")
 _DOMAIN_TOL = 1e-6
 
 
-def canonical_dumps(obj) -> str:
+def canonical_dumps(obj, default=None) -> str:
     """Serialize with sorted keys and no whitespace so equal objects give equal bytes."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=default)
+
+
+def check_type(kind: type, label: str, value) -> None:
+    """ConfigError unless ``value`` is a ``kind``; a bool counts only as a
+    bool, and a ``Real`` must be finite."""
+    ok = isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+    if not ok or (kind is Real and not math.isfinite(value)):
+        raise ConfigError(f"{label} must be {'finite real' if kind is Real else kind.__name__}, got {value!r}")
+
+
+class JsonConfig:
+    """Base of the frozen config dataclasses. Construction checks each scalar
+    field against its annotation (``int``, ``bool``, ``str`` or ``float``, each
+    optionally ``| None``); subclasses call this ``__post_init__`` first. Loading
+    accepts only a JSON object with known keys whose values the constructor
+    accepts; anything else is a ConfigError."""
+
+    SCALARS = {"int": int, "bool": bool, "str": str, "float": Real}
+
+    def __post_init__(self):
+        for f in fields(self):
+            kind, _, optional = f.type.partition(" | ")
+            value = getattr(self, f.name)
+            if kind in self.SCALARS and not (optional == "None" and value is None):
+                check_type(self.SCALARS[kind], f.name, value)
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        if not isinstance(d, dict):
+            raise ConfigError(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
+        extra = set(d) - set(cls.__dataclass_fields__)
+        if extra:
+            raise ConfigError(f"unknown {cls.__name__} keys: {sorted(extra)}")
+        try:
+            return cls(**d)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid {cls.__name__}: {exc}") from None
+
+    @classmethod
+    def from_json(cls, text: str):
+        try:
+            d = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"invalid {cls.__name__} JSON: {exc}") from None
+        return cls.from_dict(d)
+
+    def to_dict(self) -> dict:
+        return json.loads(self.to_json())
+
+    def to_json(self) -> str:
+        # a nested config is written as an object, a corruption spec as its str
+        shallow = {f.name: getattr(self, f.name) for f in fields(self)}
+        return canonical_dumps(shallow, default=lambda v: v.to_dict() if isinstance(v, JsonConfig) else str(v))
 
 
 @dataclass(frozen=True)
-class BackboneConfig:
+class BackboneConfig(JsonConfig):
     """Shape of the feature extractor: linear -> norm -> bias -> tanh per layer."""
 
     input_dim: int = 32
@@ -50,9 +104,12 @@ class BackboneConfig:
     has_onexone: bool = False
 
     def __post_init__(self):
+        super().__post_init__()
         if self.input_dim < 1:
             raise ConfigError(f"input_dim must be positive, got {self.input_dim}")
-        object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
+        object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
+        for d in self.hidden_dims:
+            check_type(int, "hidden_dims", d)
         if not self.hidden_dims or any(d < 1 for d in self.hidden_dims):
             raise ConfigError(f"need at least one positive hidden dim, got {self.hidden_dims}")
         if self.norm_kind not in NORM_KINDS:
@@ -62,43 +119,24 @@ class BackboneConfig:
     def feature_dim(self) -> int:
         return self.hidden_dims[-1]
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BackboneConfig":
-        return cls(
-            input_dim=int(d["input_dim"]),
-            hidden_dims=tuple(d["hidden_dims"]),
-            norm_kind=d["norm_kind"],
-            has_attention_bias=bool(d["has_attention_bias"]),
-            has_onexone=bool(d["has_onexone"]),
-        )
-
 
 @dataclass(frozen=True)
-class MappingScheme:
+class MappingScheme(JsonConfig):
     """How raw similarities become s-bar values in [eps, 1-eps]."""
 
     kind: str = "log_inverse_distance"
     temperature: float = 5.0
 
     def __post_init__(self):
+        super().__post_init__()
         if self.kind not in MAPPING_KINDS:
             raise ConfigError(f"mapping kind must be one of {MAPPING_KINDS}, got {self.kind!r}")
         if self.temperature <= 0:
             raise ConfigError(f"temperature must be positive, got {self.temperature}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MappingScheme":
-        return cls(kind=d["kind"], temperature=float(d["temperature"]))
-
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(JsonConfig):
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
     num_classes: int = 5
     protos_per_class: int = 10
@@ -108,6 +146,11 @@ class ModelConfig:
     mapping: MappingScheme = field(default_factory=MappingScheme)
 
     def __post_init__(self):
+        super().__post_init__()
+        # a backbone or mapping given as its JSON form loads strictly
+        for name, kind in (("backbone", BackboneConfig), ("mapping", MappingScheme)):
+            if not isinstance(getattr(self, name), kind):
+                object.__setattr__(self, name, kind.from_dict(getattr(self, name)))
         if self.num_classes < 2:
             raise ConfigError(f"need at least 2 classes, got {self.num_classes}")
         if self.protos_per_class < 1 or self.sub_prototypes < 1:
@@ -123,21 +166,6 @@ class ModelConfig:
     @property
     def num_prototypes(self) -> int:
         return self.num_classes * self.protos_per_class
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(
-            backbone=BackboneConfig.from_dict(d["backbone"]),
-            num_classes=int(d["num_classes"]),
-            protos_per_class=int(d["protos_per_class"]),
-            sub_prototypes=int(d["sub_prototypes"]),
-            aggregation=d["aggregation"],
-            agg_k=None if d.get("agg_k") is None else int(d["agg_k"]),
-            mapping=MappingScheme.from_dict(d["mapping"]),
-        )
 
 
 @dataclass
@@ -429,13 +457,21 @@ def _read_container(path, magic: bytes) -> tuple[dict, memoryview]:
 
 @contextmanager
 def _header_fields(path):
-    """Turn a missing or ill-typed header field into a FormatError."""
+    """Turn a missing or ill-typed header field or config into a FormatError."""
     try:
         yield
     except KeyError as exc:
         raise FormatError(f"{path}: header missing field {exc}") from None
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, IndexError, ConfigError) as exc:
         raise FormatError(f"{path}: malformed header: {exc}") from None
+
+
+def _header_config(cls: type[JsonConfig], d):
+    """Load a header config strictly and as saved, so no field can take its default."""
+    config = cls.from_dict(d)
+    if canonical_dumps(d) != config.to_json():
+        raise ConfigError(f"{cls.__name__} is not in saved form, which would be {config.to_json()}")
+    return config
 
 
 def _read_blocks(body: memoryview, shapes: list[tuple[int, ...]], path) -> list[np.ndarray]:
@@ -473,7 +509,7 @@ def save_model(model: PrototypeModel, path) -> None:
 def load_model(path) -> PrototypeModel:
     header, body = _read_container(path, MODEL_MAGIC)
     with _header_fields(path):
-        config = ModelConfig.from_dict(header["config"])
+        config = _header_config(ModelConfig, header["config"])
         names = [name for name, _ in header["tensors"]]
         shapes = [tuple(shape) for _, shape in header["tensors"]]
         stat_layers = header["running_stat_layers"]

@@ -722,6 +722,52 @@ class TestCli:
         assert main([*argv, "--out", str(tmp_path / "boards"), "--k", str(P + 1)]) == 2
         assert f"at most the model's {P} prototypes" in capsys.readouterr().err
         assert not list((tmp_path / "boards").glob("*.json"))
+        assert not (tmp_path / "boards").exists()
+
+    @pytest.fixture()
+    def correlate_inputs(self, tiny_model, tiny_dataset, rng, tmp_path):
+        """A boards directory of five valid boards and a scores file that matches them."""
+        boards = tmp_path / "boards"
+        export_boards(stream_records(tiny_model, tiny_dataset, rng)[:5], tiny_model, k=3, method="m", out_dir=boards)
+        scores = tmp_path / "scores.csv"
+        ids = [json.loads(p.read_text())["sample_id"] for p in sorted(boards.glob("*.json"))]
+        scores.write_text("sample_id,score\n" + "".join(f"{i},{0.1 * n}\n" for n, i in enumerate(ids)))
+        return boards, scores, ids
+
+    @pytest.mark.parametrize(
+        "board",
+        [
+            {"method": "x"},
+            [1, 2],
+            {"sample_id": True, "method": "x", "ground_truth": 0, "prototypes": [{"contribution": 1.0, "owning_class": 0}]},
+            {"sample_id": 1, "method": "x", "ground_truth": 0, "prototypes": []},
+            {"sample_id": 1, "method": "x", "ground_truth": 0, "prototypes": [{"contribution": 1.0}]},
+            {"sample_id": 1, "method": 5, "ground_truth": 0, "prototypes": [{"contribution": 1.0, "owning_class": 0}]},
+        ],
+        ids=["method-only", "list", "sample-id-bool", "no-prototypes", "owning-class-missing", "method-int"],
+    )
+    def test_malformed_board_exits_2(self, correlate_inputs, capsys, board):
+        boards, scores, _ = correlate_inputs
+        bad = boards / "zz_bad.json"
+        bad.write_text(json.dumps(board))
+        assert main(["correlate", "--boards", str(boards), "--scores", str(scores)]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "malformed board" in err
+
+    @pytest.mark.parametrize(
+        "row, problem",
+        [
+            (lambda ids: f"{max(ids) + 1},nan", "non-finite score"),
+            (lambda ids: f"{max(ids) + 1},inf", "non-finite score"),
+            (lambda ids: f"{ids[0]},0.9", "repeated sample_id"),
+        ],
+        ids=["nan", "inf", "repeated-id"],
+    )
+    def test_bad_score_row_exits_2(self, correlate_inputs, capsys, row, problem):
+        boards, scores, ids = correlate_inputs
+        scores.write_text(scores.read_text() + row(ids) + "\n")
+        assert main(["correlate", "--boards", str(boards), "--scores", str(scores)]) == 2
+        assert f"{scores}:{len(ids) + 2}: {problem}" in capsys.readouterr().err
 
     def test_runtime_errors_exit_3(self, tiny_model, tiny_dataset, rng, tmp_path, capsys):
         records = stream_records(tiny_model, tiny_dataset, rng)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from prototta.cli import main
 from prototta.errors import ConfigError, FormatError
 from prototta.harness import (
     CORRUPTION_KINDS,
@@ -115,6 +116,9 @@ class TestDatasetGeneration:
                 SyntheticTaskSpec(cluster_spread=spread)
         with pytest.raises(ConfigError):
             SyntheticTaskSpec(samples_per_split=(0, 10))
+        for bad in ({"seed": 1.5}, {"num_classes": True}, {"samples_per_split": (10,)}, {"samples_per_split": (10.0, 10)}):
+            with pytest.raises(ConfigError):
+                SyntheticTaskSpec(**bad)
 
 
 class TestSourceTraining:
@@ -171,15 +175,23 @@ class TestDatasetPersistence:
             lambda h: [h],
             lambda h: {**h, "shapes": {**h["shapes"], "train_x": []}},
             lambda h: {**h, "shapes": {**h["shapes"], "train_x": [-1, h["shapes"]["train_x"][1]]}},
+            lambda h: {**h, "spec": {**h["spec"], "seed": 1.5}},
+            lambda h: {**h, "spec": {**h["spec"], "cluster_spread": "0.02"}},
+            lambda h: {**h, "spec": {**h["spec"], "noise": 0.1}},
         ],
-        ids=["seed-string", "shapes-null", "header-list", "empty-shape", "negative-dim"],
+        ids=[
+            "seed-string", "shapes-null", "header-list", "empty-shape", "negative-dim",
+            "seed-float", "spread-string", "unknown-spec-key",
+        ],
     )
-    def test_malformed_header_is_format_error(self, tiny_dataset, tmp_path, rewrite_header, edit):
+    def test_malformed_header_is_format_error(self, tiny_dataset, tmp_path, rewrite_header, edit, capsys):
         path = tmp_path / "data.pttd"
         save_dataset(tiny_dataset, path)
         rewrite_header(path, b"PTTD1", edit)
         with pytest.raises(FormatError):
             load_dataset(path)
+        assert main(["train", "--data", str(path), "--out", str(tmp_path / "model.ptta"), "--epochs", "0"]) == 2
+        assert str(path) in capsys.readouterr().err
 
     def test_bad_magic_rejected(self, tiny_dataset, tmp_path):
         path = tmp_path / "data.pttd"

@@ -431,3 +431,16 @@ class TestScoreIngestion:
         path.write_text("")
         with pytest.raises(FormatError):
             load_scores(path)
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    def test_non_finite_score_rejected(self, tmp_path, score):
+        path = tmp_path / "scores.csv"
+        path.write_text(f"sample_id,score\n3,0.5\n7,{score}\n")
+        with pytest.raises(FormatError, match=":3: non-finite score"):
+            load_scores(path)
+
+    def test_repeated_sample_id_rejected(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("sample_id,score\n3,0.5\n7,0.25\n3,0.75\n")
+        with pytest.raises(FormatError, match=":4: repeated sample_id 3"):
+            load_scores(path)

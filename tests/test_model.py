@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from prototta.autodiff import Tensor
+from prototta.cli import main
 from prototta.errors import ConfigError, DegenerateInputError, DomainError, FormatError
 from prototta.model import (
     EPS_CLAMP,
@@ -276,15 +277,31 @@ class TestPersistence:
             lambda h: [h],
             lambda h: {**h, "tensors": 5},
             lambda h: {**h, "config": {**h["config"], "backbone": None}},
+            lambda h: {**h, "config": {**h["config"], "mapping": {**h["config"]["mapping"], "temperature": math.nan}}},
+            lambda h: {
+                **h,
+                "config": {**h["config"], "backbone": {**h["config"]["backbone"], "has_attention_bias": "false"}},
+            },
+            lambda h: {**h, "config": {**h["config"], "agg_k": 1.9}},
+            lambda h: {**h, "config": {**h["config"], "dropout": 0.1}},
+            lambda h: {**h, "config": {k: v for k, v in h["config"].items() if k != "mapping"}},
         ],
-        ids=["num-classes-string", "unknown-stat-layer", "header-list", "tensors-int", "backbone-null"],
+        ids=[
+            "num-classes-string", "unknown-stat-layer", "header-list", "tensors-int", "backbone-null",
+            "temperature-nan", "attention-bias-string", "agg-k-float", "unknown-config-key", "mapping-missing",
+        ],
     )
-    def test_malformed_header_is_format_error(self, small_model, tmp_path, rewrite_header, edit):
+    def test_malformed_header_is_format_error(self, small_model, tmp_path, rewrite_header, edit, capsys):
         path = tmp_path / "model.bin"
         save_model(small_model, path)
         rewrite_header(path, b"PTTA1", edit)
         with pytest.raises(FormatError):
             load_model(path)
+        records = tmp_path / "records.jsonl"
+        records.write_text("")
+        argv = ["boards", "--records", str(records), "--model", str(path), "--out", str(tmp_path / "b"), "--method", "m"]
+        assert main(argv) == 2
+        assert str(path) in capsys.readouterr().err
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -294,3 +311,19 @@ class TestPersistence:
         with pytest.raises(ConfigError):
             ModelConfig(sub_prototypes=2, agg_k=3)
         assert ModelConfig(sub_prototypes=4).agg_k == 2
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: MappingScheme(temperature=math.nan),
+            lambda: BackboneConfig(input_dim=1.5),
+            lambda: BackboneConfig(hidden_dims=("16",)),
+            lambda: BackboneConfig(has_onexone="false"),
+            lambda: ModelConfig(agg_k=True),
+            lambda: ModelConfig(backbone={"input_dim": 8, "depth": 2}),
+        ],
+        ids=["temperature-nan", "input-dim-float", "hidden-dim-string", "onexone-string", "agg-k-bool", "backbone-unknown-key"],
+    )
+    def test_ill_typed_config_fields_rejected(self, make):
+        with pytest.raises(ConfigError):
+            make()

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import MISSING, fields
 
+import pytest
+
 from prototta.adapt import TTAConfig
 from prototta.bench import BenchmarkPlan
 from prototta.harness import SyntheticTaskSpec, generate_dataset, load_dataset, save_dataset
@@ -44,7 +46,7 @@ def test_tta_config_json_round_trip():
     assert TTAConfig.from_json(cfg.to_json()) == cfg
 
 
-def test_benchmark_plan_json_round_trip():
+def non_default_plan() -> BenchmarkPlan:
     plan = BenchmarkPlan(
         model_path="source.ptta",
         dataset_path="task.pttd",
@@ -58,10 +60,10 @@ def test_benchmark_plan_json_round_trip():
         record_batches=2,
     )
     assert_no_default_fields(plan)
-    assert BenchmarkPlan.from_json(plan.to_json()) == plan
+    return plan
 
 
-def test_model_config_survives_save_and_load(tmp_path):
+def non_default_model_config() -> ModelConfig:
     config = ModelConfig(
         backbone=BackboneConfig(
             input_dim=6,
@@ -79,12 +81,10 @@ def test_model_config_survives_save_and_load(tmp_path):
     )
     for obj in (config, config.backbone, config.mapping):
         assert_no_default_fields(obj)
-    path = tmp_path / "model.ptta"
-    save_model(PrototypeModel(config, seed=0), path)
-    assert load_model(path).config == config
+    return config
 
 
-def test_task_spec_survives_save_and_load(tmp_path):
+def non_default_task_spec() -> SyntheticTaskSpec:
     spec = SyntheticTaskSpec(
         num_classes=3,
         input_dim=6,
@@ -94,6 +94,40 @@ def test_task_spec_survives_save_and_load(tmp_path):
         seed=7,
     )
     assert_no_default_fields(spec)
+    return spec
+
+
+def test_benchmark_plan_json_round_trip():
+    plan = non_default_plan()
+    assert BenchmarkPlan.from_json(plan.to_json()) == plan
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        non_default_tta_config,
+        non_default_plan,
+        non_default_model_config,
+        lambda: non_default_model_config().backbone,
+        lambda: non_default_model_config().mapping,
+        non_default_task_spec,
+    ],
+    ids=["TTAConfig", "BenchmarkPlan", "ModelConfig", "BackboneConfig", "MappingScheme", "SyntheticTaskSpec"],
+)
+def test_every_config_json_round_trip(make):
+    obj = make()
+    assert type(obj).from_json(obj.to_json()) == obj
+
+
+def test_model_config_survives_save_and_load(tmp_path):
+    config = non_default_model_config()
+    path = tmp_path / "model.ptta"
+    save_model(PrototypeModel(config, seed=0), path)
+    assert load_model(path).config == config
+
+
+def test_task_spec_survives_save_and_load(tmp_path):
+    spec = non_default_task_spec()
     path = tmp_path / "data.pttd"
     save_dataset(generate_dataset(spec), path)
     assert load_dataset(path).spec == spec
