@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -49,7 +50,7 @@ from .metrics import (
     selection_rate,
     spearman,
 )
-from .model import AGGREGATIONS, PARAM_MODES, JsonConfig, PrototypeModel, check_type, load_model
+from .model import AGGREGATIONS, PARAM_MODES, JsonConfig, PrototypeModel, check_type, load_model, write_file
 
 DEFAULT_CORRUPTIONS = tuple(CorruptionSpec(kind, 5) for kind in CORRUPTION_KINDS)
 METRIC_CHOICES = ("accuracy", "interpretability", "efficiency")
@@ -253,11 +254,11 @@ def _dump_cell_records(cells: list[CellResult], out: Path) -> Path:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[Sequence]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
+    write_file(path, buf.getvalue())
 
 
 def _summary(plan: BenchmarkPlan, values: Callable[[str], list[float]]) -> list[tuple[str, float, float]]:
@@ -295,9 +296,7 @@ def _load_plan_inputs(
         _check_plan_files(plan)
         model = load_model(plan.model_path) if model is None else model
         dataset = load_dataset(plan.dataset_path) if dataset is None else dataset
-    protos = model.config.num_prototypes
-    if plan.board_k > protos:
-        raise ConfigError(f"board_k must be at most the model's {protos} prototypes, got {plan.board_k}")
+    _check_board_k(model, plan.board_k)
     return model, dataset
 
 
@@ -390,7 +389,7 @@ def run_benchmark(
             [[name, *row] for name, summary in summaries.items() for row in summary],
         )
         paths["accuracy_md"] = out / "accuracy.md"
-        paths["accuracy_md"].write_text(_accuracy_markdown(plan, summaries), encoding="utf-8")
+        write_file(paths["accuracy_md"], _accuracy_markdown(plan, summaries))
 
     if want_interp:
         rows = []
@@ -478,11 +477,22 @@ def run_ablation(
     return rows
 
 
-def build_board(record: ActivationRecord, model: PrototypeModel, k: int, method: str) -> dict:
-    """One sample's top-k contributing prototypes under its adapted prediction."""
+def _check_board_k(model: PrototypeModel, k: int) -> None:
+    """A ConfigError unless ``k`` lies in [1, P] for the model's P prototypes."""
     P = len(model.class_of)
     if not 1 <= k <= P:
-        raise ConfigError(f"board k must be at least 1 and at most the model's {P} prototypes, got {k}")
+        raise ConfigError(f"board_k must be at most the model's {P} prototypes and at least 1, got {k}")
+
+
+def build_board(record: ActivationRecord, model: PrototypeModel, k: int, method: str) -> dict:
+    """One sample's top-k contributing prototypes under its adapted prediction."""
+    _check_board_k(model, k)
+    return _board(record, model, k, method)
+
+
+def _board(record: ActivationRecord, model: PrototypeModel, k: int, method: str) -> dict:
+    """``build_board`` for a ``k`` already checked against the model."""
+    P = len(model.class_of)
     if len(record.adapted_activations) != P:
         raise FormatError(
             f"record {record.sample_id}: activation length {len(record.adapted_activations)}"
@@ -490,6 +500,12 @@ def build_board(record: ActivationRecord, model: PrototypeModel, k: int, method:
         )
     if record.mapped_activations is None:
         raise FormatError(f"record {record.sample_id}: missing mapped activations")
+    C = model.head.shape[0]
+    if not 0 <= record.adapted_prediction < C:
+        raise FormatError(
+            f"record {record.sample_id}: predicted class {record.adapted_prediction}"
+            f" is out of range for the model's {C} classes"
+        )
     weights = np.abs(model.head.data[record.adapted_prediction])
     contributions = record.adapted_activations * weights
     top = _top_indices(contributions, k)
@@ -519,13 +535,14 @@ def export_boards(
     out_dir,
 ) -> list[Path]:
     """Write one board per record, all built (and so checked) before ``out_dir`` is made."""
-    boards = [build_board(r, model, k, method) for r in sorted(records, key=lambda r: r.sample_id)]
+    _check_board_k(model, k)
+    boards = [_board(r, model, k, method) for r in sorted(records, key=lambda r: r.sample_id)]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
     for board in boards:
         path = out / f"{method}_{board['sample_id']:06d}.json"
-        path.write_text(json.dumps(board, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        write_file(path, json.dumps(board, indent=2, sort_keys=True) + "\n")
         written.append(path)
     return written
 

@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateInputError,
     DomainError,
     FormatError,
@@ -21,6 +22,11 @@ from .errors import (
     MeasurementError,
     ShapeError,
 )
+from .model import check_type, write_file
+
+
+_RECORD_INTS = ("sample_id", "clean_prediction", "adapted_prediction", "ground_truth")
+_RECORD_ARRAYS = ("clean_activations", "adapted_activations", "mapped_activations")
 
 
 @dataclass
@@ -50,36 +56,60 @@ class ActivationRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "ActivationRecord":
+        """Parse one records line strictly: the ids, predictions and label are
+        non-negative ints (not bools or floats) and the activations, of which
+        ``mapped_activations`` may be left out, non-empty finite number lists of
+        one length; anything else is a FormatError."""
         try:
             obj = json.loads(line)
-            mapped = obj.get("mapped_activations")
-            return cls(
-                sample_id=int(obj["sample_id"]),
-                clean_activations=np.asarray(obj["clean_activations"], dtype=np.float64),
-                adapted_activations=np.asarray(obj["adapted_activations"], dtype=np.float64),
-                clean_prediction=int(obj["clean_prediction"]),
-                adapted_prediction=int(obj["adapted_prediction"]),
-                ground_truth=int(obj["ground_truth"]),
-                mapped_activations=None if mapped is None else np.asarray(mapped, dtype=np.float64),
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            check_type(dict, "record", obj)
+            for key in (*_RECORD_INTS, "clean_activations", "adapted_activations"):
+                if key not in obj:
+                    raise ConfigError(f"missing field {key!r}")
+            for key in _RECORD_INTS:
+                check_type(int, key, obj[key])
+                if obj[key] < 0:
+                    raise ConfigError(f"{key} must be non-negative, got {obj[key]}")
+            arrays = {key: _activations(key, obj[key]) for key in _RECORD_ARRAYS if key in obj}
+            if len({len(a) for a in arrays.values()}) != 1:
+                raise ConfigError(f"activation lists differ in length: {[len(a) for a in arrays.values()]}")
+        except (ValueError, ConfigError) as exc:
             raise FormatError(f"bad activation record: {exc}") from None
+        return cls(**{key: obj[key] for key in _RECORD_INTS}, **arrays)
+
+
+def _activations(key: str, value) -> np.ndarray:
+    """A non-empty list of finite JSON numbers (no bools) as a float64 vector."""
+    check_type(list, key, value)
+    if not value or not set(map(type, value)) <= {int, float}:
+        raise ConfigError(f"{key} must be a non-empty list of numbers")
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except OverflowError:
+        raise ConfigError(f"{key} holds a number too large for a float") from None
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{key} must be finite")
+    return arr
 
 
 def dump_records(records: Iterable[ActivationRecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(rec.to_json())
-            fh.write("\n")
+    write_file(path, "".join(rec.to_json() + "\n" for rec in records))
 
 
 def load_records(path) -> list[ActivationRecord]:
+    """Records from a ``.jsonl`` file; a bad line is a FormatError naming ``path:line``."""
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(ActivationRecord.from_json(line))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if line:
+                    try:
+                        out.append(ActivationRecord.from_json(line))
+                    except FormatError as exc:
+                        raise FormatError(f"{path}:{lineno}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
     return out
 
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager
+import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
 from numbers import Real
 
@@ -427,14 +428,50 @@ def prototype_contributions(outputs: BatchOutputs, head: Tensor, cls: int) -> np
 # persistence
 
 
+def write_file(path, data: str | bytes) -> None:
+    """Write ``data`` (text as UTF-8) to ``path``, overwriting an existing file in place.
+
+    The file is written over and then cut to the new length, never truncated
+    to zero first: on an ext4 root mounted with ``discard``, 256 overwrites of
+    a 1.2 kB file took 12-63 ms after a truncate to zero and 2-4 ms in place
+    (likely the flush that ext4 starts on close after such a truncate).
+    This gains only when ``path`` already exists, as on a rerun into an
+    existing output directory; a new file costs the same as a truncating open.
+    Nothing is fsynced, so a crash during the write can leave a file that
+    mixes old and new bytes. Saved models and datasets, which a torn write
+    could corrupt without changing their length, are renamed into place by
+    ``_write_container`` instead.
+    """
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view) :]
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def _write_container(path, magic: bytes, header: dict, blocks: list[np.ndarray]) -> None:
+    """Write a new file beside ``path`` and rename it over ``path``.
+
+    A saved model or dataset of one config has the same length on every save,
+    so an in-place overwrite torn by a crash could mix old and new parameters
+    and still pass every check in ``_read_container``; the rename leaves
+    either the old file or the whole new one in place.
+    """
     payload = canonical_dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(magic)
-        fh.write(len(payload).to_bytes(8, "little"))
-        fh.write(payload)
-        for block in blocks:
-            fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+    arrays = [np.ascontiguousarray(block, dtype="<f8").tobytes() for block in blocks]
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        write_file(tmp, b"".join([magic, len(payload).to_bytes(8, "little"), payload, *arrays]))
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _read_container(path, magic: bytes) -> tuple[dict, memoryview]:

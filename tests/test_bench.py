@@ -302,6 +302,15 @@ def stream_records(model, dataset, rng, n=96):
     return report.sample_records
 
 
+def tree_bytes(root: Path) -> dict[str, bytes]:
+    """Every file under ``root`` but ``efficiency.csv`` (timing-dependent), by relative path."""
+    return {
+        p.relative_to(root).as_posix(): p.read_bytes()
+        for p in sorted(root.rglob("*"))
+        if p.is_file() and p.name != "efficiency.csv"
+    }
+
+
 class TestBoards:
     def test_board_schema_and_sorting(self, tiny_model, tiny_dataset, rng, tmp_path):
         records = stream_records(tiny_model, tiny_dataset, rng)
@@ -723,6 +732,66 @@ class TestCli:
         assert f"at most the model's {P} prototypes" in capsys.readouterr().err
         assert not list((tmp_path / "boards").glob("*.json"))
         assert not (tmp_path / "boards").exists()
+
+    def test_boards_k_checked_before_reading_records(self, saved_files, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        records.write_text("")
+        out = tmp_path / "boards"
+        argv = ["boards", "--records", str(records), "--model", str(saved_files["model"]), "--method", "m"]
+        assert main([*argv, "--out", str(out), "--k", "999"]) == 2
+        assert "at most the model's" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            (lambda r: {**r, "sample_id": 1.5}, "sample_id must be int, got 1.5"),
+            (lambda r: {**r, "ground_truth": True}, "ground_truth must be int, got True"),
+            (lambda r: {k: v for k, v in r.items() if k != "adapted_activations"}, "missing field 'adapted_activations'"),
+            (lambda r: {**r, "adapted_prediction": 99}, "predicted class 99 is out of range"),
+        ],
+        ids=["sample-id-float", "ground-truth-bool", "field-missing", "class-out-of-range"],
+    )
+    def test_bad_record_line_exits_2(self, saved_files, tiny_model, tiny_dataset, rng, tmp_path, capsys, edit, problem):
+        records = tmp_path / "records.jsonl"
+        dump_records(stream_records(tiny_model, tiny_dataset, rng)[:3], records)
+        lines = records.read_text().splitlines()
+        lines[1] = json.dumps(edit(json.loads(lines[1])))
+        records.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "boards"
+        argv = ["boards", "--records", str(records), "--model", str(saved_files["model"]), "--method", "m"]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert problem in err
+        if "out of range" not in problem:
+            assert f"{records}:2: " in err
+        assert not out.exists()
+
+    def test_boards_rerun_with_smaller_k_matches_fresh(self, saved_files, tiny_model, tiny_dataset, rng, tmp_path):
+        records = tmp_path / "records.jsonl"
+        dump_records(stream_records(tiny_model, tiny_dataset, rng)[:6], records)
+        argv = ["boards", "--records", str(records), "--model", str(saved_files["model"]), "--method", "m"]
+        assert main([*argv, "--out", str(tmp_path / "rerun"), "--k", "5"]) == 0
+        assert main([*argv, "--out", str(tmp_path / "rerun"), "--k", "1"]) == 0
+        assert main([*argv, "--out", str(tmp_path / "fresh"), "--k", "1"]) == 0
+        assert tree_bytes(tmp_path / "rerun") == tree_bytes(tmp_path / "fresh")
+
+    def test_bench_rerun_with_fewer_batches_matches_fresh(self, saved_files, tmp_path):
+        argv = [
+            "bench",
+            "--model", str(saved_files["model"]),
+            "--data", str(saved_files["dataset"]),
+            "--corruptions", "gaussian_noise:5",
+            "--methods", "unadapted", "prototta",
+            "--seeds", "0",
+        ]
+        rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+        assert main([*argv, "--out-dir", str(rerun), "--num-batches", "3", "--record-batches", "2"]) == 0
+        assert main([*argv, "--out-dir", str(rerun), "--num-batches", "2", "--record-batches", "1"]) == 0
+        assert main([*argv, "--out-dir", str(fresh), "--num-batches", "2", "--record-batches", "1"]) == 0
+        got, want = tree_bytes(rerun), tree_bytes(fresh)
+        assert "accuracy_batches.csv" in want and "records/prototta_gaussian_noise_5.jsonl" in want
+        assert got == want
 
     @pytest.fixture()
     def correlate_inputs(self, tiny_model, tiny_dataset, rng, tmp_path):

@@ -108,6 +108,62 @@ class TestActivationRecords:
         with pytest.raises(FormatError):
             ActivationRecord.from_json("not json")
 
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            ({"sample_id": 1.5}, "sample_id must be int"),
+            ({"ground_truth": True}, "ground_truth must be int"),
+            ({"clean_prediction": "2"}, "clean_prediction must be int"),
+            ({"adapted_prediction": -1}, "adapted_prediction must be non-negative"),
+            ({"clean_activations": None}, "clean_activations must be list"),
+            ({"clean_activations": []}, "clean_activations must be a non-empty list"),
+            ({"adapted_activations": [0.5, True]}, "adapted_activations must be a non-empty list of numbers"),
+            ({"adapted_activations": ["0.5", 0.5]}, "adapted_activations must be a non-empty list of numbers"),
+            ({"mapped_activations": [[0.5]]}, "mapped_activations must be a non-empty list of numbers"),
+            ({"clean_activations": [float("nan"), 1.0]}, "clean_activations must be finite"),
+            ({"mapped_activations": [0.5]}, "activation lists differ in length"),
+            ({"clean_activations": [10**400, 1.0]}, "clean_activations holds a number too large for a float"),
+        ],
+        ids=[
+            "sample-id-float", "ground-truth-bool", "prediction-string", "prediction-negative", "activations-null",
+            "activations-empty", "activation-bool", "activation-string", "activation-nested", "activation-nan",
+            "length-mismatch", "activation-int-overflow",
+        ],
+    )
+    def test_ill_typed_field_rejected(self, edit, problem):
+        import json
+
+        good = {
+            "sample_id": 3,
+            "clean_activations": [0.1, 0.2],
+            "adapted_activations": [0.3, 0.4],
+            "mapped_activations": [0.5, 0.6],
+            "clean_prediction": 0,
+            "adapted_prediction": 1,
+            "ground_truth": 1,
+        }
+        ActivationRecord.from_json(json.dumps(good))
+        with pytest.raises(FormatError, match=problem):
+            ActivationRecord.from_json(json.dumps({**good, **edit}))
+
+    def test_overlong_integer_rejected(self):
+        line = '{"sample_id": 1%s, "clean_activations": [0.1]}' % ("0" * 5000)
+        with pytest.raises(FormatError, match="bad activation record: Exceeds the limit"):
+            ActivationRecord.from_json(line)
+
+    def test_load_error_names_file_and_line(self, rng, tmp_path):
+        path = tmp_path / "records.jsonl"
+        dump_records(make_records(rng, n=2), path)
+        path.write_text(path.read_text() + "\n" + '{"sample_id": 1}\n')
+        with pytest.raises(FormatError, match=f"^{path}:4: bad activation record: missing field 'clean_prediction'"):
+            load_records(path)
+
+    def test_binary_file_is_format_error(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(b"\xff\xfe\x00")
+        with pytest.raises(FormatError, match="not UTF-8"):
+            load_records(path)
+
     def test_mapped_activations_optional(self, rng):
         rec = make_records(rng, n=1)[0]
         rec.mapped_activations = None

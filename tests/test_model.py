@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from prototta.model import (
     prototype_contributions,
     save_model,
     update_running_stats,
+    write_file,
 )
 
 finite_floats = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
@@ -258,6 +260,30 @@ class TestPersistence:
         with pytest.raises(FormatError):
             load_model(path)
 
+    def test_failed_save_keeps_the_old_file(self, small_model, tmp_path, monkeypatch):
+        path = tmp_path / "model.bin"
+        save_model(small_model, path)
+        before = path.read_bytes()
+
+        def torn_write(target, data):
+            write_file(target, data[: len(data) // 2])
+            raise OSError("disk gone")
+
+        monkeypatch.setattr("prototta.model.write_file", torn_write)
+        with pytest.raises(OSError, match="disk gone"):
+            save_model(small_model, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+
+    def test_resave_replaces_the_file(self, small_model, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(small_model, path)
+        first = path.stat().st_ino
+        save_model(small_model, path)
+        assert path.stat().st_ino != first
+        assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+        load_model(path)
+
     def test_tampered_class_map_rejected(self, small_model, tmp_path):
         path = tmp_path / "model.bin"
         save_model(small_model, path)
@@ -327,3 +353,32 @@ class TestPersistence:
     def test_ill_typed_config_fields_rejected(self, make):
         with pytest.raises(ConfigError):
             make()
+
+
+class TestWriteFile:
+    @pytest.mark.parametrize("old, new", [(b"x" * 300, b"short"), (b"short", b"y" * 300)], ids=["shrink", "grow"])
+    def test_overwrite_leaves_exactly_the_new_bytes(self, tmp_path, old, new):
+        path = tmp_path / "f.bin"
+        write_file(path, old)
+        write_file(path, new)
+        assert path.read_bytes() == new
+
+    def test_text_is_utf8(self, tmp_path):
+        path = tmp_path / "f.txt"
+        write_file(path, "± µ\n")
+        assert path.read_bytes() == "± µ\n".encode("utf-8")
+
+    @pytest.mark.parametrize("umask", [0o002, 0o022, 0o077])
+    def test_new_file_mode_matches_open_w(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "reference", "w"):
+                pass
+            write_file(tmp_path / "written", "x")
+        finally:
+            os.umask(old)
+        assert (tmp_path / "written").stat().st_mode == (tmp_path / "reference").stat().st_mode
+
+    def test_directory_target_rejected(self, tmp_path):
+        with pytest.raises(IsADirectoryError):
+            write_file(tmp_path, "x")
