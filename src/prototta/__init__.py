@@ -68,7 +68,6 @@ from .metrics import (
     pearson,
     prediction_stability,
     relative_speed,
-    sample_pca_w,
     selection_rate,
     spearman,
 )
@@ -135,7 +134,6 @@ __all__ = [
     "run_ablation",
     "run_benchmark",
     "run_stream",
-    "sample_pca_w",
     "save_dataset",
     "save_model",
     "selection_rate",

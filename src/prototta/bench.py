@@ -17,6 +17,7 @@ import hashlib
 import io
 import json
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field, fields, replace
 from numbers import Real
@@ -38,6 +39,7 @@ from .harness import (
 from .metrics import (
     ActivationRecord,
     _median_throughput,
+    _owned_share,
     _top_indices,
     dump_records,
     load_scores,
@@ -46,11 +48,20 @@ from .metrics import (
     pca_w,
     pearson,
     prediction_stability,
-    sample_pca_w,
+    relative_speed,
     selection_rate,
     spearman,
 )
-from .model import AGGREGATIONS, PARAM_MODES, JsonConfig, PrototypeModel, check_type, load_model, write_file
+from .model import (
+    AGGREGATIONS,
+    PARAM_MODES,
+    JsonConfig,
+    PrototypeModel,
+    check_type,
+    load_model,
+    prototype_contributions,
+    write_file,
+)
 
 DEFAULT_CORRUPTIONS = tuple(CorruptionSpec(kind, 5) for kind in CORRUPTION_KINDS)
 METRIC_CHOICES = ("accuracy", "interpretability", "efficiency")
@@ -410,7 +421,7 @@ def run_benchmark(
 
         def relative_speeds(name: str, cor: str) -> list[float]:
             pairs = zip(by_mc[(name, cor)], by_mc[("unadapted", cor)])
-            return [100.0 * (c.throughput / base.throughput) for c, base in pairs]
+            return [relative_speed(c.throughput, base.throughput) for c, base in pairs]
 
         rows = [
             [name, *row]
@@ -506,8 +517,7 @@ def _board(record: ActivationRecord, model: PrototypeModel, k: int, method: str)
             f"record {record.sample_id}: predicted class {record.adapted_prediction}"
             f" is out of range for the model's {C} classes"
         )
-    weights = np.abs(model.head.data[record.adapted_prediction])
-    contributions = record.adapted_activations * weights
+    contributions = prototype_contributions(record.adapted_activations, model.head.data, record.adapted_prediction)
     top = _top_indices(contributions, k)
     return {
         "sample_id": record.sample_id,
@@ -534,9 +544,18 @@ def export_boards(
     method: str,
     out_dir,
 ) -> list[Path]:
-    """Write one board per record, all built (and so checked) before ``out_dir`` is made."""
+    """Write one board per record, all built (and so checked) before ``out_dir`` is made.
+
+    A sample id repeated in ``records`` is a FormatError. Boards of ``method``
+    left in ``out_dir`` by an earlier export and not rewritten now are removed,
+    so the directory holds exactly this export's boards of ``method``.
+    """
     _check_board_k(model, k)
-    boards = [_board(r, model, k, method) for r in sorted(records, key=lambda r: r.sample_id)]
+    records = sorted(records, key=lambda r: r.sample_id)
+    for prev, rec in zip(records, records[1:]):
+        if prev.sample_id == rec.sample_id:
+            raise FormatError(f"repeated sample_id {rec.sample_id} in the records")
+    boards = [_board(r, model, k, method) for r in records]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -544,14 +563,22 @@ def export_boards(
         path = out / f"{method}_{board['sample_id']:06d}.json"
         write_file(path, json.dumps(board, indent=2, sort_keys=True) + "\n")
         written.append(path)
+    board_name = re.compile(rf"{re.escape(method)}_[0-9]+\.json")
+    fresh = {path.name for path in written}
+    for path in out.iterdir():
+        if board_name.fullmatch(path.name) and path.name not in fresh:
+            path.unlink()
     return written
 
 
 def board_sample_pca_w(board: dict) -> float:
-    """Eq.-7-style ratio over the prototypes stored in one board."""
-    contributions = np.asarray([p["contribution"] for p in board["prototypes"]], dtype=np.float64)
-    classes = np.asarray([p["owning_class"] for p in board["prototypes"]])
-    return sample_pca_w(contributions, classes, board["ground_truth"], top_set_size=len(contributions))
+    """Eq.-7-style ratio over the prototypes stored in one board: its top-k, already in descending order."""
+    contributions = np.asarray([[p["contribution"] for p in board["prototypes"]]], dtype=np.float64)
+    classes = np.asarray([[p["owning_class"] for p in board["prototypes"]]])
+    share, scored = _owned_share(contributions, classes == board["ground_truth"])
+    if not scored[0]:
+        raise DegenerateInputError("top contribution mass is not positive")
+    return float(share[0])
 
 
 def _read_board(path: Path) -> dict:

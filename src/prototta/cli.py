@@ -180,6 +180,8 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def _cmd_boards(args: argparse.Namespace) -> int:
+    if args.limit < 0:
+        raise ConfigError(f"--limit must be 0 (all) or positive, got {args.limit}")
     for label, path in (("records", args.records), ("model", args.model)):
         if not Path(path).is_file():
             raise ConfigError(f"{label} file not found: {path}")

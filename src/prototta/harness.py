@@ -89,16 +89,6 @@ class CorruptionSpec:
         return f"{self.kind}:{self.severity}"
 
 
-def corruption_strength(kind: str, severity: int) -> float:
-    """Monotone-increasing severity scale, comparable within a kind.
-
-    contrast_scale's raw parameter shrinks as corruption grows, so strength
-    is reported as 1 - factor there; all other kinds use the raw parameter.
-    """
-    param = SEVERITY_TABLES[kind][severity - 1]
-    return 1.0 - param if kind == "contrast_scale" else float(param)
-
-
 def corrupt(x: np.ndarray, spec: CorruptionSpec, seed: int = 0) -> np.ndarray:
     """Apply one corruption to an n x d batch; deterministic per seed."""
     x = np.asarray(x, dtype=np.float64)

@@ -22,7 +22,7 @@ from .errors import (
     MeasurementError,
     ShapeError,
 )
-from .model import check_type, write_file
+from .model import check_type, prototype_contributions, write_file
 
 
 _RECORD_INTS = ("sample_id", "clean_prediction", "adapted_prediction", "ground_truth")
@@ -162,8 +162,7 @@ def pca_w(
     head weight); the score is the weight fraction owned by that class.
     Samples whose top-k contribution mass is not positive are excluded and
     counted rather than scored. ``ground_truths`` holds one class in [0, C)
-    per sample. The owned share sums all k entries with other classes' zeroed,
-    which for k >= 8 groups the sum differently from a per-sample loop (ULPs).
+    per sample.
     """
     agg_sims = np.asarray(agg_sims, dtype=np.float64)
     if agg_sims.ndim != 2:
@@ -178,34 +177,20 @@ def pca_w(
     if not np.issubdtype(y.dtype, np.integer) or ((y < 0) | (y >= len(head))).any():
         raise DomainError(f"ground truths must be integer classes in [0, {len(head)})")
     top = _top_indices(agg_sims, k)
-    contrib = np.take_along_axis(agg_sims, top, axis=1) * np.abs(head[y[:, None], top])
-    total = contrib.sum(axis=1)
-    own = np.where(np.asarray(class_of)[top] == y[:, None], contrib, 0.0).sum(axis=1)
-    excluded = total <= 0
-    if excluded.all():
+    contrib = np.take_along_axis(prototype_contributions(agg_sims, head, y), top, axis=1)
+    values, scored = _owned_share(contrib, np.asarray(class_of)[top] == y[:, None])
+    if not scored.any():
         raise InsufficientDataError("every sample had non-positive contribution mass")
-    values = own[~excluded] / total[~excluded]
-    return MetricSummary(*mean_std(values), values=values, excluded=int(excluded.sum()))
+    return MetricSummary(*mean_std(values), values=values, excluded=int(n - scored.sum()))
 
 
-def sample_pca_w(
-    contributions: np.ndarray,
-    class_of: np.ndarray,
-    ground_truth: int,
-    top_set_size: int = 5,
-) -> float:
-    """Share of one sample's top contributing prototypes owned by its true class."""
-    contributions = np.asarray(contributions, dtype=np.float64)
-    if contributions.ndim != 1:
-        raise ShapeError(f"expected a length-P contribution vector, got {contributions.shape}")
-    if not 1 <= top_set_size <= len(contributions):
-        raise ShapeError(f"top_set_size must be in [1, {len(contributions)}], got {top_set_size}")
-    top = _top_indices(contributions, top_set_size)
-    total = contributions[top].sum()
-    if total <= 0:
-        raise DegenerateInputError("top contribution mass is not positive")
-    own = contributions[top][np.asarray(class_of)[top] == ground_truth].sum()
-    return float(own / total)
+def _owned_share(contrib: np.ndarray, owned: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``owned`` share of each row's mass, leaving out rows of non-positive mass, and the mask of rows kept.
+    Unowned entries are zeroed, which for rows of 8 or more sums in another order than the owned alone (ULPs)."""
+    total = contrib.sum(axis=-1)
+    own = np.where(owned, contrib, 0.0).sum(axis=-1)
+    scored = ~(total <= 0)
+    return own[scored] / total[scored], scored
 
 
 def prediction_stability(records: Sequence[ActivationRecord]) -> float:
@@ -237,12 +222,12 @@ def _median_throughput(report) -> float:
     return float(np.median(rates))
 
 
-def relative_speed(report, unadapted_report) -> float:
-    """Adapted throughput as a percentage of unadapted throughput (medians).
+def relative_speed(throughput: float, base_throughput: float) -> float:
+    """A throughput as a percentage of a base throughput.
 
     The ratio is taken before scaling, so equal throughputs give exactly 100.0.
     """
-    return 100.0 * (_median_throughput(report) / _median_throughput(unadapted_report))
+    return 100.0 * (throughput / base_throughput)
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:

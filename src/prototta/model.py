@@ -417,11 +417,12 @@ def model_forward(model: PrototypeModel, x: Tensor | np.ndarray, use_batch_stats
     )
 
 
-def prototype_contributions(outputs: BatchOutputs, head: Tensor, cls: int) -> np.ndarray:
-    """Per-prototype contribution toward ``cls``: activation times |head weight|."""
-    if not 0 <= cls < head.shape[0]:
+def prototype_contributions(activations: np.ndarray, head: np.ndarray, cls) -> np.ndarray:
+    """Activation times |head weight| toward ``cls``: one class, or one per row of an n x P block."""
+    cls = np.asarray(cls)
+    if ((cls < 0) | (cls >= head.shape[0])).any():
         raise ConfigError(f"class {cls} out of range for {head.shape[0]} classes")
-    return outputs.agg_sims.data * np.abs(head.data[cls])
+    return activations * np.abs(head)[cls]
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from prototta.adapt import (
     tent_loss,
 )
 from prototta.autodiff import Tensor, finite_difference_grad, topk_mean
-from prototta.bench import BenchmarkPlan, method_presets, run_benchmark
+from prototta.bench import BenchmarkPlan, board_sample_pca_w, method_presets, run_benchmark
 from prototta.harness import (
     CorruptionSpec,
     SyntheticTaskSpec,
@@ -46,7 +46,6 @@ from prototta.metrics import (
     pca_w,
     pearson,
     prediction_stability,
-    sample_pca_w,
     selection_rate,
     spearman,
 )
@@ -260,7 +259,12 @@ def test_05_metrics_match_brute_force_oracles():
     assert result.mean == pytest.approx(math.fsum(expected_vals) / n, abs=1e-9)
 
     contributions = rng.uniform(0.05, 1.0, size=protos)
-    assert sample_pca_w(contributions, class_of, ground_truth=2, top_set_size=5) == pytest.approx(
+    top5 = sorted(range(protos), key=lambda j: (-contributions[j], j))[:5]
+    board = {
+        "ground_truth": 2,
+        "prototypes": [{"contribution": float(contributions[j]), "owning_class": int(class_of[j])} for j in top5],
+    }
+    assert board_sample_pca_w(board) == pytest.approx(
         brute_top_share(contributions, np.ones(protos), class_of == 2, k=5), abs=1e-9
     )
 

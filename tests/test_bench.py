@@ -25,7 +25,7 @@ from prototta.bench import (
 from prototta.cli import main
 from prototta.errors import ConfigError, DegenerateInputError, FormatError, InsufficientDataError
 from prototta.harness import CorruptionSpec, corrupt, evaluate
-from prototta.metrics import ActivationRecord, dump_records, load_records, pearson
+from prototta.metrics import ActivationRecord, dump_records, load_records, pca_w, pearson
 from prototta.model import load_model, model_forward, prototype_contributions
 
 
@@ -332,6 +332,24 @@ class TestBoards:
         board = json.loads(paths[0].read_text())
         assert len(board["prototypes"]) == 1
 
+    @pytest.mark.parametrize("k", [1, 5, 7, 12])
+    def test_board_ratio_is_pca_w_where_the_definitions_agree(self, tiny_model, tiny_dataset, rng, k):
+        # with one |head weight| everywhere, the top-k by activation and by contribution
+        # coincide and every class row weighs them alike, so the two ratios are one number
+        records = stream_records(tiny_model, tiny_dataset, rng)
+        model = tiny_model.copy()
+        model.head.data[:] = np.where(model.head.data < 0, -0.5, 0.5)
+        ratios = [board_sample_pca_w(build_board(r, model, k=k, method="m")) for r in records]
+        want = pca_w(
+            np.stack([r.adapted_activations for r in records]),
+            model.head.data,
+            model.class_of,
+            np.asarray([r.ground_truth for r in records]),
+            k=k,
+        )
+        assert want.excluded == 0
+        assert ratios == want.values.tolist()
+
     def test_k_below_one_rejected(self, tiny_model, tiny_dataset, rng):
         record = stream_records(tiny_model, tiny_dataset, rng)[0]
         for k in (0, -2):
@@ -352,7 +370,7 @@ class TestBoards:
             mapped_activations=out.mapped_sims.data[i].copy(),
         )
         board = build_board(record, tiny_model, k=5, method="m")
-        expected = prototype_contributions(out, tiny_model.head, int(out.pseudo_labels[i]))[i]
+        expected = prototype_contributions(out.agg_sims.data, tiny_model.head.data, int(out.pseudo_labels[i]))[i]
         for entry in board["prototypes"]:
             assert entry["contribution"] == pytest.approx(
                 expected[entry["prototype_id"]], abs=1e-12
@@ -775,6 +793,54 @@ class TestCli:
         assert main([*argv, "--out", str(tmp_path / "rerun"), "--k", "1"]) == 0
         assert main([*argv, "--out", str(tmp_path / "fresh"), "--k", "1"]) == 0
         assert tree_bytes(tmp_path / "rerun") == tree_bytes(tmp_path / "fresh")
+
+    def test_boards_rerun_with_fewer_records_matches_fresh(
+        self, saved_files, tiny_model, tiny_dataset, rng, tmp_path, capsys
+    ):
+        records = stream_records(tiny_model, tiny_dataset, rng)[:12]
+        path = tmp_path / "records.jsonl"
+        dump_records(records, path)
+        scores = tmp_path / "scores.csv"
+        scores.write_text("sample_id,score\n" + "".join(f"{r.sample_id},{(3 * i) % 7}\n" for i, r in enumerate(records)))
+        argv = ["boards", "--records", str(path), "--model", str(saved_files["model"]), "--method", "m"]
+        rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+        for out in (rerun, fresh):
+            # another method's boards and files that are not boards stay where they are
+            export_boards(records[6:], tiny_model, k=3, method="m_2", out_dir=out)
+            (out / "m_000001.json.bak").write_text("x")
+            (out / "notes.txt").write_text("x")
+        assert main([*argv, "--out", str(rerun)]) == 0
+        assert main([*argv, "--out", str(rerun), "--limit", "6"]) == 0
+        assert main([*argv, "--out", str(fresh), "--limit", "6"]) == 0
+        assert sorted(tree_bytes(rerun)) == sorted(tree_bytes(fresh))
+        assert len(list(rerun.glob("m_0*.json"))) == 6 and len(list(rerun.glob("m_2_*.json"))) == 6
+        capsys.readouterr()
+        printed = []
+        for out in (rerun, fresh):
+            assert main(["correlate", "--boards", str(out), "--scores", str(scores), "--out", str(out / "c.csv")]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1] and "m: n=6" in printed[0]
+        assert (rerun / "c.csv").read_bytes() == (fresh / "c.csv").read_bytes()
+
+    def test_boards_repeated_sample_id_exits_2(self, saved_files, tiny_model, tiny_dataset, rng, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        dump_records(stream_records(tiny_model, tiny_dataset, rng)[:3], records)
+        lines = records.read_text().splitlines()
+        records.write_text("\n".join([*lines, lines[0]]) + "\n")
+        out = tmp_path / "boards"
+        argv = ["boards", "--records", str(records), "--model", str(saved_files["model"]), "--method", "m"]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert f"repeated sample_id {json.loads(lines[0])['sample_id']}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_boards_negative_limit_exits_2(self, saved_files, tiny_model, tiny_dataset, rng, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        dump_records(stream_records(tiny_model, tiny_dataset, rng)[:3], records)
+        out = tmp_path / "boards"
+        argv = ["boards", "--records", str(records), "--model", str(saved_files["model"]), "--method", "m"]
+        assert main([*argv, "--out", str(out), "--limit", "-3"]) == 2
+        assert "--limit must be 0 (all) or positive, got -3" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bench_rerun_with_fewer_batches_matches_fresh(self, saved_files, tmp_path):
         argv = [

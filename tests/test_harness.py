@@ -9,10 +9,10 @@ from prototta.cli import main
 from prototta.errors import ConfigError, FormatError
 from prototta.harness import (
     CORRUPTION_KINDS,
+    SEVERITY_TABLES,
     CorruptionSpec,
     SyntheticTaskSpec,
     corrupt,
-    corruption_strength,
     evaluate,
     generate_dataset,
     load_dataset,
@@ -33,9 +33,15 @@ class TestCorruptionSpec:
             CorruptionSpec.parse(text)
 
     def test_strength_monotone_per_kind(self):
-        for kind in CORRUPTION_KINDS:
-            strengths = [corruption_strength(kind, s) for s in range(1, 6)]
-            assert all(b >= a for a, b in zip(strengths, strengths[1:])), kind
+        # every parameter grows with severity except contrast_scale's factor, which shrinks
+        assert set(SEVERITY_TABLES) == set(CORRUPTION_KINDS)
+        for kind, params in SEVERITY_TABLES.items():
+            assert len(params) == 5, kind
+            steps = [b - a for a, b in zip(params, params[1:])]
+            if kind == "contrast_scale":
+                assert all(step <= 0 for step in steps), kind
+            else:
+                assert all(step >= 0 for step in steps), kind
 
 
 class TestCorruptOperators:

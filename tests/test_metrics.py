@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prototta.adapt import AdaptationReport, StepRecord, iter_batches, run_stream
-from prototta.bench import method_presets
+from prototta.bench import board_sample_pca_w, method_presets
 from prototta.errors import (
     DegenerateInputError,
     DomainError,
@@ -21,6 +21,7 @@ from prototta.errors import (
 from prototta.harness import CorruptionSpec, corrupt
 from prototta.metrics import (
     ActivationRecord,
+    _median_throughput,
     dump_records,
     load_records,
     load_scores,
@@ -30,7 +31,6 @@ from prototta.metrics import (
     prediction_stability,
     rankdata_average,
     relative_speed,
-    sample_pca_w,
     selection_rate,
     spearman,
 )
@@ -322,13 +322,22 @@ class TestPcaW:
             pca_w(self.agg, self.head, self.class_of, truths, k=5)
 
 
+def top_board(contributions, class_of, ground_truth, k):
+    """A board of the k largest contributions in descending order, as ``export_boards`` writes it."""
+    top = np.argsort(-contributions, kind="stable")[:k]
+    protos = [{"contribution": float(contributions[p]), "owning_class": int(class_of[p])} for p in top]
+    return {"ground_truth": ground_truth, "prototypes": protos}
+
+
 class TestSamplePcaW:
+    """The per-sample ratio of one board, as ``ptta correlate`` takes it."""
+
     def test_matches_hand_computation(self):
         contributions = np.array([0.5, 0.1, 0.4, 0.0, 0.3])
         class_of = np.array([0, 0, 1, 1, 2])
         # top-3 = {0, 2, 4}; class 0 owns only prototype 0
         expected = 0.5 / (0.5 + 0.4 + 0.3)
-        assert sample_pca_w(contributions, class_of, 0, top_set_size=3) == pytest.approx(
+        assert board_sample_pca_w(top_board(contributions, class_of, 0, k=3)) == pytest.approx(
             expected, abs=1e-12
         )
 
@@ -338,12 +347,12 @@ class TestSamplePcaW:
         rng = np.random.default_rng(truth)
         contributions = rng.uniform(0.01, 1, 6)
         class_of = rng.integers(0, 3, 6)
-        value = sample_pca_w(contributions, class_of, truth, top_set_size=4)
+        value = board_sample_pca_w(top_board(contributions, class_of, truth, k=4))
         assert 0.0 <= value <= 1.0
 
     def test_zero_mass_rejected(self):
         with pytest.raises(DegenerateInputError):
-            sample_pca_w(np.zeros(5), np.zeros(5, dtype=int), 0, top_set_size=3)
+            board_sample_pca_w(top_board(np.zeros(5), np.zeros(5, dtype=int), 0, k=3))
 
 
 class TestStabilityAndRates:
@@ -384,28 +393,33 @@ class TestStabilityAndRates:
         assert selection_rate(report) == 0.0
 
 
+def report_speed(report, base) -> float:
+    """Relative speed of two reports, from their median throughputs as the bench takes them."""
+    return relative_speed(_median_throughput(report), _median_throughput(base))
+
+
 class TestRelativeSpeed:
     def test_warm_up_batch_excluded(self):
         # warm-up batch is 10x slower; medians must ignore it
         adapted = make_report([1] * 4, sizes=[100] * 4, durations=[10.0, 2.0, 2.0, 2.0])
         base = make_report([0] * 4, sizes=[100] * 4, durations=[5.0, 1.0, 1.0, 1.0])
-        assert relative_speed(adapted, base) == pytest.approx(50.0, abs=1e-9)
+        assert report_speed(adapted, base) == pytest.approx(50.0, abs=1e-9)
 
     def test_single_batch_uses_that_batch(self):
         adapted = make_report([1], sizes=[100], durations=[4.0])
         base = make_report([0], sizes=[100], durations=[1.0])
-        assert relative_speed(adapted, base) == pytest.approx(25.0, abs=1e-9)
+        assert report_speed(adapted, base) == pytest.approx(25.0, abs=1e-9)
 
     def test_equal_reports_are_exactly_hundred(self):
         # 100 * a / b rounds to 99.99999999999999 for this throughput
         report = make_report([1], sizes=[128], durations=[0.003])
-        assert relative_speed(report, report) == 100.0
+        assert report_speed(report, report) == 100.0
 
     def test_non_positive_duration_rejected(self):
         bad = make_report([1, 1], sizes=[10, 10], durations=[1.0, 0.0])
         good = make_report([1, 1], sizes=[10, 10], durations=[1.0, 1.0])
         with pytest.raises(MeasurementError):
-            relative_speed(bad, good)
+            report_speed(bad, good)
 
 
 class TestCorrelations:

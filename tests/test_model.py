@@ -153,11 +153,21 @@ class TestForward:
 
     def test_prototype_contributions_definition(self, small_model, rng):
         out = model_forward(small_model, rng.normal(size=(4, 8)), use_batch_stats=False)
-        contrib = prototype_contributions(out, small_model.head, cls=1)
+        contrib = prototype_contributions(out.agg_sims.data, small_model.head.data, cls=1)
         expected = out.agg_sims.data * np.abs(small_model.head.data[1])
         np.testing.assert_allclose(contrib, expected, atol=1e-15)
         with pytest.raises(ConfigError):
-            prototype_contributions(out, small_model.head, cls=9)
+            prototype_contributions(out.agg_sims.data, small_model.head.data, cls=9)
+
+    def test_prototype_contributions_one_class_per_row(self, small_model, rng):
+        out = model_forward(small_model, rng.normal(size=(4, 8)), use_batch_stats=False)
+        act, head = out.agg_sims.data, small_model.head.data
+        classes = np.array([2, 0, 1, 0])
+        contrib = prototype_contributions(act, head, classes)
+        for i, cls in enumerate(classes):
+            assert np.array_equal(contrib[i], prototype_contributions(act[i], head, cls))
+        with pytest.raises(ConfigError):
+            prototype_contributions(act, head, np.array([0, 1, 9, 0]))
 
     def test_forward_accepts_plain_arrays_and_is_pure(self, small_model, rng):
         x = rng.normal(size=(4, 8))
