@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from .adapt import (
     AdaptationReport,
+    SampleBlock,
     StepRecord,
     TTAConfig,
     adapt_batch,
@@ -103,6 +104,7 @@ __all__ = [
     "ModelConfig",
     "PrototypeModel",
     "PttaError",
+    "SampleBlock",
     "ShapeError",
     "StepRecord",
     "SyntheticTaskSpec",

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from numbers import Real
 from typing import Iterable, Sequence
 
@@ -134,10 +135,52 @@ class StepRecord:
 
 
 @dataclass
+class SampleBlock:
+    """One batch's per-sample outputs; row i belongs to the batch's i-th sample."""
+
+    clean_activations: np.ndarray  # n x P aggregated similarities of the clean reference
+    adapted_activations: np.ndarray  # n x P of the adapting model, before its update
+    mapped_activations: np.ndarray  # n x P adapted s-bar values
+    clean_predictions: np.ndarray  # n
+    adapted_predictions: np.ndarray  # n
+    labels: np.ndarray  # n ground-truth classes, -1 where the stream has none
+
+    @classmethod
+    def concat(cls, blocks: Sequence["SampleBlock"]) -> "SampleBlock":
+        """The blocks' rows, in order, as one block."""
+        return cls(*(np.concatenate([getattr(b, f.name) for b in blocks]) for f in fields(cls)))
+
+
+def block_records(blocks: Sequence[SampleBlock]) -> list[ActivationRecord]:
+    """One record per row of the blocks, numbered from 0; its arrays are row views."""
+    records: list[ActivationRecord] = []
+    for b in blocks:
+        base = len(records)
+        records.extend(
+            map(
+                ActivationRecord,
+                range(base, base + len(b.labels)),
+                b.clean_activations,
+                b.adapted_activations,
+                b.clean_predictions.tolist(),
+                b.adapted_predictions.tolist(),
+                b.labels.tolist(),
+                b.mapped_activations,
+            )
+        )
+    return records
+
+
+@dataclass
 class AdaptationReport:
     method: str
     records: list[StepRecord] = field(default_factory=list)
-    sample_records: list[ActivationRecord] = field(default_factory=list)
+    sample_blocks: list[SampleBlock] = field(default_factory=list)
+
+    @cached_property
+    def sample_records(self) -> list[ActivationRecord]:
+        """``block_records`` of every batch, built on first access once the stream is done."""
+        return block_records(self.sample_blocks)
 
     @property
     def total_samples(self) -> int:
@@ -375,7 +418,6 @@ def run_stream(
         state = None
     snapshot = work.state_snapshot() if cfg.episodic else None
     report = AdaptationReport(method=cfg.method)
-    sample_base = 0
     for index, (x, y) in enumerate(batches):
         if cfg.episodic:
             work.load_snapshot(snapshot)
@@ -392,20 +434,17 @@ def run_stream(
             record.clean_agreement = 1.0
         report.records.append(record)
         if collect_samples:
-            # one copy of each block per batch; a record holds views of its rows
-            report.sample_records.extend(
-                map(
-                    ActivationRecord,
-                    range(sample_base, sample_base + len(x)),
+            # one copy of each output per batch, so the blocks share no memory
+            report.sample_blocks.append(
+                SampleBlock(
                     clean_out.agg_sims.data.copy(),
                     outputs.agg_sims.data.copy(),
-                    clean_out.pseudo_labels.tolist(),
-                    outputs.pseudo_labels.tolist(),
-                    [-1] * len(x) if y is None else np.asarray(y, dtype=np.int64).tolist(),
                     outputs.mapped_sims.data.copy(),
+                    clean_out.pseudo_labels.copy(),
+                    outputs.pseudo_labels.copy(),
+                    np.full(len(x), -1, dtype=np.int64) if y is None else np.array(y, dtype=np.int64),
                 )
             )
-        sample_base += len(x)
     if not np.array_equal(work.prototypes.data, proto_before) or not np.array_equal(
         work.head.data, head_before
     ):

@@ -15,7 +15,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
+import math
 import os
 import re
 from concurrent.futures import ThreadPoolExecutor
@@ -26,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .adapt import TARGET_SCOPES, WEIGHTINGS, TTAConfig, iter_batches, run_stream
+from .adapt import TARGET_SCOPES, WEIGHTINGS, SampleBlock, TTAConfig, block_records, iter_batches, run_stream
 from .errors import ConfigError, DegenerateInputError, FormatError, InsufficientDataError
 from .harness import (
     CORRUPTION_GROUPS,
@@ -72,6 +74,15 @@ INTERP_METRICS = (
     ("pca_w", "pca_w_mean"),
     ("stability", "stability"),
     ("selection_rate", "selection_rate"),
+)
+# every report file run_benchmark may write, beside the records directory
+REPORT_FILES = (
+    "accuracy_raw.csv",
+    "accuracy_batches.csv",
+    "accuracy.csv",
+    "accuracy.md",
+    "interpretability.csv",
+    "efficiency.csv",
 )
 
 
@@ -232,18 +243,15 @@ def _run_cell(
         batch_accuracies=[100.0 * a for a in report.batch_accuracies],
     )
     if want_interp:
-        recs = report.sample_records
-        cell.pac_mean = pac(recs).mean
+        samples = SampleBlock.concat(report.sample_blocks)
+        cell.pac_mean = pac(samples.clean_activations, samples.adapted_activations).mean
         cell.pca_w_mean = pca_w(
-            np.stack([r.adapted_activations for r in recs]),
-            model.head.data,
-            model.class_of,
-            np.asarray([r.ground_truth for r in recs]),
-            k=plan.board_k,
+            samples.adapted_activations, model.head.data, model.class_of, samples.labels, k=plan.board_k
         ).mean
-        cell.stability = prediction_stability(recs)
+        cell.stability = prediction_stability(samples.clean_predictions, samples.adapted_predictions)
     if keep_records:
-        cell.records = report.sample_records[: plan.record_batches * cfg.batch_size]
+        # all batches but the last hold batch_size samples: these are the first record_batches * batch_size
+        cell.records = block_records(report.sample_blocks[: plan.record_batches])
     return cell
 
 
@@ -253,15 +261,32 @@ def _check_plan_files(plan: BenchmarkPlan) -> None:
             raise ConfigError(f"{label} file not found: {path}")
 
 
-def _dump_cell_records(cells: list[CellResult], out: Path) -> Path:
+def _dump_cell_records(cells: list[CellResult], out: Path) -> list[Path]:
     """Per-sample record dumps: every table row has a first-seed records file."""
     rec_dir = out / "records"
     rec_dir.mkdir(parents=True, exist_ok=True)
+    written = []
     for c in cells:
         if c.records:
-            name = f"{c.method}_{c.corruption.replace(':', '_')}.jsonl"
-            dump_records(c.records, rec_dir / name)
-    return rec_dir
+            written.append(rec_dir / f"{c.method}_{c.corruption.replace(':', '_')}.jsonl")
+            dump_records(c.records, written[-1])
+    return written
+
+
+def _remove_stale_outputs(plan: BenchmarkPlan, out: Path, written: set[Path]) -> None:
+    """Remove the report files and the plan methods' records files in ``out`` that this run did not write.
+
+    A records file is ``<method>_<kind>_<severity>.jsonl``; the kind must be a
+    corruption kind, so the method ``prototta`` never claims ``prototta_plus``'s files.
+    """
+    methods = "|".join(re.escape(name) for name, _ in plan.methods)
+    kinds = "|".join(map(re.escape, CORRUPTION_KINDS))
+    records_name = re.compile(rf"({methods})_({kinds})_[0-9]+\.jsonl")
+    stale = [out / name for name in REPORT_FILES]
+    stale += [path for path in (out / "records").iterdir() if records_name.fullmatch(path.name)]
+    for path in stale:
+        if path not in written and path.is_file():
+            path.unlink()
 
 
 def _write_csv(path: Path, header: list[str], rows: list[Sequence]) -> None:
@@ -362,7 +387,9 @@ def run_benchmark(
     """Run every cell of the plan and emit the report files.
 
     Passing model/dataset objects skips loading from the plan paths (used by
-    tests); otherwise both files must exist before any work starts.
+    tests); otherwise both files must exist before any work starts. Report
+    files and plan methods' records files that an earlier run left in the
+    output directory and this run did not write are removed afterwards.
     """
     model, dataset = _load_plan_inputs(plan, model, dataset)
     want_interp = "interpretability" in plan.metrics
@@ -415,7 +442,8 @@ def run_benchmark(
         header = [f"{label}_{stat}" for label, _ in INTERP_METRICS for stat in ("mean", "std")]
         _write_csv(paths["interpretability"], ["method", "corruption"] + header, rows)
 
-    paths["records"] = _dump_cell_records(cells, out)
+    paths["records"] = out / "records"
+    record_files = _dump_cell_records(cells, out)
 
     if "efficiency" in plan.metrics and "unadapted" in plan.method_map:
 
@@ -431,6 +459,7 @@ def run_benchmark(
         paths["efficiency"] = out / "efficiency.csv"
         _write_csv(paths["efficiency"], ["method", "corruption", "relative_speed_mean", "relative_speed_std"], rows)
 
+    _remove_stale_outputs(plan, out, {*paths.values(), *record_files})
     return BenchmarkResult(plan=plan, cells=cells, paths=paths)
 
 
@@ -498,43 +527,93 @@ def _check_board_k(model: PrototypeModel, k: int) -> None:
 def build_board(record: ActivationRecord, model: PrototypeModel, k: int, method: str) -> dict:
     """One sample's top-k contributing prototypes under its adapted prediction."""
     _check_board_k(model, k)
-    return _board(record, model, k, method)
+    return _boards([record], model, k, method)[0]
 
 
-def _board(record: ActivationRecord, model: PrototypeModel, k: int, method: str) -> dict:
-    """``build_board`` for a ``k`` already checked against the model."""
-    P = len(model.class_of)
-    if len(record.adapted_activations) != P:
-        raise FormatError(
-            f"record {record.sample_id}: activation length {len(record.adapted_activations)}"
-            f" does not match the model's {P} prototypes"
-        )
-    if record.mapped_activations is None:
-        raise FormatError(f"record {record.sample_id}: missing mapped activations")
-    C = model.head.shape[0]
-    if not 0 <= record.adapted_prediction < C:
-        raise FormatError(
-            f"record {record.sample_id}: predicted class {record.adapted_prediction}"
-            f" is out of range for the model's {C} classes"
-        )
-    contributions = prototype_contributions(record.adapted_activations, model.head.data, record.adapted_prediction)
+def _boards(records: Sequence[ActivationRecord], model: PrototypeModel, k: int, method: str) -> list[dict]:
+    """``build_board`` of every record, for a ``k`` already checked against the model.
+
+    A record that no board can be built from is a FormatError naming it. The
+    contributions of all records are one n x P product and their top-k one sort.
+    """
+    P, C = len(model.class_of), model.head.shape[0]
+    for record in records:
+        if len(record.adapted_activations) != P:
+            raise FormatError(
+                f"record {record.sample_id}: activation length {len(record.adapted_activations)}"
+                f" does not match the model's {P} prototypes"
+            )
+        if record.mapped_activations is None:
+            raise FormatError(f"record {record.sample_id}: missing mapped activations")
+        if not 0 <= record.adapted_prediction < C:
+            raise FormatError(
+                f"record {record.sample_id}: predicted class {record.adapted_prediction}"
+                f" is out of range for the model's {C} classes"
+            )
+    if not records:
+        return []
+    raw = np.stack([r.adapted_activations for r in records], dtype=np.float64)
+    mapped = np.stack([r.mapped_activations for r in records], dtype=np.float64)
+    contributions = prototype_contributions(raw, model.head.data, [r.adapted_prediction for r in records])
     top = _top_indices(contributions, k)
-    return {
-        "sample_id": record.sample_id,
-        "method": method,
-        "predicted_class": record.adapted_prediction,
-        "ground_truth": record.ground_truth,
-        "prototypes": [
-            {
-                "prototype_id": int(p),
-                "owning_class": int(model.class_of[p]),
-                "contribution": float(contributions[p]),
-                "raw_similarity": float(record.adapted_activations[p]),
-                "mapped_similarity": float(record.mapped_activations[p]),
-            }
-            for p in top
-        ],
-    }
+    # tolist gives Python ints and floats, whose repr is what a JSON encoder writes
+    columns = [np.take_along_axis(a, top, axis=1).tolist() for a in (contributions, raw, mapped)]
+    return [
+        {
+            "sample_id": record.sample_id,
+            "method": method,
+            "predicted_class": record.adapted_prediction,
+            "ground_truth": record.ground_truth,
+            "prototypes": [
+                {
+                    "prototype_id": p,
+                    "owning_class": owner,
+                    "contribution": contribution,
+                    "raw_similarity": similarity,
+                    "mapped_similarity": mapped_similarity,
+                }
+                for p, owner, contribution, similarity, mapped_similarity in zip(ids, owners, *row)
+            ],
+        }
+        for record, ids, owners, *row in zip(records, top.tolist(), model.class_of[top].tolist(), *columns)
+    ]
+
+
+_BOARD_TEXT = (
+    '{\n  "ground_truth": %d,\n  "method": %s,\n  "predicted_class": %d,\n'
+    '  "prototypes": [\n%s\n  ],\n  "sample_id": %d\n}\n'
+)
+_BOARD_PROTOTYPE_TEXT = (
+    '    {\n      "contribution": %s,\n      "mapped_similarity": %s,\n      "owning_class": %d,\n'
+    '      "prototype_id": %d,\n      "raw_similarity": %s\n    }'
+)
+
+
+def board_text(board: dict) -> str:
+    """``json.dumps(board, indent=2, sort_keys=True) + "\\n"`` for a board laid out as ``build_board``'s.
+
+    With ``indent`` set, ``json.dumps`` runs the pure-Python encoder; this fills a
+    fixed layout instead. The similarities and contributions are floats, written
+    by ``float.__repr__`` as the encoder writes them; a non-finite one, which JSON
+    cannot hold, is a FormatError.
+    """
+    values = [
+        (p["contribution"], p["mapped_similarity"], p["raw_similarity"]) for p in board["prototypes"]
+    ]
+    if not all(map(math.isfinite, itertools.chain.from_iterable(values))):
+        raise FormatError(f"board of sample {board['sample_id']}: non-finite contribution or similarity")
+    prototypes = ",\n".join(
+        _BOARD_PROTOTYPE_TEXT
+        % (float.__repr__(c), float.__repr__(m), p["owning_class"], p["prototype_id"], float.__repr__(r))
+        for p, (c, m, r) in zip(board["prototypes"], values)
+    )
+    return _BOARD_TEXT % (
+        board["ground_truth"],
+        json.dumps(board["method"]),
+        board["predicted_class"],
+        prototypes,
+        board["sample_id"],
+    )
 
 
 def export_boards(
@@ -555,13 +634,13 @@ def export_boards(
     for prev, rec in zip(records, records[1:]):
         if prev.sample_id == rec.sample_id:
             raise FormatError(f"repeated sample_id {rec.sample_id} in the records")
-    boards = [_board(r, model, k, method) for r in records]
+    texts = [(board["sample_id"], board_text(board)) for board in _boards(records, model, k, method)]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    for board in boards:
-        path = out / f"{method}_{board['sample_id']:06d}.json"
-        write_file(path, json.dumps(board, indent=2, sort_keys=True) + "\n")
+    for sample_id, text in texts:
+        path = out / f"{method}_{sample_id:06d}.json"
+        write_file(path, text)
         written.append(path)
     board_name = re.compile(rf"{re.escape(method)}_[0-9]+\.json")
     fresh = {path.name for path in written}

@@ -127,19 +127,21 @@ class MetricSummary:
     excluded: int = 0  # samples counted but left unscored
 
 
-def pac(records: Sequence[ActivationRecord]) -> MetricSummary:
-    """Mean cosine between each sample's clean and adapted activation vectors."""
-    if not records:
-        raise InsufficientDataError("need at least one record")
-    a = np.stack([r.clean_activations for r in records])
-    b = np.stack([r.adapted_activations for r in records])
+def pac(clean: np.ndarray, adapted: np.ndarray) -> MetricSummary:
+    """Mean cosine between each row's clean and adapted activation vectors (n x P each)."""
+    clean = np.asarray(clean, dtype=np.float64)
+    adapted = np.asarray(adapted, dtype=np.float64)
+    if len(clean) == 0:
+        raise InsufficientDataError("need at least one sample")
+    if clean.ndim != 2 or clean.shape != adapted.shape:
+        raise ShapeError(f"expected two n x P activation blocks of one shape, got {clean.shape} and {adapted.shape}")
     # each 1xP @ Px1 product is the BLAS dot that ``x @ y`` and np.linalg.norm take on one row
-    na = np.sqrt((a[:, None] @ a[..., None])[:, 0, 0])
-    nb = np.sqrt((b[:, None] @ b[..., None])[:, 0, 0])
+    na = np.sqrt((clean[:, None] @ clean[..., None])[:, 0, 0])
+    nb = np.sqrt((adapted[:, None] @ adapted[..., None])[:, 0, 0])
     bad = np.flatnonzero((na <= 0) | (nb <= 0))
     if len(bad):
-        raise DegenerateInputError(f"zero-norm activation vector for sample {records[bad[0]].sample_id}")
-    values = (a[:, None] @ b[..., None])[:, 0, 0] / (na * nb)
+        raise DegenerateInputError(f"zero-norm activation vector in row {bad[0]}")
+    values = (clean[:, None] @ adapted[..., None])[:, 0, 0] / (na * nb)
     return MetricSummary(*mean_std(values), values=values)
 
 
@@ -193,12 +195,18 @@ def _owned_share(contrib: np.ndarray, owned: np.ndarray) -> tuple[np.ndarray, np
     return own[scored] / total[scored], scored
 
 
-def prediction_stability(records: Sequence[ActivationRecord]) -> float:
+def prediction_stability(clean_predictions: np.ndarray, adapted_predictions: np.ndarray) -> float:
     """Percentage of samples whose adapted prediction matches the clean one."""
-    if not records:
-        raise InsufficientDataError("need at least one record")
-    agree = sum(1 for r in records if r.adapted_prediction == r.clean_prediction)
-    return 100.0 * agree / len(records)
+    clean_predictions = np.asarray(clean_predictions)
+    adapted_predictions = np.asarray(adapted_predictions)
+    if len(clean_predictions) == 0:
+        raise InsufficientDataError("need at least one sample")
+    if clean_predictions.ndim != 1 or clean_predictions.shape != adapted_predictions.shape:
+        raise ShapeError(
+            f"expected two prediction vectors of one length, got {clean_predictions.shape} and {adapted_predictions.shape}"
+        )
+    agree = int(np.count_nonzero(clean_predictions == adapted_predictions))
+    return 100.0 * agree / len(clean_predictions)
 
 
 def selection_rate(report) -> float:

@@ -521,6 +521,8 @@ def _read_blocks(body: memoryview, shapes: list[tuple[int, ...]], path) -> list[
         if offset + nbytes > len(body):
             raise FormatError(f"{path}: truncated tensor data")
         arr = np.frombuffer(body, dtype="<f8", count=count, offset=offset)
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{path}: tensor {len(blocks)} holds non-finite values")
         blocks.append(arr.astype(np.float64).reshape(shape))
         offset += nbytes
     if offset != len(body):

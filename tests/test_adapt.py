@@ -443,6 +443,45 @@ class TestRunStream:
             assert (r.clean_prediction, r.adapted_prediction) == (clean.pseudo_labels[j], adapted.pseudo_labels[j])
             assert not np.shares_memory(r.adapted_activations, adapted.agg_sims.data)
 
+    def test_sample_records_are_views_of_the_batch_blocks(self, tiny_model, tiny_dataset, rng):
+        x, y = self._batches(tiny_dataset, rng)
+        for method in ("unadapted", "prototta"):
+            report = run_stream(tiny_model.copy(), iter_batches(x, y, 64), TTAConfig(method=method))
+            assert len(report.sample_blocks) == 3
+            assert report.sample_records is report.sample_records  # built once
+            for i, r in enumerate(report.sample_records):
+                block, j = report.sample_blocks[i // 64], i % 64
+                assert r.clean_activations.base is block.clean_activations
+                assert r.adapted_activations.base is block.adapted_activations
+                assert r.mapped_activations.base is block.mapped_activations
+                assert not np.shares_memory(r.clean_activations, r.adapted_activations)
+                assert (r.clean_prediction, r.adapted_prediction, r.ground_truth) == (
+                    block.clean_predictions[j], block.adapted_predictions[j], block.labels[j]
+                )
+            for block in report.sample_blocks:
+                assert not np.shares_memory(block.clean_activations, block.adapted_activations)
+                assert not np.shares_memory(block.clean_predictions, block.adapted_predictions)
+
+    def test_unlabelled_stream_records_minus_one_and_nan_accuracy(self, tiny_model, tiny_dataset, rng):
+        x, _ = self._batches(tiny_dataset, rng, count=2)
+        report = run_stream(tiny_model.copy(), iter_batches(x, None, 64), TTAConfig(method="prototta"))
+        assert math.isnan(report.accuracy)
+        assert all(math.isnan(r.accuracy) for r in report.records)
+        assert [r.ground_truth for r in report.sample_records] == [-1] * len(x)
+        assert all(b.labels.dtype == np.int64 for b in report.sample_blocks)
+
+    def test_empty_stream_has_no_sample_records(self, tiny_model):
+        for method in ("unadapted", "prototta"):
+            report = run_stream(tiny_model.copy(), [], TTAConfig(method=method))
+            assert report.sample_blocks == [] and report.sample_records == []
+            assert report.total_samples == 0 and math.isnan(report.accuracy)
+
+    def test_collect_samples_off_keeps_no_blocks(self, tiny_model, tiny_dataset, rng):
+        x, y = self._batches(tiny_dataset, rng, count=2)
+        report = run_stream(tiny_model.copy(), iter_batches(x, y, 64), TTAConfig(), collect_samples=False)
+        assert report.sample_blocks == [] and report.sample_records == []
+        assert report.total_samples == len(x)
+
 
 class TestIterBatches:
     @given(st.integers(1, 50), st.integers(1, 17))

@@ -5,15 +5,19 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prototta.adapt import TTAConfig, iter_batches, run_stream
 from prototta.bench import (
     BenchmarkPlan,
     board_sample_pca_w,
+    board_text,
     build_board,
     correlate_scores,
     derive_seed,
@@ -24,9 +28,9 @@ from prototta.bench import (
 )
 from prototta.cli import main
 from prototta.errors import ConfigError, DegenerateInputError, FormatError, InsufficientDataError
-from prototta.harness import CorruptionSpec, corrupt, evaluate
+from prototta.harness import CorruptionSpec, corrupt, evaluate, save_dataset
 from prototta.metrics import ActivationRecord, dump_records, load_records, pca_w, pearson
-from prototta.model import load_model, model_forward, prototype_contributions
+from prototta.model import load_model, model_forward, prototype_contributions, save_model
 
 
 @pytest.fixture()
@@ -244,6 +248,48 @@ class TestRunBenchmark:
         assert not (out / "interpretability.csv").exists()
         assert not (out / "efficiency.csv").exists()
 
+    def test_interpretability_matches_record_definitions_for_every_preset(self, plan_kwargs, monkeypatch):
+        reports = {}
+
+        def recording_stream(model, batches, cfg, **kwargs):
+            reports[cfg.method] = run_stream(model, batches, cfg, **kwargs)
+            return reports[cfg.method]
+
+        monkeypatch.setattr("prototta.bench.run_stream", recording_stream)
+        presets = tuple(method_presets().items())
+        plan = BenchmarkPlan(**{**plan_kwargs, "methods": presets, "corruptions": ("gaussian_noise:5",), "seeds": (0,)})
+        cells = run_benchmark(plan).cells
+        model = load_model(plan.model_path)
+        assert sorted(c.method for c in cells) == sorted(reports) == sorted(dict(presets))
+        for cell in cells:
+            recs = reports[cell.method].sample_records
+            assert len(recs) == plan.num_batches * 128
+            cosines = [
+                float(r.clean_activations @ r.adapted_activations)
+                / (np.linalg.norm(r.clean_activations) * np.linalg.norm(r.adapted_activations))
+                for r in recs
+            ]
+            assert cell.pac_mean == float(np.mean(cosines)), cell.method
+            want_pca_w = pca_w(
+                np.stack([r.adapted_activations for r in recs]),
+                model.head.data,
+                model.class_of,
+                np.asarray([r.ground_truth for r in recs]),
+                k=plan.board_k,
+            )
+            assert cell.pca_w_mean == want_pca_w.mean, cell.method
+            agree = sum(1 for r in recs if r.adapted_prediction == r.clean_prediction)
+            assert cell.stability == 100.0 * agree / len(recs), cell.method
+            kept = recs[: plan.record_batches * 128]
+            assert [r.sample_id for r in cell.records] == [r.sample_id for r in kept]
+            for got, want in zip(cell.records, kept):
+                assert np.array_equal(got.clean_activations, want.clean_activations)
+                assert np.array_equal(got.adapted_activations, want.adapted_activations)
+                assert np.array_equal(got.mapped_activations, want.mapped_activations)
+                assert (got.clean_prediction, got.adapted_prediction, got.ground_truth) == (
+                    want.clean_prediction, want.adapted_prediction, want.ground_truth
+                )
+
 
 class TestRunAblation:
     def test_filter_axis_has_two_rows(self, plan_kwargs):
@@ -309,6 +355,35 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
         for p in sorted(root.rglob("*"))
         if p.is_file() and p.name != "efficiency.csv"
     }
+
+
+# floats that print in every form float.__repr__ has: signed zero, subnormal, exponent and long mantissa
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-05, 1e-04, 1e16, 1e22, -1e22, 1.7976931348623157e308, 0.1])
+METHOD_NAMES = st.sampled_from(['q"uote', "back\\slash", "ctrl\x00\x01\x1f\n\t\x7f", "non-ASCII é 漢 \U0001f600", "\ud800"])
+
+
+def boards_strategy():
+    """Boards laid out as build_board's, with any finite floats, ids and method names."""
+    floats = st.floats(allow_nan=False, allow_infinity=False) | EDGE_FLOATS
+    ints = st.integers(0, 2**40)
+    prototype = st.fixed_dictionaries(
+        {
+            "prototype_id": ints,
+            "owning_class": ints,
+            "contribution": floats,
+            "raw_similarity": floats,
+            "mapped_similarity": floats,
+        }
+    )
+    return st.fixed_dictionaries(
+        {
+            "sample_id": ints,
+            "method": st.text() | METHOD_NAMES,
+            "predicted_class": ints,
+            "ground_truth": ints,
+            "prototypes": st.lists(prototype, min_size=1, max_size=12),
+        }
+    )
 
 
 class TestBoards:
@@ -395,6 +470,38 @@ class TestBoards:
         record.mapped_activations = None
         with pytest.raises(FormatError, match="mapped"):
             build_board(record, tiny_model, k=2, method="m")
+
+    @pytest.mark.parametrize("k", ["one", "all"])
+    def test_exported_boards_are_the_indented_encoding(self, tiny_model, tiny_dataset, rng, tmp_path, k):
+        records = stream_records(tiny_model, tiny_dataset, rng)[:20]
+        k = 1 if k == "one" else len(tiny_model.class_of)
+        paths = export_boards(records, tiny_model, k=k, method="m", out_dir=tmp_path)
+        for record, path in zip(records, paths):
+            board = build_board(record, tiny_model, k=k, method="m")
+            assert len(board["prototypes"]) == k
+            assert path.read_text() == json.dumps(board, indent=2, sort_keys=True) + "\n"
+
+    @given(board=boards_strategy())
+    @settings(max_examples=300, deadline=None)
+    def test_board_text_is_the_indented_encoding(self, board):
+        assert board_text(board) == json.dumps(board, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", ["contribution", "raw_similarity", "mapped_similarity"])
+    def test_board_text_refuses_non_finite(self, key, value):
+        prototype = {"prototype_id": 0, "owning_class": 0, "contribution": 1.0, "raw_similarity": 1.0, "mapped_similarity": 1.0}
+        board = {"sample_id": 3, "method": "m", "predicted_class": 0, "ground_truth": 0, "prototypes": [prototype]}
+        prototype[key] = value
+        with pytest.raises(FormatError, match="board of sample 3: non-finite"):
+            board_text(board)
+
+    def test_non_finite_head_writes_no_board(self, tiny_model, tiny_dataset, rng, tmp_path):
+        records = stream_records(tiny_model, tiny_dataset, rng)[:4]
+        model = tiny_model.copy()
+        model.head.data[:, 0] = np.nan
+        with pytest.raises(FormatError, match="non-finite"):
+            export_boards(records, model, k=len(model.class_of), method="m", out_dir=tmp_path / "boards")
+        assert not (tmp_path / "boards").exists()
 
 
 class TestCorrelateScores:
@@ -858,6 +965,62 @@ class TestCli:
         got, want = tree_bytes(rerun), tree_bytes(fresh)
         assert "accuracy_batches.csv" in want and "records/prototta_gaussian_noise_5.jsonl" in want
         assert got == want
+
+    def test_bench_rerun_with_fewer_corruptions_and_metrics_matches_fresh(self, saved_files, tmp_path):
+        argv = [
+            "bench",
+            "--model", str(saved_files["model"]),
+            "--data", str(saved_files["dataset"]),
+            "--methods", "unadapted", "prototta",
+            "--seeds", "0",
+            "--num-batches", "2",
+            "--record-batches", "1",
+        ]
+        rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+        kept = ["records/prototta_plus_brightness_shift_5.jsonl", "records/notes_gaussian_noise_5.jsonl",
+                "records/prototta_brightness_shift_5.jsonl.bak", "ablation_filter.csv", "notes.txt"]
+        for out in (rerun, fresh):
+            # another method's records, an ablation table and unrelated files stay where they are
+            (out / "records").mkdir(parents=True)
+            for name in kept:
+                (out / name).write_text("x")
+        first = ["--corruptions", "gaussian_noise:5", "brightness_shift:5"]
+        assert main([*argv, "--out-dir", str(rerun), *first]) == 0
+        assert (rerun / "efficiency.csv").is_file() and (rerun / "interpretability.csv").is_file()
+        assert (rerun / "records" / "unadapted_brightness_shift_5.jsonl").is_file()
+        second = ["--corruptions", "gaussian_noise:5", "--metrics", "accuracy"]
+        assert main([*argv, "--out-dir", str(rerun), *second]) == 0
+        assert main([*argv, "--out-dir", str(fresh), *second]) == 0
+        names = [sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()) for out in (rerun, fresh)]
+        assert names[0] == names[1] and set(kept) <= set(names[0])
+        assert "efficiency.csv" not in names[0] and "interpretability.csv" not in names[0]
+        assert tree_bytes(rerun) == tree_bytes(fresh)
+
+    @pytest.mark.parametrize("target", ["model-head", "model-prototype", "dataset"])
+    def test_non_finite_model_or_dataset_exits_2(self, saved_files, tiny_model, tiny_dataset, rng, tmp_path, capsys, target):
+        model, dataset = tiny_model.copy(), replace(tiny_dataset, test_x=tiny_dataset.test_x.copy())
+        if target == "model-head":
+            model.head.data[:] = np.nan
+        elif target == "model-prototype":
+            model.prototypes.data[0, 0] = np.inf
+        else:
+            dataset.test_x[5, 3] = -np.inf
+        model_path, data_path = tmp_path / "model.ptta", tmp_path / "data.pttd"
+        save_model(model, model_path)
+        save_dataset(dataset, data_path)
+        bad = data_path if target == "dataset" else model_path
+        out = tmp_path / "out"
+        bench = ["bench", "--model", str(model_path), "--data", str(data_path), "--out-dir", str(out),
+                 "--corruptions", "gaussian_noise:5", "--methods", "unadapted", "--seeds", "0", "--num-batches", "1"]
+        assert main(bench) == 2
+        assert f"{bad}: tensor" in capsys.readouterr().err and not out.exists()
+        if target == "dataset":
+            return
+        records = tmp_path / "records.jsonl"
+        dump_records(stream_records(tiny_model, tiny_dataset, rng)[:3], records)
+        boards = ["boards", "--records", str(records), "--model", str(model_path), "--out", str(out), "--method", "m"]
+        assert main(boards) == 2
+        assert f"{model_path}: tensor" in capsys.readouterr().err and not out.exists()
 
     @pytest.fixture()
     def correlate_inputs(self, tiny_model, tiny_dataset, rng, tmp_path):
