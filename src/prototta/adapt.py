@@ -13,7 +13,6 @@ import math
 import time
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from numbers import Real
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,7 +28,6 @@ from .model import (
     BatchOutputs,
     JsonConfig,
     PrototypeModel,
-    check_type,
     model_forward,
 )
 
@@ -38,6 +36,10 @@ TARGET_SCOPES = ("target_only", "all_prototypes")
 WEIGHTINGS = ("none", "importance_only", "confidence_only", "both")
 
 _PROB_FLOOR = 1e-300
+# prototta_plus's (prototype entropy, logit entropy) mix
+HYBRID_WEIGHTS = (0.7, 0.3)
+# Adam's moment decays and denominator floor
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -52,18 +54,10 @@ class TTAConfig(JsonConfig):
     consensus: str | None = None  # aggregation override, None keeps the model's
     target_scope: str = "target_only"
     weighting: str = "both"
-    hybrid_weights: tuple[float, float] = (0.7, 0.3)
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    batch_size: int = 128
-    episodic: bool = False
 
     def __post_init__(self):
         super().__post_init__()
-        for w in self.hybrid_weights:
-            check_type(Real, "hybrid_weights", w)
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         if not 0.0 < self.tau_sim < 1.0:
@@ -76,15 +70,8 @@ class TTAConfig(JsonConfig):
             raise ConfigError(f"target_scope must be one of {TARGET_SCOPES}, got {self.target_scope!r}")
         if self.weighting not in WEIGHTINGS:
             raise ConfigError(f"weighting must be one of {WEIGHTINGS}, got {self.weighting!r}")
-        object.__setattr__(self, "hybrid_weights", tuple(float(w) for w in self.hybrid_weights))
-        if len(self.hybrid_weights) != 2 or abs(sum(self.hybrid_weights) - 1.0) > 1e-9:
-            raise ConfigError(f"hybrid_weights must be two values summing to 1, got {self.hybrid_weights}")
-        if self.lr <= 0 or self.adam_eps <= 0:
-            raise ConfigError(f"lr and adam_eps must be positive, got {self.lr} and {self.adam_eps}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError(f"beta1 and beta2 must be in [0, 1), got {self.beta1} and {self.beta2}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
+        if self.lr <= 0:
+            raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.entropy_cap is not None and self.entropy_cap <= 0:
             raise ConfigError(f"entropy_cap must be positive, got {self.entropy_cap}")
 
@@ -282,7 +269,7 @@ def tent_loss(outputs: BatchOutputs) -> Tensor:
 
 def hybrid_loss(outputs: BatchOutputs, rel: ReliableSet, head: Tensor, cfg: TTAConfig) -> Tensor:
     """Prototype entropy plus logit entropy, both restricted to the reliable set."""
-    w_proto, w_logit = cfg.hybrid_weights
+    w_proto, w_logit = HYBRID_WEIGHTS
     proto_term = prototta_loss(outputs, rel, head, cfg)  # raises on an empty set
     mask = np.zeros(outputs.probs.shape[0])
     mask[rel.indices] = 1.0 / len(rel)
@@ -291,22 +278,22 @@ def hybrid_loss(outputs: BatchOutputs, rel: ReliableSet, head: Tensor, cfg: TTAC
 
 
 def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: OptimizerState, cfg: TTAConfig) -> None:
-    """One bias-corrected Adam update, in place; a None gradient is refused."""
+    """One bias-corrected Adam update at ``cfg.lr``, in place; a None gradient is refused."""
     if not (len(params) == len(grads) == len(state.m) == len(state.v)):
         raise ContractError("params, grads, and optimizer state lengths disagree")
     if any(g is None for g in grads):
         raise ContractError("a parameter has no gradient; set it trainable before adapting")
     state.t += 1
-    bc1 = 1.0 - cfg.beta1 ** state.t
-    bc2 = 1.0 - cfg.beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if g.shape != p.data.shape or m.shape != p.data.shape:
             raise ContractError(f"gradient shape {g.shape} does not match parameter {p.data.shape}")
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        p.data -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p.data -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def _apply_consensus(model: PrototypeModel, cfg: TTAConfig) -> PrototypeModel:
@@ -401,9 +388,7 @@ def run_stream(
     A frozen copy of the incoming model provides the clean reference
     predictions and activations (computed outside the timed region); an
     unadapted model never changes, so its own outputs are the reference.
-    Episodic mode restores the model to its initial snapshot and starts a
-    fresh optimizer before every batch; prototypes and head weights are
-    verified unchanged at the end.
+    Prototypes and head weights are verified unchanged at the end.
     """
     work = _apply_consensus(model, cfg)
     adapting = cfg.method != "unadapted"
@@ -412,17 +397,11 @@ def run_stream(
     head_before = work.head.data.copy()
     if adapting:
         work.set_trainable(work.adaptable_param_names(cfg.param_mode))
-        params = [p for _, p in work.adaptable_params(cfg.param_mode)]
-        state = init_optimizer(params)
+        state = init_optimizer([p for _, p in work.adaptable_params(cfg.param_mode)])
     else:
         state = None
-    snapshot = work.state_snapshot() if cfg.episodic else None
     report = AdaptationReport(method=cfg.method)
     for index, (x, y) in enumerate(batches):
-        if cfg.episodic:
-            work.load_snapshot(snapshot)
-            if adapting:
-                state = init_optimizer(params)
         if adapting:
             clean_out = model_forward(clean, x, use_batch_stats=False)
             outputs, record = adapt_batch(

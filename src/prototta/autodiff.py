@@ -19,6 +19,8 @@ from .errors import ContractError, DegenerateInputError, DomainError, ShapeError
 Array = np.ndarray
 
 _NORM_FLOOR = 1e-12
+# variance floor of layer_norm and batch_norm
+NORM_EPS = 1e-5
 
 
 class Tensor:
@@ -158,17 +160,6 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     return grad.reshape(shape)
 
 
-def _expand_reduced(grad: Array, shape: tuple[int, ...], axis, keepdims: bool) -> Array:
-    if axis is None:
-        return np.broadcast_to(grad, shape)
-    axes = (axis,) if isinstance(axis, int) else tuple(axis)
-    axes = tuple(a % len(shape) for a in axes)
-    if not keepdims:
-        for a in sorted(axes):
-            grad = np.expand_dims(grad, a)
-    return np.broadcast_to(grad, shape)
-
-
 # ---------------------------------------------------------------------------
 # recording cores of the elementwise and reduction ops
 
@@ -275,17 +266,16 @@ def tanh(x) -> Tensor:
     return _unary(x, t, lambda g: g * (1.0 - t * t))
 
 
-def reduce_sum(x, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_sum(x, axis=None) -> Tensor:
     x = as_tensor(x)
-    value = x.data.sum(axis=axis, keepdims=keepdims)
-    return _unary(x, value, lambda g: _expand_reduced(g, x.shape, axis, keepdims).copy())
+    value = x.data.sum(axis=axis)
+    return _unary(x, value, lambda g: np.broadcast_to(g if axis is None else np.expand_dims(g, axis), x.shape).copy())
 
 
-def reduce_mean(x, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_mean(x) -> Tensor:
+    """Mean over every entry, as a scalar."""
     x = as_tensor(x)
-    value = x.data.mean(axis=axis, keepdims=keepdims)
-    count = x.data.size if axis is None else x.data.size // np.size(value)
-    return _unary(x, value, lambda g: _expand_reduced(g, x.shape, axis, keepdims) / count)
+    return _unary(x, x.data.mean(), lambda g: np.broadcast_to(g, x.shape) / x.data.size)
 
 
 def _pick(x, arg) -> Tensor:
@@ -378,15 +368,11 @@ def _affine(x: Tensor, gamma: Tensor, beta: Tensor, xhat: Array, dx: Callable[[A
     return _record(Tensor(xhat * gamma.data + beta.data), (x, gamma, beta), fn)
 
 
-def _standardize(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, axis: int) -> Tensor:
+def _standardize(x: Tensor, gamma: Tensor, beta: Tensor, axis: int) -> Tensor:
     """Standardize x with its own moments over ``axis``, differentiated through."""
-    if eps == 0.0 and x.shape[axis] == 1:
-        raise DomainError(f"eps=0 over a single value along axis {axis} divides by zero")
     mu = x.data.mean(axis=axis, keepdims=True)
     var = x.data.var(axis=axis, keepdims=True)
-    sigma = np.sqrt(var + eps)
-    if (sigma == 0.0).any():
-        raise DomainError(f"zero variance along axis {axis} with eps=0")
+    sigma = np.sqrt(var + NORM_EPS)
     xhat = (x.data - mu) / sigma
 
     def dx(gxhat: Array) -> Array:
@@ -399,12 +385,12 @@ def _standardize(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, axis: int) 
     return _affine(x, gamma, beta, xhat, dx)
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
+def layer_norm(x, gamma, beta) -> Tensor:
     """Standardize each row over the last axis, then apply affine scale/shift."""
-    return _standardize(*_affine_operands(x, gamma, beta), eps, -1)
+    return _standardize(*_affine_operands(x, gamma, beta), -1)
 
 
-def batch_norm(x, gamma, beta, eps: float = 1e-5, running: tuple[Array, Array] | None = None) -> Tensor:
+def batch_norm(x, gamma, beta, running: tuple[Array, Array] | None = None) -> Tensor:
     """Normalize each feature over the batch axis (axis 0) of an n x d matrix.
 
     With ``running`` given, the supplied (mean, var) are treated as constants
@@ -416,9 +402,9 @@ def batch_norm(x, gamma, beta, eps: float = 1e-5, running: tuple[Array, Array] |
         raise ShapeError(f"batch_norm expects an n x d matrix, got {x.shape}")
     x, gamma, beta = _affine_operands(x, gamma, beta)
     if running is None:
-        return _standardize(x, gamma, beta, eps, 0)
+        return _standardize(x, gamma, beta, 0)
     mean, var = running
-    sigma = np.sqrt(np.asarray(var, dtype=np.float64) + eps)
+    sigma = np.sqrt(np.asarray(var, dtype=np.float64) + NORM_EPS)
     return _affine(x, gamma, beta, (x.data - mean) / sigma, lambda gxhat: gxhat / sigma)
 
 

@@ -132,6 +132,7 @@ class BenchmarkPlan(JsonConfig):
     metrics: tuple[str, ...] = METRIC_CHOICES
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     num_batches: int = 64
+    batch_size: int = 128
     board_k: int = 5
     record_batches: int = 4
 
@@ -175,6 +176,8 @@ class BenchmarkPlan(JsonConfig):
             raise ConfigError(f"seeds must be unique, got {list(self.seeds)}")
         if self.num_batches < 1:
             raise ConfigError(f"num_batches must be positive, got {self.num_batches}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
         if self.board_k < 1:
             raise ConfigError(f"board_k must be positive, got {self.board_k}")
         if self.record_batches < 1:
@@ -223,12 +226,12 @@ def _run_cell(
 ) -> CellResult:
     stream_x = corrupt(dataset.test_x, cor, seed=derive_seed("corrupt", str(cor), seed))
     order = np.random.default_rng(derive_seed("order", str(cor), seed)).permutation(len(stream_x))
-    take = min(len(order), plan.num_batches * cfg.batch_size)
+    take = min(len(order), plan.num_batches * plan.batch_size)
     stream_x, stream_y = stream_x[order[:take]], dataset.test_y[order[:take]]
     work = model.copy()
     report = run_stream(
         work,
-        iter_batches(stream_x, stream_y, cfg.batch_size),
+        iter_batches(stream_x, stream_y, plan.batch_size),
         cfg,
         collect_samples=want_interp or keep_records,
     )
@@ -261,31 +264,26 @@ def _check_plan_files(plan: BenchmarkPlan) -> None:
             raise ConfigError(f"{label} file not found: {path}")
 
 
-def _dump_cell_records(cells: list[CellResult], out: Path) -> list[Path]:
-    """Per-sample record dumps: every table row has a first-seed records file."""
-    rec_dir = out / "records"
-    rec_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for c in cells:
-        if c.records:
-            written.append(rec_dir / f"{c.method}_{c.corruption.replace(':', '_')}.jsonl")
-            dump_records(c.records, written[-1])
-    return written
+def _dump_cell_records(plan: BenchmarkPlan, cells: list[CellResult], out: Path) -> None:
+    """Per-sample record dumps: every table row has a first-seed records file.
 
-
-def _remove_stale_outputs(plan: BenchmarkPlan, out: Path, written: set[Path]) -> None:
-    """Remove the report files and the plan methods' records files in ``out`` that this run did not write.
-
+    Records files of the plan's methods that this run did not write are removed.
     A records file is ``<method>_<kind>_<severity>.jsonl``; the kind must be a
     corruption kind, so the method ``prototta`` never claims ``prototta_plus``'s files.
     """
+    rec_dir = out / "records"
+    rec_dir.mkdir(parents=True, exist_ok=True)
+    written = set()
+    for c in cells:
+        if c.records:
+            path = rec_dir / f"{c.method}_{c.corruption.replace(':', '_')}.jsonl"
+            dump_records(c.records, path)
+            written.add(path)
     methods = "|".join(re.escape(name) for name, _ in plan.methods)
     kinds = "|".join(map(re.escape, CORRUPTION_KINDS))
     records_name = re.compile(rf"({methods})_({kinds})_[0-9]+\.jsonl")
-    stale = [out / name for name in REPORT_FILES]
-    stale += [path for path in (out / "records").iterdir() if records_name.fullmatch(path.name)]
-    for path in stale:
-        if path not in written and path.is_file():
+    for path in rec_dir.iterdir():
+        if records_name.fullmatch(path.name) and path not in written and path.is_file():
             path.unlink()
 
 
@@ -443,7 +441,7 @@ def run_benchmark(
         _write_csv(paths["interpretability"], ["method", "corruption"] + header, rows)
 
     paths["records"] = out / "records"
-    record_files = _dump_cell_records(cells, out)
+    _dump_cell_records(plan, cells, out)
 
     if "efficiency" in plan.metrics and "unadapted" in plan.method_map:
 
@@ -459,7 +457,9 @@ def run_benchmark(
         paths["efficiency"] = out / "efficiency.csv"
         _write_csv(paths["efficiency"], ["method", "corruption", "relative_speed_mean", "relative_speed_std"], rows)
 
-    _remove_stale_outputs(plan, out, {*paths.values(), *record_files})
+    for path in (out / name for name in REPORT_FILES):
+        if path not in paths.values() and path.is_file():
+            path.unlink()
     return BenchmarkResult(plan=plan, cells=cells, paths=paths)
 
 
@@ -496,7 +496,11 @@ def run_ablation(
     model: PrototypeModel | None = None,
     dataset: Dataset | None = None,
 ) -> list[AblationRow]:
-    """Clone the plan's prototta config across one axis and compare."""
+    """Clone the plan's prototta config across one axis and compare.
+
+    Records files of the variants that an earlier run into the output
+    directory left and this run did not write are removed.
+    """
     methods = plan.method_map
     if "prototta" not in methods:
         raise ConfigError("ablation needs a method named 'prototta' in the plan")
@@ -513,7 +517,7 @@ def run_ablation(
     out = Path(plan.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / f"ablation_{axis}.csv", [f.name for f in fields(AblationRow)], [astuple(r) for r in rows])
-    _dump_cell_records(cells, out)
+    _dump_cell_records(sub_plan, cells, out)
     return rows
 
 

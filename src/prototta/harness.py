@@ -205,10 +205,10 @@ def load_dataset(path) -> Dataset:
     )
 
 
-def evaluate(model: PrototypeModel, x: np.ndarray, y: np.ndarray, batch_size: int = 512) -> float:
-    """Plain accuracy with evaluation-mode statistics, no adaptation."""
+def evaluate(model: PrototypeModel, x: np.ndarray, y: np.ndarray) -> float:
+    """Plain accuracy with evaluation-mode statistics, no adaptation, in batches of 512."""
     correct = 0
-    for xb, yb in iter_batches(x, y, batch_size):
+    for xb, yb in iter_batches(x, y, 512):
         out = model_forward(model, xb, use_batch_stats=False)
         correct += int((out.pseudo_labels == yb).sum())
     return correct / len(x)

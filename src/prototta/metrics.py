@@ -275,8 +275,9 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
 
 
 def load_scores(path) -> dict[int, float]:
-    """Read a `sample_id,score` CSV into a dict keyed by sample id; every score
-    must be finite and every sample id appear once."""
+    """Read a `sample_id,score` CSV into a dict keyed by sample id; every row
+    must hold exactly those two fields, every score be finite and every
+    sample id appear once."""
     import csv
 
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -291,9 +292,11 @@ def load_scores(path) -> dict[int, float]:
         for row_num, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != 2:
+                raise FormatError(f"{path}:{row_num}: bad row {row}: expected 2 fields, got {len(row)}")
             try:
                 sid, score = int(row[0]), float(row[1])
-            except (IndexError, ValueError) as exc:
+            except ValueError as exc:
                 raise FormatError(f"{path}:{row_num}: bad row {row}: {exc}") from None
             if sid in scores:
                 raise FormatError(f"{path}:{row_num}: repeated sample_id {sid}")

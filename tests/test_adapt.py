@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -42,7 +43,7 @@ def batch(tiny_dataset, rng):
 
 class TestConfig:
     def test_json_round_trip(self):
-        cfg = TTAConfig(method="prototta_plus", tau_sim=0.7, consensus="mean", episodic=True)
+        cfg = TTAConfig(method="prototta_plus", tau_sim=0.7, consensus="mean")
         assert TTAConfig.from_json(cfg.to_json()) == cfg
 
     def test_unknown_key_rejected(self):
@@ -83,8 +84,14 @@ class TestConfig:
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
-        with pytest.raises(ConfigError):
-            TTAConfig(**kwargs)
+        removed = {"hybrid_weights", "beta1", "beta2", "adam_eps", "batch_size", "episodic"} & kwargs.keys()
+        if removed:
+            # these settings are constants now; a config saved with one is refused by name
+            with pytest.raises(ConfigError, match=re.escape(f"unknown TTAConfig keys: {sorted(removed)}")):
+                TTAConfig.from_dict(kwargs)
+        else:
+            with pytest.raises(ConfigError):
+                TTAConfig(**kwargs)
 
     def test_entropy_cap_default_is_half_max(self):
         assert TTAConfig().resolved_entropy_cap(5) == pytest.approx(0.5 * math.log(5))
@@ -324,16 +331,6 @@ class TestRunStream:
         idx = rng.permutation(len(dataset.test_x))[: count * size]
         x = dataset.test_x[idx] + rng.normal(0, noise, (count * size, 32))
         return x, dataset.test_y[idx]
-
-    def test_episodic_resets_between_batches(self, tiny_model, tiny_dataset, rng):
-        x, y = self._batches(tiny_dataset, rng, count=1)
-        stream = [(x, y)] * 3  # identical batch three times
-        cfg = TTAConfig(method="prototta", lr=0.05, episodic=True)
-        report = run_stream(tiny_model.copy(), stream, cfg)
-        losses = [r.loss for r in report.records]
-        assert losses[0] == losses[1] == losses[2]
-        accs = report.batch_accuracies
-        assert accs[0] == accs[1] == accs[2]
 
     def test_continual_state_accumulates(self, tiny_model, tiny_dataset, rng):
         x, y = self._batches(tiny_dataset, rng, count=1)

@@ -85,6 +85,9 @@ class TestPlan:
             BenchmarkPlan(**{**plan_kwargs, "seeds": (0, 1, 0)})
         with pytest.raises(ConfigError):
             BenchmarkPlan(**{**plan_kwargs, "num_batches": 0})
+        for batch_size in (0, 1.5, True):
+            with pytest.raises(ConfigError, match="batch_size"):
+                BenchmarkPlan(**{**plan_kwargs, "batch_size": batch_size})
         with pytest.raises(ConfigError):
             BenchmarkPlan.from_dict({**BenchmarkPlan(**plan_kwargs).to_dict(), "extra": 1})
 
@@ -726,13 +729,17 @@ class TestCli:
             {"dataset_path": 6},
             {"output_dir": 7},
             {"methods": [[5, {"method": "unadapted"}]]},
+            {"batch_size": 0},
+            {"batch_size": 1.5},
+            {"batch_size": True},
         ],
         ids=[
             "num-batches-string", "seed-string", "lr-string", "beta1-string", "corruption-int", "plan-list",
             "episodic-string", "entropy-constraint-string", "batch-size-float", "num-batches-float",
             "record-batches-float", "board-k-float", "seed-float", "seed-bool", "lr-bool", "lr-nan", "lr-inf",
             "entropy-cap-nan", "beta1-bool", "adam-eps-bool", "model-path-int", "dataset-path-int",
-            "output-dir-int", "method-name-int",
+            "output-dir-int", "method-name-int", "plan-batch-size-zero", "plan-batch-size-float",
+            "plan-batch-size-bool",
         ],
     )
     def test_ill_typed_plan_exits_2(self, saved_files, tmp_path, capsys, change):
@@ -752,6 +759,10 @@ class TestCli:
         assert "error:" in err
         if change is None:
             assert "must be a JSON object" in err
+        # keys a method config no longer has: a plan saved before they became constants is refused by name
+        for _, cfg in (change or {}).get("methods", []):
+            for key in {"beta1", "episodic", "batch_size", "adam_eps"} & cfg.keys():
+                assert f"unknown TTAConfig keys: ['{key}']" in err
         assert not (tmp_path / "reports").exists()
 
     def test_train_takes_task_shape_from_dataset(self, tmp_path):
@@ -996,6 +1007,52 @@ class TestCli:
         assert "efficiency.csv" not in names[0] and "interpretability.csv" not in names[0]
         assert tree_bytes(rerun) == tree_bytes(fresh)
 
+    def test_ablate_rerun_with_fewer_corruptions_matches_fresh(self, saved_files, tmp_path):
+        argv = [
+            "ablate",
+            "--axis", "filter",
+            "--model", str(saved_files["model"]),
+            "--data", str(saved_files["dataset"]),
+            "--methods", "prototta",
+            "--seeds", "0",
+            "--num-batches", "2",
+            "--record-batches", "1",
+        ]
+        rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+        # a bench run's report files and records, and other tables, stay where they are
+        kept = ["records/prototta_brightness_shift_5.jsonl", "accuracy.csv", "ablation_weighting.csv"]
+        for out in (rerun, fresh):
+            (out / "records").mkdir(parents=True)
+            for name in kept:
+                (out / name).write_text("x")
+        assert main([*argv, "--out-dir", str(rerun), "--corruptions", "gaussian_noise:5", "brightness_shift:5"]) == 0
+        assert (rerun / "records" / "no_filter_brightness_shift_5.jsonl").is_file()
+        for out in (rerun, fresh):
+            assert main([*argv, "--out-dir", str(out), "--corruptions", "gaussian_noise:5"]) == 0
+        assert set(kept) <= tree_bytes(rerun).keys()
+        assert tree_bytes(rerun) == tree_bytes(fresh)
+
+    def test_bench_batch_size_is_one_per_plan(self, saved_files, tmp_path):
+        out = tmp_path / "reports"
+        argv = [
+            "bench",
+            "--model", str(saved_files["model"]),
+            "--data", str(saved_files["dataset"]),
+            "--out-dir", str(out),
+            "--methods", "unadapted", "prototta",
+            "--corruptions", "gaussian_noise:5", "brightness_shift:5",
+            "--seeds", "0", "1",
+            "--batch-size", "32",
+            "--num-batches", "3",
+            "--metrics", "accuracy",
+        ]
+        assert main(argv) == 0
+        header, rows = read_csv(out / "accuracy_batches.csv")
+        assert header == ["method", "corruption", "seed", "batch", "size", "accuracy"]
+        assert {row[4] for row in rows} == {"32"}
+        keys = {method: {tuple(row[1:5]) for row in rows if row[0] == method} for method in ("unadapted", "prototta")}
+        assert len(keys["unadapted"]) == 2 * 2 * 3 and keys["unadapted"] == keys["prototta"]
+
     @pytest.mark.parametrize("target", ["model-head", "model-prototype", "dataset"])
     def test_non_finite_model_or_dataset_exits_2(self, saved_files, tiny_model, tiny_dataset, rng, tmp_path, capsys, target):
         model, dataset = tiny_model.copy(), replace(tiny_dataset, test_x=tiny_dataset.test_x.copy())
@@ -1058,8 +1115,10 @@ class TestCli:
             (lambda ids: f"{max(ids) + 1},nan", "non-finite score"),
             (lambda ids: f"{max(ids) + 1},inf", "non-finite score"),
             (lambda ids: f"{ids[0]},0.9", "repeated sample_id"),
+            (lambda ids: f"{max(ids) + 1},0.5,junk", "bad row"),
+            (lambda ids: f"{max(ids) + 1},0.25,", "bad row"),
         ],
-        ids=["nan", "inf", "repeated-id"],
+        ids=["nan", "inf", "repeated-id", "extra-field", "trailing-comma"],
     )
     def test_bad_score_row_exits_2(self, correlate_inputs, capsys, row, problem):
         boards, scores, ids = correlate_inputs

@@ -500,9 +500,10 @@ class TestScoreIngestion:
 
     def test_bad_row_rejected(self, tmp_path):
         path = tmp_path / "scores.csv"
-        path.write_text("sample_id,score\n3,abc\n")
-        with pytest.raises(FormatError, match=":2"):
-            load_scores(path)
+        for row in ("3,abc", "0,0.5,junk", "1,0.25,"):
+            path.write_text(f"sample_id,score\n{row}\n")
+            with pytest.raises(FormatError, match=":2: bad row"):
+                load_scores(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "scores.csv"

@@ -29,13 +29,7 @@ def non_default_tta_config() -> TTAConfig:
         consensus="max",
         target_scope="all_prototypes",
         weighting="none",
-        hybrid_weights=(0.6, 0.4),
         lr=2e-3,
-        beta1=0.8,
-        beta2=0.99,
-        adam_eps=1e-6,
-        batch_size=64,
-        episodic=True,
     )
     assert_no_default_fields(cfg)
     return cfg
@@ -56,6 +50,7 @@ def non_default_plan() -> BenchmarkPlan:
         metrics=("accuracy",),
         seeds=(7, 3),
         num_batches=2,
+        batch_size=64,
         board_k=3,
         record_batches=2,
     )
