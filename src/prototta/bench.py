@@ -68,6 +68,8 @@ from .model import (
 DEFAULT_CORRUPTIONS = tuple(CorruptionSpec(kind, 5) for kind in CORRUPTION_KINDS)
 METRIC_CHOICES = ("accuracy", "interpretability", "efficiency")
 ABLATION_AXES = ("filter", "param_mode", "consensus", "target_scope", "weighting")
+# samples per stream batch, the same for every method so method columns see the same samples
+STREAM_BATCH_SIZE = 128
 # (column label, CellResult attribute) of each interpretability.csv metric, in column order
 INTERP_METRICS = (
     ("pac", "pac_mean"),
@@ -132,7 +134,6 @@ class BenchmarkPlan(JsonConfig):
     metrics: tuple[str, ...] = METRIC_CHOICES
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     num_batches: int = 64
-    batch_size: int = 128
     board_k: int = 5
     record_batches: int = 4
 
@@ -176,8 +177,6 @@ class BenchmarkPlan(JsonConfig):
             raise ConfigError(f"seeds must be unique, got {list(self.seeds)}")
         if self.num_batches < 1:
             raise ConfigError(f"num_batches must be positive, got {self.num_batches}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
         if self.board_k < 1:
             raise ConfigError(f"board_k must be positive, got {self.board_k}")
         if self.record_batches < 1:
@@ -226,12 +225,12 @@ def _run_cell(
 ) -> CellResult:
     stream_x = corrupt(dataset.test_x, cor, seed=derive_seed("corrupt", str(cor), seed))
     order = np.random.default_rng(derive_seed("order", str(cor), seed)).permutation(len(stream_x))
-    take = min(len(order), plan.num_batches * plan.batch_size)
+    take = min(len(order), plan.num_batches * STREAM_BATCH_SIZE)
     stream_x, stream_y = stream_x[order[:take]], dataset.test_y[order[:take]]
     work = model.copy()
     report = run_stream(
         work,
-        iter_batches(stream_x, stream_y, plan.batch_size),
+        iter_batches(stream_x, stream_y, STREAM_BATCH_SIZE),
         cfg,
         collect_samples=want_interp or keep_records,
     )
@@ -253,7 +252,7 @@ def _run_cell(
         ).mean
         cell.stability = prediction_stability(samples.clean_predictions, samples.adapted_predictions)
     if keep_records:
-        # all batches but the last hold batch_size samples: these are the first record_batches * batch_size
+        # all batches but the last are full: these are the first record_batches * STREAM_BATCH_SIZE samples
         cell.records = block_records(report.sample_blocks[: plan.record_batches])
     return cell
 

@@ -106,7 +106,6 @@ def _add_plan_arguments(sub_parser: argparse.ArgumentParser) -> None:
     sub_parser.add_argument("--metrics", nargs="+", default=None, choices=METRIC_CHOICES)
     sub_parser.add_argument("--seeds", nargs="+", type=int, default=None)
     sub_parser.add_argument("--num-batches", type=int, default=None)
-    sub_parser.add_argument("--batch-size", type=int, default=None, help="samples per stream batch")
     sub_parser.add_argument("--board-k", type=int, default=None)
     sub_parser.add_argument("--record-batches", type=int, default=None)
 

@@ -50,7 +50,6 @@ def non_default_plan() -> BenchmarkPlan:
         metrics=("accuracy",),
         seeds=(7, 3),
         num_batches=2,
-        batch_size=64,
         board_k=3,
         record_batches=2,
     )
