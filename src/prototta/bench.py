@@ -66,7 +66,6 @@ from .model import (
 )
 
 DEFAULT_CORRUPTIONS = tuple(CorruptionSpec(kind, 5) for kind in CORRUPTION_KINDS)
-METRIC_CHOICES = ("accuracy", "interpretability", "efficiency")
 ABLATION_AXES = ("filter", "param_mode", "consensus", "target_scope", "weighting")
 # samples per stream batch, the same for every method so method columns see the same samples
 STREAM_BATCH_SIZE = 128
@@ -76,15 +75,6 @@ INTERP_METRICS = (
     ("pca_w", "pca_w_mean"),
     ("stability", "stability"),
     ("selection_rate", "selection_rate"),
-)
-# every report file run_benchmark may write, beside the records directory
-REPORT_FILES = (
-    "accuracy_raw.csv",
-    "accuracy_batches.csv",
-    "accuracy.csv",
-    "accuracy.md",
-    "interpretability.csv",
-    "efficiency.csv",
 )
 
 
@@ -131,7 +121,6 @@ class BenchmarkPlan(JsonConfig):
     output_dir: str
     corruptions: tuple[CorruptionSpec, ...] = DEFAULT_CORRUPTIONS
     methods: tuple[tuple[str, TTAConfig], ...] = ()
-    metrics: tuple[str, ...] = METRIC_CHOICES
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     num_batches: int = 64
     board_k: int = 5
@@ -155,7 +144,6 @@ class BenchmarkPlan(JsonConfig):
                 for c in self.corruptions
             ),
         )
-        object.__setattr__(self, "metrics", tuple(self.metrics))
         object.__setattr__(self, "seeds", tuple(self.seeds))
         for seed in self.seeds:
             check_type(int, "seed", seed)
@@ -168,9 +156,6 @@ class BenchmarkPlan(JsonConfig):
             raise ConfigError(f"method names must be unique, got {names}")
         if len(set(self.corruptions)) != len(self.corruptions):
             raise ConfigError(f"corruptions must be unique, got {[str(c) for c in self.corruptions]}")
-        unknown = set(self.metrics) - set(METRIC_CHOICES)
-        if unknown:
-            raise ConfigError(f"unknown metrics {sorted(unknown)}; choose from {METRIC_CHOICES}")
         if not self.seeds:
             raise ConfigError("plan needs at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
@@ -197,11 +182,11 @@ class CellResult:
     accuracy: float  # percent
     selection_rate: float  # percent
     throughput: float  # samples per second, median over non-warm-up batches
-    pac_mean: float = float("nan")
-    pca_w_mean: float = float("nan")
-    stability: float = float("nan")
-    batch_sizes: list[int] = field(default_factory=list)
-    batch_accuracies: list[float] = field(default_factory=list)
+    pac_mean: float
+    pca_w_mean: float
+    stability: float
+    batch_sizes: list[int]
+    batch_accuracies: list[float]
     records: list[ActivationRecord] = field(default_factory=list)
 
 
@@ -220,7 +205,6 @@ def _run_cell(
     cfg: TTAConfig,
     seed: int,
     plan: BenchmarkPlan,
-    want_interp: bool,
     keep_records: bool,
 ) -> CellResult:
     stream_x = corrupt(dataset.test_x, cor, seed=derive_seed("corrupt", str(cor), seed))
@@ -228,12 +212,8 @@ def _run_cell(
     take = min(len(order), plan.num_batches * STREAM_BATCH_SIZE)
     stream_x, stream_y = stream_x[order[:take]], dataset.test_y[order[:take]]
     work = model.copy()
-    report = run_stream(
-        work,
-        iter_batches(stream_x, stream_y, STREAM_BATCH_SIZE),
-        cfg,
-        collect_samples=want_interp or keep_records,
-    )
+    report = run_stream(work, iter_batches(stream_x, stream_y, STREAM_BATCH_SIZE), cfg)
+    samples = SampleBlock.concat(report.sample_blocks)
     cell = CellResult(
         method=name,
         corruption=str(cor),
@@ -243,14 +223,12 @@ def _run_cell(
         throughput=_median_throughput(report),
         batch_sizes=[r.size for r in report.records],
         batch_accuracies=[100.0 * a for a in report.batch_accuracies],
-    )
-    if want_interp:
-        samples = SampleBlock.concat(report.sample_blocks)
-        cell.pac_mean = pac(samples.clean_activations, samples.adapted_activations).mean
-        cell.pca_w_mean = pca_w(
+        pac_mean=pac(samples.clean_activations, samples.adapted_activations).mean,
+        pca_w_mean=pca_w(
             samples.adapted_activations, model.head.data, model.class_of, samples.labels, k=plan.board_k
-        ).mean
-        cell.stability = prediction_stability(samples.clean_predictions, samples.adapted_predictions)
+        ).mean,
+        stability=prediction_stability(samples.clean_predictions, samples.adapted_predictions),
+    )
     if keep_records:
         # all batches but the last are full: these are the first record_batches * STREAM_BATCH_SIZE samples
         cell.records = block_records(report.sample_blocks[: plan.record_batches])
@@ -347,14 +325,16 @@ def _thread_count() -> int:
     if not workers.strip():
         return os.cpu_count() or 1
     try:
-        return int(workers)
+        count = int(workers)
     except ValueError:
         raise ConfigError(f"PTTA_THREADS must be an integer, got {workers!r}") from None
+    if count < 1:
+        raise ConfigError(f"PTTA_THREADS must be at least 1, got {count}")
+    return count
 
 
 def _run_cells(plan: BenchmarkPlan, model: PrototypeModel, dataset: Dataset) -> list[CellResult]:
     """Run all plan cells, possibly in parallel; result order is job order."""
-    want_interp = "interpretability" in plan.metrics
     first_seed = plan.seeds[0]
     jobs = [
         (cor, name, cfg, seed)
@@ -365,11 +345,9 @@ def _run_cells(plan: BenchmarkPlan, model: PrototypeModel, dataset: Dataset) -> 
 
     def work(job):
         cor, name, cfg, seed = job
-        return _run_cell(
-            model, dataset, cor, name, cfg, seed, plan, want_interp, keep_records=seed == first_seed
-        )
+        return _run_cell(model, dataset, cor, name, cfg, seed, plan, keep_records=seed == first_seed)
 
-    max_workers = max(1, min(_thread_count(), len(jobs)))
+    max_workers = min(_thread_count(), len(jobs))
     if max_workers == 1:
         return [work(job) for job in jobs]
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
@@ -384,12 +362,13 @@ def run_benchmark(
     """Run every cell of the plan and emit the report files.
 
     Passing model/dataset objects skips loading from the plan paths (used by
-    tests); otherwise both files must exist before any work starts. Report
-    files and plan methods' records files that an earlier run left in the
-    output directory and this run did not write are removed afterwards.
+    tests); otherwise both files must exist before any work starts. Every
+    report file is written but ``efficiency.csv``, which needs an ``unadapted``
+    method; an ``efficiency.csv`` and plan methods' records files that an
+    earlier run left in the output directory and this run did not write are
+    removed afterwards.
     """
     model, dataset = _load_plan_inputs(plan, model, dataset)
-    want_interp = "interpretability" in plan.metrics
     cells = _run_cells(plan, model, dataset)
 
     out = Path(plan.output_dir)
@@ -398,51 +377,49 @@ def run_benchmark(
 
     by_mc = _group_cells(cells)
 
-    if "accuracy" in plan.metrics:
-        raw_rows = [[c.method, c.corruption, c.seed, c.accuracy] for c in cells]
-        paths["accuracy_raw"] = out / "accuracy_raw.csv"
-        _write_csv(paths["accuracy_raw"], ["method", "corruption", "seed", "accuracy"], raw_rows)
-        batch_rows = [
-            [c.method, c.corruption, c.seed, i, size, acc]
-            for c in cells
-            for i, (size, acc) in enumerate(zip(c.batch_sizes, c.batch_accuracies))
-        ]
-        paths["accuracy_batches"] = out / "accuracy_batches.csv"
-        _write_csv(
-            paths["accuracy_batches"],
-            ["method", "corruption", "seed", "batch", "size", "accuracy"],
-            batch_rows,
-        )
-        summaries = {
-            name: _summary(plan, lambda cor: [c.accuracy for c in by_mc[(name, cor)]])
-            for name, _ in plan.methods
-        }
-        paths["accuracy"] = out / "accuracy.csv"
-        _write_csv(
-            paths["accuracy"],
-            ["method", "corruption", "mean", "std"],
-            [[name, *row] for name, summary in summaries.items() for row in summary],
-        )
-        paths["accuracy_md"] = out / "accuracy.md"
-        write_file(paths["accuracy_md"], _accuracy_markdown(plan, summaries))
+    raw_rows = [[c.method, c.corruption, c.seed, c.accuracy] for c in cells]
+    paths["accuracy_raw"] = out / "accuracy_raw.csv"
+    _write_csv(paths["accuracy_raw"], ["method", "corruption", "seed", "accuracy"], raw_rows)
+    batch_rows = [
+        [c.method, c.corruption, c.seed, i, size, acc]
+        for c in cells
+        for i, (size, acc) in enumerate(zip(c.batch_sizes, c.batch_accuracies))
+    ]
+    paths["accuracy_batches"] = out / "accuracy_batches.csv"
+    _write_csv(
+        paths["accuracy_batches"],
+        ["method", "corruption", "seed", "batch", "size", "accuracy"],
+        batch_rows,
+    )
+    summaries = {
+        name: _summary(plan, lambda cor: [c.accuracy for c in by_mc[(name, cor)]])
+        for name, _ in plan.methods
+    }
+    paths["accuracy"] = out / "accuracy.csv"
+    _write_csv(
+        paths["accuracy"],
+        ["method", "corruption", "mean", "std"],
+        [[name, *row] for name, summary in summaries.items() for row in summary],
+    )
+    paths["accuracy_md"] = out / "accuracy.md"
+    write_file(paths["accuracy_md"], _accuracy_markdown(plan, summaries))
 
-    if want_interp:
-        rows = []
-        for name, _ in plan.methods:
-            columns = [
-                _summary(plan, lambda cor: [getattr(c, attr) for c in by_mc[(name, cor)]])
-                for _, attr in INTERP_METRICS
-            ]
-            for per_metric in zip(*columns):
-                rows.append([name, per_metric[0][0]] + [v for _, m, s in per_metric for v in (m, s)])
-        paths["interpretability"] = out / "interpretability.csv"
-        header = [f"{label}_{stat}" for label, _ in INTERP_METRICS for stat in ("mean", "std")]
-        _write_csv(paths["interpretability"], ["method", "corruption"] + header, rows)
+    rows = []
+    for name, _ in plan.methods:
+        columns = [
+            _summary(plan, lambda cor: [getattr(c, attr) for c in by_mc[(name, cor)]])
+            for _, attr in INTERP_METRICS
+        ]
+        for per_metric in zip(*columns):
+            rows.append([name, per_metric[0][0]] + [v for _, m, s in per_metric for v in (m, s)])
+    paths["interpretability"] = out / "interpretability.csv"
+    header = [f"{label}_{stat}" for label, _ in INTERP_METRICS for stat in ("mean", "std")]
+    _write_csv(paths["interpretability"], ["method", "corruption"] + header, rows)
 
     paths["records"] = out / "records"
     _dump_cell_records(plan, cells, out)
 
-    if "efficiency" in plan.metrics and "unadapted" in plan.method_map:
+    if "unadapted" in plan.method_map:
 
         def relative_speeds(name: str, cor: str) -> list[float]:
             pairs = zip(by_mc[(name, cor)], by_mc[("unadapted", cor)])
@@ -455,10 +432,8 @@ def run_benchmark(
         ]
         paths["efficiency"] = out / "efficiency.csv"
         _write_csv(paths["efficiency"], ["method", "corruption", "relative_speed_mean", "relative_speed_std"], rows)
-
-    for path in (out / name for name in REPORT_FILES):
-        if path not in paths.values() and path.is_file():
-            path.unlink()
+    elif (out / "efficiency.csv").is_file():
+        (out / "efficiency.csv").unlink()
     return BenchmarkResult(plan=plan, cells=cells, paths=paths)
 
 
@@ -504,7 +479,7 @@ def run_ablation(
     if "prototta" not in methods:
         raise ConfigError("ablation needs a method named 'prototta' in the plan")
     variants = _ablation_variants(methods["prototta"], axis)
-    sub_plan = replace(plan, methods=tuple(variants), metrics=("accuracy",))
+    sub_plan = replace(plan, methods=tuple(variants))
     model, dataset = _load_plan_inputs(sub_plan, model, dataset)
     cells = _run_cells(sub_plan, model, dataset)
     by_mc = _group_cells(cells)
@@ -648,7 +623,7 @@ def export_boards(
     board_name = re.compile(rf"{re.escape(method)}_[0-9]+\.json")
     fresh = {path.name for path in written}
     for path in out.iterdir():
-        if board_name.fullmatch(path.name) and path.name not in fresh:
+        if board_name.fullmatch(path.name) and path.name not in fresh and path.is_file():
             path.unlink()
     return written
 
@@ -705,6 +680,9 @@ def correlate_scores(boards_dir, scores_path, out_path=None) -> CorrelationRepor
         seen_ids.add(sid)
         if sid not in scores:
             warnings.append(f"no external score for sample {sid} ({path.name})")
+            continue
+        if board["ground_truth"] == -1:
+            warnings.append(f"sample {sid} is unlabeled ({path.name}), skipped")
             continue
         per_method.setdefault(board["method"], []).append(
             (board_sample_pca_w(board), scores[sid])

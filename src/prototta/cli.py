@@ -14,7 +14,6 @@ from pathlib import Path
 
 from .bench import (
     ABLATION_AXES,
-    METRIC_CHOICES,
     BenchmarkPlan,
     correlate_scores,
     export_boards,
@@ -103,7 +102,6 @@ def _add_plan_arguments(sub_parser: argparse.ArgumentParser) -> None:
         choices=sorted(method_presets()),
         help="preset methods to run",
     )
-    sub_parser.add_argument("--metrics", nargs="+", default=None, choices=METRIC_CHOICES)
     sub_parser.add_argument("--seeds", nargs="+", type=int, default=None)
     sub_parser.add_argument("--num-batches", type=int, default=None)
     sub_parser.add_argument("--board-k", type=int, default=None)

@@ -57,9 +57,10 @@ class ActivationRecord:
     @classmethod
     def from_json(cls, line: str) -> "ActivationRecord":
         """Parse one records line strictly: the ids, predictions and label are
-        non-negative ints (not bools or floats) and the activations, of which
-        ``mapped_activations`` may be left out, non-empty finite number lists of
-        one length; anything else is a FormatError."""
+        non-negative ints (not bools or floats), but for the label -1 of an
+        unlabeled sample, and the activations, of which ``mapped_activations``
+        may be left out, non-empty finite number lists of one length; anything
+        else is a FormatError."""
         try:
             obj = json.loads(line)
             check_type(dict, "record", obj)
@@ -68,8 +69,9 @@ class ActivationRecord:
                     raise ConfigError(f"missing field {key!r}")
             for key in _RECORD_INTS:
                 check_type(int, key, obj[key])
-                if obj[key] < 0:
-                    raise ConfigError(f"{key} must be non-negative, got {obj[key]}")
+                if obj[key] < 0 and (key, obj[key]) != ("ground_truth", -1):
+                    unlabeled = " or -1 (unlabeled)" if key == "ground_truth" else ""
+                    raise ConfigError(f"{key} must be non-negative{unlabeled}, got {obj[key]}")
             arrays = {key: _activations(key, obj[key]) for key in _RECORD_ARRAYS if key in obj}
             if len({len(a) for a in arrays.values()}) != 1:
                 raise ConfigError(f"activation lists differ in length: {[len(a) for a in arrays.values()]}")

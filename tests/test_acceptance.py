@@ -388,7 +388,6 @@ def test_10_benchmark_reports_are_byte_identical_across_runs(task, tmp_path, mon
             output_dir=str(tmp_path / label),
             corruptions=("gaussian_noise:5", "contrast_scale:3"),
             methods=(("unadapted", presets["unadapted"]), ("prototta", presets["prototta"])),
-            metrics=("accuracy", "interpretability"),
             seeds=(0, 1),
             num_batches=2,
             record_batches=1,

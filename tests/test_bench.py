@@ -62,7 +62,7 @@ class TestPlan:
         assert again == plan
         assert [name for name, _ in again.methods] == ["unadapted", "prototta"]
 
-    def test_validation_errors(self, plan_kwargs):
+    def test_validation_errors(self, plan_kwargs, tmp_path, capsys):
         with pytest.raises(ConfigError):
             BenchmarkPlan(**{**plan_kwargs, "corruptions": ()})
         with pytest.raises(ConfigError):
@@ -78,8 +78,13 @@ class TestPlan:
             BenchmarkPlan(
                 **{**plan_kwargs, "corruptions": (CorruptionSpec("brightness_shift", 3), "brightness_shift:3")}
             )
-        with pytest.raises(ConfigError):
-            BenchmarkPlan(**{**plan_kwargs, "metrics": ("accuracy", "latency")})
+        # a plan saved while plans had a metrics selector is refused by name
+        old_plan = {**BenchmarkPlan(**plan_kwargs).to_dict(), "metrics": ["accuracy"]}
+        with pytest.raises(ConfigError, match="metrics"):
+            BenchmarkPlan.from_dict(old_plan)
+        (tmp_path / "old_plan.json").write_text(json.dumps(old_plan), encoding="utf-8")
+        assert main(["bench", "--plan", str(tmp_path / "old_plan.json")]) == 2
+        assert "metrics" in capsys.readouterr().err
         with pytest.raises(ConfigError):
             BenchmarkPlan(**{**plan_kwargs, "seeds": ()})
         with pytest.raises(ConfigError, match="seeds must be unique"):
@@ -127,7 +132,7 @@ class TestRunBenchmark:
         assert len(result.cells) == 2 * 2 * 2
 
     def test_every_method_row_has_a_records_file(self, plan_kwargs):
-        run_benchmark(BenchmarkPlan(**{**plan_kwargs, "metrics": ("accuracy",)}))
+        run_benchmark(BenchmarkPlan(**plan_kwargs))
         out = Path(plan_kwargs["output_dir"])
         _, rows = read_csv(out / "accuracy.csv")
         for method in {row[0] for row in rows}:
@@ -162,9 +167,7 @@ class TestRunBenchmark:
     def test_markdown_cells_match_csv_means_by_column(self, plan_kwargs):
         # plan order interleaves families, so the markdown columns are regrouped
         corruptions = ("contrast_scale:5", "gaussian_noise:5", "block_pixelate:5")
-        run_benchmark(
-            BenchmarkPlan(**{**plan_kwargs, "corruptions": corruptions, "metrics": ("accuracy",)})
-        )
+        run_benchmark(BenchmarkPlan(**{**plan_kwargs, "corruptions": corruptions}))
         out = Path(plan_kwargs["output_dir"])
         _, agg = read_csv(out / "accuracy.csv")
         expected = {
@@ -215,7 +218,7 @@ class TestRunBenchmark:
         assert cell.selection_rate == 0.0
 
     def test_single_seed_gives_zero_std(self, plan_kwargs):
-        plan = BenchmarkPlan(**{**plan_kwargs, "seeds": (0,), "metrics": ("accuracy",)})
+        plan = BenchmarkPlan(**{**plan_kwargs, "seeds": (0,)})
         run_benchmark(plan)
         _, agg = read_csv(Path(plan_kwargs["output_dir"]) / "accuracy.csv")
         for _method, corruption, _mean, std in agg:
@@ -223,7 +226,7 @@ class TestRunBenchmark:
                 assert float(std) == 0.0
 
     def test_distinct_seeds_give_nonnegative_std(self, plan_kwargs):
-        run_benchmark(BenchmarkPlan(**{**plan_kwargs, "metrics": ("accuracy",)}))
+        run_benchmark(BenchmarkPlan(**plan_kwargs))
         _, agg = read_csv(Path(plan_kwargs["output_dir"]) / "accuracy.csv")
         assert all(float(std) >= 0.0 for *_rest, std in agg)
 
@@ -241,13 +244,6 @@ class TestRunBenchmark:
             a = (tmp_path / "a" / name).read_bytes()
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b, name
-
-    def test_metric_selection_controls_outputs(self, plan_kwargs):
-        run_benchmark(BenchmarkPlan(**{**plan_kwargs, "metrics": ("accuracy",)}))
-        out = Path(plan_kwargs["output_dir"])
-        assert (out / "accuracy.csv").is_file()
-        assert not (out / "interpretability.csv").exists()
-        assert not (out / "efficiency.csv").exists()
 
     def test_interpretability_matches_record_definitions_for_every_preset(self, plan_kwargs, monkeypatch):
         reports = {}
@@ -317,7 +313,6 @@ class TestRunAblation:
                     **plan_kwargs,
                     "output_dir": str(tmp_path / f"single_{row.setting}"),
                     "methods": ((row.setting, replace(base, param_mode=row.setting)),),
-                    "metrics": ("accuracy",),
                 }
             )
             result = run_benchmark(single)
@@ -811,8 +806,9 @@ class TestCli:
         assert "corruptions must be unique" in capsys.readouterr().err
         assert not (tmp_path / "reports").exists()
 
-    def test_non_integer_thread_count_exits_2(self, saved_files, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("PTTA_THREADS", "two")
+    @pytest.mark.parametrize("threads", ["two", "0", "-2"])
+    def test_non_integer_thread_count_exits_2(self, saved_files, tmp_path, capsys, monkeypatch, threads):
+        monkeypatch.setenv("PTTA_THREADS", threads)
         code = main(
             [
                 "bench",
@@ -930,6 +926,36 @@ class TestCli:
         assert printed[0] == printed[1] and "m: n=6" in printed[0]
         assert (rerun / "c.csv").read_bytes() == (fresh / "c.csv").read_bytes()
 
+    def test_boards_sweep_keeps_directories(self, saved_files, tiny_model, tiny_dataset, rng, tmp_path):
+        records = tmp_path / "records.jsonl"
+        dump_records(stream_records(tiny_model, tiny_dataset, rng)[:3], records)
+        out = tmp_path / "boards"
+        (out / "m_999999.json").mkdir(parents=True)
+        argv = ["boards", "--records", str(records), "--model", str(saved_files["model"]), "--method", "m"]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert (out / "m_999999.json").is_dir() and len(list(out.glob("m_0*.json"))) == 3
+
+    def test_boards_and_correlate_on_unlabeled_records(self, saved_files, tiny_model, tiny_dataset, tmp_path, capsys):
+        # the same samples streamed with and without labels give the same records but for the label
+        x = tiny_dataset.test_x[:12] + np.random.default_rng(0).normal(0, 0.3, (12, tiny_dataset.test_x.shape[1]))
+        unadapted = TTAConfig(method="unadapted")
+        for name, y in (("labeled", tiny_dataset.test_y[:12]), ("unlabeled", None)):
+            report = run_stream(tiny_model.copy(), iter_batches(x, y, 6), unadapted)
+            dump_records(report.sample_records, tmp_path / f"{name}.jsonl")
+        scores = tmp_path / "scores.csv"
+        scores.write_text("sample_id,score\n" + "".join(f"{i},{(3 * i) % 7}\n" for i in range(12)))
+        mixed, alone = tmp_path / "mixed", tmp_path / "alone"
+        for name, out in (("labeled", mixed), ("unlabeled", mixed), ("labeled", alone)):
+            argv = ["boards", "--records", str(tmp_path / f"{name}.jsonl"), "--model", str(saved_files["model"])]
+            assert main([*argv, "--method", name, "--out", str(out)]) == 0
+        assert {json.loads(p.read_text())["ground_truth"] for p in mixed.glob("unlabeled_*.json")} == {-1}
+        capsys.readouterr()
+        for out in (mixed, alone):
+            assert main(["correlate", "--boards", str(out), "--scores", str(scores), "--out", str(out / "c.csv")]) == 0
+        printed = capsys.readouterr()
+        assert printed.err.count("is unlabeled") == 12 and "unlabeled:" not in printed.out
+        assert (mixed / "c.csv").read_bytes() == (alone / "c.csv").read_bytes()
+
     def test_boards_repeated_sample_id_exits_2(self, saved_files, tiny_model, tiny_dataset, rng, tmp_path, capsys):
         records = tmp_path / "records.jsonl"
         dump_records(stream_records(tiny_model, tiny_dataset, rng)[:3], records)
@@ -989,12 +1015,15 @@ class TestCli:
         assert main([*argv, "--out-dir", str(rerun), *first]) == 0
         assert (rerun / "efficiency.csv").is_file() and (rerun / "interpretability.csv").is_file()
         assert (rerun / "records" / "unadapted_brightness_shift_5.jsonl").is_file()
-        second = ["--corruptions", "gaussian_noise:5", "--metrics", "accuracy"]
+        # the second plan drops unadapted, whose records then stay as another method's do
+        for name in ("records/unadapted_gaussian_noise_5.jsonl", "records/unadapted_brightness_shift_5.jsonl"):
+            (fresh / name).write_bytes((rerun / name).read_bytes())
+        second = ["--corruptions", "gaussian_noise:5", "--methods", "prototta"]
         assert main([*argv, "--out-dir", str(rerun), *second]) == 0
         assert main([*argv, "--out-dir", str(fresh), *second]) == 0
         names = [sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()) for out in (rerun, fresh)]
         assert names[0] == names[1] and set(kept) <= set(names[0])
-        assert "efficiency.csv" not in names[0] and "interpretability.csv" not in names[0]
+        assert "efficiency.csv" not in names[0] and "interpretability.csv" in names[0]
         assert tree_bytes(rerun) == tree_bytes(fresh)
 
     def test_ablate_rerun_with_fewer_corruptions_matches_fresh(self, saved_files, tmp_path):
@@ -1033,7 +1062,6 @@ class TestCli:
             "--corruptions", "gaussian_noise:5", "brightness_shift:5",
             "--seeds", "0", "1",
             "--num-batches", "3",
-            "--metrics", "accuracy",
         ]
         assert main(argv) == 0
         header, rows = read_csv(out / "accuracy_batches.csv")

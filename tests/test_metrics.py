@@ -125,6 +125,7 @@ class TestActivationRecords:
             ({"ground_truth": True}, "ground_truth must be int"),
             ({"clean_prediction": "2"}, "clean_prediction must be int"),
             ({"adapted_prediction": -1}, "adapted_prediction must be non-negative"),
+            ({"ground_truth": -2}, "ground_truth must be non-negative or -1 \\(unlabeled\\), got -2"),
             ({"clean_activations": None}, "clean_activations must be list"),
             ({"clean_activations": []}, "clean_activations must be a non-empty list"),
             ({"adapted_activations": [0.5, True]}, "adapted_activations must be a non-empty list of numbers"),
@@ -135,9 +136,9 @@ class TestActivationRecords:
             ({"clean_activations": [10**400, 1.0]}, "clean_activations holds a number too large for a float"),
         ],
         ids=[
-            "sample-id-float", "ground-truth-bool", "prediction-string", "prediction-negative", "activations-null",
-            "activations-empty", "activation-bool", "activation-string", "activation-nested", "activation-nan",
-            "length-mismatch", "activation-int-overflow",
+            "sample-id-float", "ground-truth-bool", "prediction-string", "prediction-negative",
+            "ground-truth-below-minus-one", "activations-null", "activations-empty", "activation-bool",
+            "activation-string", "activation-nested", "activation-nan", "length-mismatch", "activation-int-overflow",
         ],
     )
     def test_ill_typed_field_rejected(self, edit, problem):
@@ -160,6 +161,19 @@ class TestActivationRecords:
         line = '{"sample_id": 1%s, "clean_activations": [0.1]}' % ("0" * 5000)
         with pytest.raises(FormatError, match="bad activation record: Exceeds the limit"):
             ActivationRecord.from_json(line)
+
+    @pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "unlabeled"])
+    def test_stream_records_round_trip(self, tiny_model, tiny_dataset, tmp_path, labeled):
+        x, y = tiny_dataset.test_x[:40], tiny_dataset.test_y[:40]
+        report = run_stream(
+            tiny_model.copy(), iter_batches(x, y if labeled else None, 16), method_presets()["prototta"]
+        )
+        records = report.sample_records
+        assert [r.ground_truth for r in records] == (y.tolist() if labeled else [-1] * len(y))
+        path = tmp_path / "records.jsonl"
+        dump_records(records, path)
+        loaded = load_records(path)
+        assert [r.to_json() for r in loaded] == [r.to_json() for r in records]
 
     def test_load_error_names_file_and_line(self, rng, tmp_path):
         path = tmp_path / "records.jsonl"

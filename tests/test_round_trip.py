@@ -47,7 +47,6 @@ def non_default_plan() -> BenchmarkPlan:
         output_dir="reports",
         corruptions=("impulse_noise:2", "contrast_scale:4"),
         methods=(("custom", non_default_tta_config()), ("tent", TTAConfig(method="tent"))),
-        metrics=("accuracy",),
         seeds=(7, 3),
         num_batches=2,
         board_k=3,
