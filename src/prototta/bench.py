@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .adapt import TARGET_SCOPES, WEIGHTINGS, SampleBlock, TTAConfig, block_records, iter_batches, run_stream
+from .adapt import TARGET_SCOPES, WEIGHTINGS, SampleBlock, StepRecord, TTAConfig, block_records, iter_batches, run_stream
 from .errors import ConfigError, DegenerateInputError, FormatError, InsufficientDataError
 from .harness import (
     CORRUPTION_GROUPS,
@@ -66,7 +66,9 @@ from .model import (
 )
 
 DEFAULT_CORRUPTIONS = tuple(CorruptionSpec(kind, 5) for kind in CORRUPTION_KINDS)
-ABLATION_AXES = ("filter", "param_mode", "consensus", "target_scope", "weighting")
+# every ablation axis but "filter" names the TTAConfig field it varies, over these values
+ABLATION_FIELDS = dict(param_mode=PARAM_MODES, consensus=AGGREGATIONS, target_scope=TARGET_SCOPES, weighting=WEIGHTINGS)
+ABLATION_AXES = ("filter", *ABLATION_FIELDS)
 # samples per stream batch, the same for every method so method columns see the same samples
 STREAM_BATCH_SIZE = 128
 # (column label, CellResult attribute) of each interpretability.csv metric, in column order
@@ -106,6 +108,13 @@ def method_presets() -> dict[str, TTAConfig]:
             lr=1e-4,
         ),
     }
+
+
+def _check_method_name(name) -> None:
+    """A ConfigError unless ``name`` is a string that keeps the files named after it in their directory."""
+    check_type(str, "method name", name)
+    if "/" in name or "\0" in name:
+        raise ConfigError(f"method name must not contain '/' or NUL, got {name!r}")
 
 
 def derive_seed(*parts) -> int:
@@ -151,21 +160,16 @@ class BenchmarkPlan(JsonConfig):
             raise ConfigError("plan needs at least one corruption")
         names = [name for name, _ in self.methods]
         for name in names:
-            check_type(str, "method name", name)
-        if len(set(names)) != len(names):
-            raise ConfigError(f"method names must be unique, got {names}")
-        if len(set(self.corruptions)) != len(self.corruptions):
-            raise ConfigError(f"corruptions must be unique, got {[str(c) for c in self.corruptions]}")
+            _check_method_name(name)
+        listed = {"method names": names, "corruptions": [str(c) for c in self.corruptions], "seeds": list(self.seeds)}
+        for label, values in listed.items():
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{label} must be unique, got {values}")
         if not self.seeds:
             raise ConfigError("plan needs at least one seed")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError(f"seeds must be unique, got {list(self.seeds)}")
-        if self.num_batches < 1:
-            raise ConfigError(f"num_batches must be positive, got {self.num_batches}")
-        if self.board_k < 1:
-            raise ConfigError(f"board_k must be positive, got {self.board_k}")
-        if self.record_batches < 1:
-            raise ConfigError(f"record_batches must be positive, got {self.record_batches}")
+        for key in ("num_batches", "board_k", "record_batches"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
 
     @property
     def method_map(self) -> dict[str, TTAConfig]:
@@ -185,8 +189,7 @@ class CellResult:
     pac_mean: float
     pca_w_mean: float
     stability: float
-    batch_sizes: list[int]
-    batch_accuracies: list[float]
+    batches: list[StepRecord]
     records: list[ActivationRecord] = field(default_factory=list)
 
 
@@ -221,8 +224,7 @@ def _run_cell(
         accuracy=100.0 * report.accuracy,
         selection_rate=selection_rate(report),
         throughput=_median_throughput(report),
-        batch_sizes=[r.size for r in report.records],
-        batch_accuracies=[100.0 * a for a in report.batch_accuracies],
+        batches=report.records,
         pac_mean=pac(samples.clean_activations, samples.adapted_activations).mean,
         pca_w_mean=pca_w(
             samples.adapted_activations, model.head.data, model.class_of, samples.labels, k=plan.board_k
@@ -239,6 +241,13 @@ def _check_plan_files(plan: BenchmarkPlan) -> None:
     for label, path in (("model", plan.model_path), ("dataset", plan.dataset_path)):
         if not Path(path).is_file():
             raise ConfigError(f"{label} file not found: {path}")
+
+
+def _remove_stale(directory: Path, pattern: str, keep: set[Path]) -> None:
+    """Remove each file (not a directory) in ``directory`` whose whole name matches ``pattern``, unless in ``keep``."""
+    for path in directory.iterdir():
+        if re.fullmatch(pattern, path.name) and path not in keep and path.is_file():
+            path.unlink()
 
 
 def _dump_cell_records(plan: BenchmarkPlan, cells: list[CellResult], out: Path) -> None:
@@ -258,10 +267,7 @@ def _dump_cell_records(plan: BenchmarkPlan, cells: list[CellResult], out: Path) 
             written.add(path)
     methods = "|".join(re.escape(name) for name, _ in plan.methods)
     kinds = "|".join(map(re.escape, CORRUPTION_KINDS))
-    records_name = re.compile(rf"({methods})_({kinds})_[0-9]+\.jsonl")
-    for path in rec_dir.iterdir():
-        if records_name.fullmatch(path.name) and path not in written and path.is_file():
-            path.unlink()
+    _remove_stale(rec_dir, rf"({methods})_({kinds})_[0-9]+\.jsonl", written)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[Sequence]) -> None:
@@ -381,9 +387,7 @@ def run_benchmark(
     paths["accuracy_raw"] = out / "accuracy_raw.csv"
     _write_csv(paths["accuracy_raw"], ["method", "corruption", "seed", "accuracy"], raw_rows)
     batch_rows = [
-        [c.method, c.corruption, c.seed, i, size, acc]
-        for c in cells
-        for i, (size, acc) in enumerate(zip(c.batch_sizes, c.batch_accuracies))
+        [c.method, c.corruption, c.seed, r.index, r.size, 100.0 * r.accuracy] for c in cells for r in c.batches
     ]
     paths["accuracy_batches"] = out / "accuracy_batches.csv"
     _write_csv(
@@ -432,8 +436,7 @@ def run_benchmark(
         ]
         paths["efficiency"] = out / "efficiency.csv"
         _write_csv(paths["efficiency"], ["method", "corruption", "relative_speed_mean", "relative_speed_std"], rows)
-    elif (out / "efficiency.csv").is_file():
-        (out / "efficiency.csv").unlink()
+    _remove_stale(out, r"efficiency\.csv", set(paths.values()))
     return BenchmarkResult(plan=plan, cells=cells, paths=paths)
 
 
@@ -453,14 +456,8 @@ def _ablation_variants(base: TTAConfig, axis: str) -> list[tuple[str, TTAConfig]
             ("with_filter", base),
             ("no_filter", replace(base, tau_sim=1e-6, use_entropy_constraint=False)),
         ]
-    if axis == "param_mode":
-        return [(mode, replace(base, param_mode=mode)) for mode in PARAM_MODES]
-    if axis == "consensus":
-        return [(agg, replace(base, consensus=agg)) for agg in AGGREGATIONS]
-    if axis == "target_scope":
-        return [(scope, replace(base, target_scope=scope)) for scope in TARGET_SCOPES]
-    if axis == "weighting":
-        return [(w, replace(base, weighting=w)) for w in WEIGHTINGS]
+    if axis in ABLATION_FIELDS:
+        return [(value, replace(base, **{axis: value})) for value in ABLATION_FIELDS[axis]]
     raise ConfigError(f"unknown ablation axis {axis!r}; choose from {ABLATION_AXES}")
 
 
@@ -608,6 +605,7 @@ def export_boards(
     so the directory holds exactly this export's boards of ``method``.
     """
     _check_board_k(model, k)
+    _check_method_name(method)
     records = sorted(records, key=lambda r: r.sample_id)
     for prev, rec in zip(records, records[1:]):
         if prev.sample_id == rec.sample_id:
@@ -620,11 +618,7 @@ def export_boards(
         path = out / f"{method}_{sample_id:06d}.json"
         write_file(path, text)
         written.append(path)
-    board_name = re.compile(rf"{re.escape(method)}_[0-9]+\.json")
-    fresh = {path.name for path in written}
-    for path in out.iterdir():
-        if board_name.fullmatch(path.name) and path.name not in fresh and path.is_file():
-            path.unlink()
+    _remove_stale(out, rf"{re.escape(method)}_[0-9]+\.json", set(written))
     return written
 
 

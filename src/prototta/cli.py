@@ -15,6 +15,7 @@ from pathlib import Path
 from .bench import (
     ABLATION_AXES,
     BenchmarkPlan,
+    _check_board_k,
     correlate_scores,
     export_boards,
     method_presets,
@@ -59,9 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--out", required=True, help="output model file (PTTA1 container)")
     train.add_argument("--epochs", type=int, default=30)
     train.add_argument("--seed", type=int, default=0)
-    train.add_argument("--lr", type=float, default=0.01)
-    train.add_argument("--batch-size", type=int, default=128)
-    train.add_argument("--pull-coeff", type=float, default=0.1)
 
     bench = sub.add_parser("bench", help="run a benchmark plan and emit report files")
     _add_plan_arguments(bench)
@@ -144,14 +142,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if not Path(args.data).is_file():
         raise ConfigError(f"dataset file not found: {args.data}")
     dataset = load_dataset(args.data)
-    model, stats = train_source_model(
-        dataset,
-        epochs=args.epochs,
-        seed=args.seed,
-        lr=args.lr,
-        batch_size=args.batch_size,
-        pull_coeff=args.pull_coeff,
-    )
+    model, stats = train_source_model(dataset, epochs=args.epochs, seed=args.seed)
     save_model(model, args.out)
     print(f"wrote {args.out}: clean accuracy {100.0 * stats['clean_accuracy']:.2f}%")
     return EXIT_OK
@@ -183,10 +174,11 @@ def _cmd_boards(args: argparse.Namespace) -> int:
     for label, path in (("records", args.records), ("model", args.model)):
         if not Path(path).is_file():
             raise ConfigError(f"{label} file not found: {path}")
+    model = load_model(args.model)
+    _check_board_k(model, args.k)
     records = load_records(args.records)
     if args.limit > 0:
         records = records[: args.limit]
-    model = load_model(args.model)
     written = export_boards(records, model, k=args.k, method=args.method, out_dir=args.out)
     print(f"wrote {len(written)} boards to {args.out}")
     return EXIT_OK

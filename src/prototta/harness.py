@@ -50,6 +50,10 @@ SEVERITY_TABLES = {
     "block_pixelate": (2, 2, 4, 4, 8),  # averaging block length
 }
 
+TRAIN_LR = 0.01
+TRAIN_BATCH_SIZE = 128
+TRAIN_PULL_WEIGHT = 0.1
+
 # family grouping used by the markdown report
 CORRUPTION_GROUPS = {
     "gaussian_noise": "Noise",
@@ -250,24 +254,20 @@ def train_source_model(
     config: ModelConfig | None = None,
     epochs: int = 30,
     seed: int = 0,
-    lr: float = 0.01,
-    batch_size: int = 128,
-    pull_coeff: float = 0.1,
 ) -> tuple[PrototypeModel, dict]:
     """Jointly train backbone, prototypes, and head on the clean train split.
 
-    Cross-entropy plus a small prototype-pull term that drags each
-    sub-prototype toward its nearest same-class feature. Deterministic per
-    seed. With no config, the default model takes the dataset's class count
-    and input width. Returns the model and a stats dict including the final
-    clean test accuracy.
+    Cross-entropy plus ``TRAIN_PULL_WEIGHT`` times a prototype-pull term that drags
+    each sub-prototype toward its nearest same-class feature, by Adam at ``TRAIN_LR``
+    on shuffled minibatches of ``TRAIN_BATCH_SIZE``. Deterministic per seed. With no
+    config, the default model takes the dataset's class count and input width.
+    Returns the model and a stats dict with the final (at 0 epochs, initial) clean test accuracy.
     """
+    # imported per call, so a replaced ``adapt.adam_step`` (a timing hook) is the one used
     from .adapt import TTAConfig, adam_step, init_optimizer
 
-    if epochs < 0 or batch_size < 1:
-        raise ConfigError(f"need epochs >= 0 and batch_size >= 1, got {epochs} and {batch_size}")
-    if not 0 <= pull_coeff < np.inf:
-        raise ConfigError(f"pull_coeff must be finite and non-negative, got {pull_coeff}")
+    if epochs < 0:
+        raise ConfigError(f"need epochs >= 0, got {epochs}")
     if config is None:
         config = ModelConfig(BackboneConfig(input_dim=dataset.spec.input_dim), num_classes=dataset.spec.num_classes)
     if config.backbone.input_dim != dataset.spec.input_dim:
@@ -279,25 +279,22 @@ def train_source_model(
             f"model num_classes {config.num_classes} != dataset {dataset.spec.num_classes}"
         )
     model = PrototypeModel(config, seed=seed)
-    if epochs == 0:
-        update_running_stats(model, dataset.train_x)
-        return model, {"epochs": 0, "final_loss": float("nan"), "clean_accuracy": float("nan")}
     names = model.param_names()
     model.set_trainable(names)
     params = [model.params[name] for name in names]
     opt = init_optimizer(params)
-    opt_cfg = TTAConfig(lr=lr)
+    opt_cfg = TTAConfig(lr=TRAIN_LR)
     rng = np.random.default_rng(seed)
     last_loss = float("nan")
     for epoch in range(epochs):
         order = rng.permutation(len(dataset.train_x))
-        for xb, yb in iter_batches(dataset.train_x[order], dataset.train_y[order], batch_size):
+        for xb, yb in iter_batches(dataset.train_x[order], dataset.train_y[order], TRAIN_BATCH_SIZE):
             tape = ad.Tape()
             with tape:
                 out = model_forward(model, xb, use_batch_stats=True)
                 loss = ad.add(
                     _cross_entropy(out.probs, yb),
-                    ad.scale(_prototype_pull(model, out.features, yb), pull_coeff),
+                    ad.scale(_prototype_pull(model, out.features, yb), TRAIN_PULL_WEIGHT),
                 )
             if not np.isfinite(loss.data).all():
                 raise TrainingError(f"loss diverged at epoch {epoch}")

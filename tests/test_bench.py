@@ -94,6 +94,16 @@ class TestPlan:
         with pytest.raises(ConfigError):
             BenchmarkPlan.from_dict({**BenchmarkPlan(**plan_kwargs).to_dict(), "extra": 1})
 
+    @pytest.mark.parametrize("name", ["../../up", "a/b", "nul\0"], ids=["parent", "subdirectory", "nul"])
+    def test_method_name_leaving_the_records_directory_rejected(self, plan_kwargs, tmp_path, capsys, name):
+        with pytest.raises(ConfigError, match="method name must not contain '/' or NUL"):
+            BenchmarkPlan(**{**plan_kwargs, "methods": ((name, TTAConfig(method="unadapted")),)})
+        plan = {**BenchmarkPlan(**plan_kwargs).to_dict(), "methods": [[name, {"method": "unadapted"}]]}
+        (tmp_path / "plan.json").write_text(json.dumps(plan), encoding="utf-8")
+        assert main(["bench", "--plan", str(tmp_path / "plan.json")]) == 2
+        assert "method name must not contain '/' or NUL" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plan.json"]
+
     def test_default_methods_are_the_presets(self, plan_kwargs):
         plan = BenchmarkPlan(**{k: v for k, v in plan_kwargs.items() if k != "methods"})
         assert [name for name, _ in plan.methods] == [
@@ -759,15 +769,22 @@ class TestCli:
         config = load_model(model).config
         assert (config.num_classes, config.backbone.input_dim) == (3, 16)
 
-    @pytest.mark.parametrize(
-        "flags",
-        [["--batch-size", "0"], ["--batch-size", "-4"], ["--epochs", "-3"], ["--pull-coeff", "nan"], ["--pull-coeff", "-50"]],
-        ids=["batch-size-zero", "batch-size-negative", "epochs-negative", "pull-coeff-nan", "pull-coeff-negative"],
-    )
+    @pytest.mark.parametrize("flags", [["--epochs", "-3"]], ids=["epochs-negative"])
     def test_bad_training_sizes_exit_2(self, saved_files, tmp_path, capsys, flags):
         model = tmp_path / "model.ptta"
         assert main(["train", "--data", str(saved_files["dataset"]), "--out", str(model), *flags]) == 2
         assert "error:" in capsys.readouterr().err
+        assert not model.exists()
+
+    @pytest.mark.parametrize(
+        "flag", [["--lr", "0.02"], ["--batch-size", "64"], ["--pull-coeff", "0.2"]], ids=["lr", "batch-size", "pull-coeff"]
+    )
+    def test_removed_training_options_exit_2(self, saved_files, tmp_path, capsys, flag):
+        model = tmp_path / "model.ptta"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", str(saved_files["dataset"]), "--out", str(model), *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         assert not model.exists()
 
     @pytest.mark.parametrize("spread", ["nan", "inf", "0"])
@@ -857,12 +874,23 @@ class TestCli:
 
     def test_boards_k_checked_before_reading_records(self, saved_files, tmp_path, capsys):
         records = tmp_path / "records.jsonl"
-        records.write_text("")
+        records.write_text("{not a record\n")
         out = tmp_path / "boards"
         argv = ["boards", "--records", str(records), "--model", str(saved_files["model"]), "--method", "m"]
         assert main([*argv, "--out", str(out), "--k", "999"]) == 2
         assert "at most the model's" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["../escaped", "a/b", "nul\0"], ids=["parent", "subdirectory", "nul"])
+    def test_boards_method_name_leaving_out_exits_2(
+        self, saved_files, tiny_model, tiny_dataset, rng, tmp_path, capsys, method
+    ):
+        records = tmp_path / "records.jsonl"
+        dump_records(stream_records(tiny_model, tiny_dataset, rng)[:4], records)
+        argv = ["boards", "--records", str(records), "--model", str(saved_files["model"]), "--method", method]
+        assert main([*argv, "--out", str(tmp_path / "run" / "boards")]) == 2
+        assert "method name must not contain '/' or NUL" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(
         "edit, problem",

@@ -10,6 +10,7 @@ from prototta.errors import ConfigError, FormatError
 from prototta.harness import (
     CORRUPTION_KINDS,
     SEVERITY_TABLES,
+    TRAIN_BATCH_SIZE,
     CorruptionSpec,
     SyntheticTaskSpec,
     corrupt,
@@ -140,6 +141,33 @@ class TestSourceTraining:
         assert all(
             np.array_equal(model.params[n].data, fresh.params[n].data) for n in model.params
         )
+
+    def test_zero_epochs_reports_initial_accuracy(self, tiny_dataset):
+        model, stats = train_source_model(tiny_dataset, epochs=0, seed=0)
+        assert stats["clean_accuracy"] == evaluate(model, tiny_dataset.test_x, tiny_dataset.test_y)
+
+    def test_training_calls_replaceable_forward_and_adam(self, tiny_dataset, monkeypatch):
+        # timing hooks replace these module attributes, so training must look both up on every step
+        from prototta import adapt, harness
+
+        adam_step, model_forward = adapt.adam_step, harness.model_forward
+        adam_calls, forward_modes = [], []
+
+        def counting_adam(*args, **kwargs):
+            adam_calls.append(1)
+            return adam_step(*args, **kwargs)
+
+        def counting_forward(model, x, use_batch_stats=True):
+            forward_modes.append(use_batch_stats)
+            return model_forward(model, x, use_batch_stats=use_batch_stats)
+
+        monkeypatch.setattr("prototta.adapt.adam_step", counting_adam)
+        monkeypatch.setattr("prototta.harness.model_forward", counting_forward)
+        train_source_model(tiny_dataset, epochs=1, seed=0)
+        minibatches = -(-len(tiny_dataset.train_x) // TRAIN_BATCH_SIZE)
+        assert len(adam_calls) == minibatches
+        # the training forwards use batch statistics; the final evaluation's do not
+        assert forward_modes.count(True) == minibatches
 
     def test_training_is_seed_deterministic(self, tiny_dataset):
         a, _ = train_source_model(tiny_dataset, epochs=1, seed=3)
