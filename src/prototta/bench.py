@@ -15,9 +15,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import itertools
 import json
-import math
 import os
 import re
 from concurrent.futures import ThreadPoolExecutor
@@ -39,6 +37,7 @@ from .harness import (
     load_dataset,
 )
 from .metrics import (
+    PCA_W_K,
     ActivationRecord,
     _median_throughput,
     _owned_share,
@@ -132,7 +131,6 @@ class BenchmarkPlan(JsonConfig):
     methods: tuple[tuple[str, TTAConfig], ...] = ()
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     num_batches: int = 64
-    board_k: int = 5
     record_batches: int = 4
 
     def __post_init__(self):
@@ -167,7 +165,7 @@ class BenchmarkPlan(JsonConfig):
                 raise ConfigError(f"{label} must be unique, got {values}")
         if not self.seeds:
             raise ConfigError("plan needs at least one seed")
-        for key in ("num_batches", "board_k", "record_batches"):
+        for key in ("num_batches", "record_batches"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
 
@@ -226,9 +224,7 @@ def _run_cell(
         throughput=_median_throughput(report),
         batches=report.records,
         pac_mean=pac(samples.clean_activations, samples.adapted_activations).mean,
-        pca_w_mean=pca_w(
-            samples.adapted_activations, model.head.data, model.class_of, samples.labels, k=plan.board_k
-        ).mean,
+        pca_w_mean=pca_w(samples.adapted_activations, model.head.data, model.class_of, samples.labels).mean,
         stability=prediction_stability(samples.clean_predictions, samples.adapted_predictions),
     )
     if keep_records:
@@ -313,7 +309,7 @@ def _load_plan_inputs(
         _check_plan_files(plan)
         model = load_model(plan.model_path) if model is None else model
         dataset = load_dataset(plan.dataset_path) if dataset is None else dataset
-    _check_board_k(model, plan.board_k)
+    _check_k(model, PCA_W_K)
     return model, dataset
 
 
@@ -492,25 +488,34 @@ def run_ablation(
     return rows
 
 
-def _check_board_k(model: PrototypeModel, k: int) -> None:
+def _check_k(model: PrototypeModel, k: int) -> None:
     """A ConfigError unless ``k`` lies in [1, P] for the model's P prototypes."""
     P = len(model.class_of)
     if not 1 <= k <= P:
-        raise ConfigError(f"board_k must be at most the model's {P} prototypes and at least 1, got {k}")
+        raise ConfigError(f"k must be at most the model's {P} prototypes and at least 1, got {k}")
 
 
-def build_board(record: ActivationRecord, model: PrototypeModel, k: int, method: str) -> dict:
-    """One sample's top-k contributing prototypes under its adapted prediction."""
-    _check_board_k(model, k)
-    return _boards([record], model, k, method)[0]
+_BOARD_TEXT = (
+    '{\n  "ground_truth": %d,\n  "method": %s,\n  "predicted_class": %d,\n'
+    '  "prototypes": [\n%s\n  ],\n  "sample_id": %d\n}\n'
+)
+_BOARD_PROTOTYPE_TEXT = (
+    '    {\n      "contribution": %r,\n      "mapped_similarity": %r,\n      "owning_class": %d,\n'
+    '      "prototype_id": %d,\n      "raw_similarity": %r\n    }'
+)
 
 
-def _boards(records: Sequence[ActivationRecord], model: PrototypeModel, k: int, method: str) -> list[dict]:
-    """``build_board`` of every record, for a ``k`` already checked against the model.
+def render_boards(records: Sequence[ActivationRecord], model: PrototypeModel, k: int, method: str) -> list[str]:
+    """Each record's board: its top-k contributing prototypes under its adapted prediction, as JSON text.
 
-    A record that no board can be built from is a FormatError naming it. The
-    contributions of all records are one n x P product and their top-k one sort.
+    The text is what ``json.dumps(board, indent=2, sort_keys=True) + "\\n"`` gives,
+    filled into a fixed layout instead of run through the pure-Python indenting
+    encoder; floats are written by ``float.__repr__``, as the encoder writes them.
+    The contributions of all records are one n x P product and their top-k one sort.
+    A record that no board can be built from, or whose board would hold a non-finite
+    contribution or similarity (which JSON cannot), is a FormatError naming it.
     """
+    _check_k(model, k)
     P, C = len(model.class_of), model.head.shape[0]
     for record in records:
         if len(record.adapted_activations) != P:
@@ -531,64 +536,24 @@ def _boards(records: Sequence[ActivationRecord], model: PrototypeModel, k: int, 
     mapped = np.stack([r.mapped_activations for r in records], dtype=np.float64)
     contributions = prototype_contributions(raw, model.head.data, [r.adapted_prediction for r in records])
     top = _top_indices(contributions, k)
-    # tolist gives Python ints and floats, whose repr is what a JSON encoder writes
-    columns = [np.take_along_axis(a, top, axis=1).tolist() for a in (contributions, raw, mapped)]
+    # n x k x 3: the contribution, mapped and raw similarity of each board entry, in layout order
+    values = np.stack([np.take_along_axis(a, top, axis=1) for a in (contributions, mapped, raw)], axis=-1)
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=(1, 2)))
+    if len(bad):
+        raise FormatError(f"board of sample {records[bad[0]].sample_id}: non-finite contribution or similarity")
+    name = json.dumps(method)
+    # tolist gives Python ints and floats, so %r is float.__repr__
     return [
-        {
-            "sample_id": record.sample_id,
-            "method": method,
-            "predicted_class": record.adapted_prediction,
-            "ground_truth": record.ground_truth,
-            "prototypes": [
-                {
-                    "prototype_id": p,
-                    "owning_class": owner,
-                    "contribution": contribution,
-                    "raw_similarity": similarity,
-                    "mapped_similarity": mapped_similarity,
-                }
-                for p, owner, contribution, similarity, mapped_similarity in zip(ids, owners, *row)
-            ],
-        }
-        for record, ids, owners, *row in zip(records, top.tolist(), model.class_of[top].tolist(), *columns)
+        _BOARD_TEXT
+        % (
+            record.ground_truth,
+            name,
+            record.adapted_prediction,
+            ",\n".join(_BOARD_PROTOTYPE_TEXT % (c, m, owner, p, r) for (c, m, r), owner, p in zip(*entries)),
+            record.sample_id,
+        )
+        for record, *entries in zip(records, values.tolist(), model.class_of[top].tolist(), top.tolist())
     ]
-
-
-_BOARD_TEXT = (
-    '{\n  "ground_truth": %d,\n  "method": %s,\n  "predicted_class": %d,\n'
-    '  "prototypes": [\n%s\n  ],\n  "sample_id": %d\n}\n'
-)
-_BOARD_PROTOTYPE_TEXT = (
-    '    {\n      "contribution": %s,\n      "mapped_similarity": %s,\n      "owning_class": %d,\n'
-    '      "prototype_id": %d,\n      "raw_similarity": %s\n    }'
-)
-
-
-def board_text(board: dict) -> str:
-    """``json.dumps(board, indent=2, sort_keys=True) + "\\n"`` for a board laid out as ``build_board``'s.
-
-    With ``indent`` set, ``json.dumps`` runs the pure-Python encoder; this fills a
-    fixed layout instead. The similarities and contributions are floats, written
-    by ``float.__repr__`` as the encoder writes them; a non-finite one, which JSON
-    cannot hold, is a FormatError.
-    """
-    values = [
-        (p["contribution"], p["mapped_similarity"], p["raw_similarity"]) for p in board["prototypes"]
-    ]
-    if not all(map(math.isfinite, itertools.chain.from_iterable(values))):
-        raise FormatError(f"board of sample {board['sample_id']}: non-finite contribution or similarity")
-    prototypes = ",\n".join(
-        _BOARD_PROTOTYPE_TEXT
-        % (float.__repr__(c), float.__repr__(m), p["owning_class"], p["prototype_id"], float.__repr__(r))
-        for p, (c, m, r) in zip(board["prototypes"], values)
-    )
-    return _BOARD_TEXT % (
-        board["ground_truth"],
-        json.dumps(board["method"]),
-        board["predicted_class"],
-        prototypes,
-        board["sample_id"],
-    )
 
 
 def export_boards(
@@ -604,18 +569,17 @@ def export_boards(
     left in ``out_dir`` by an earlier export and not rewritten now are removed,
     so the directory holds exactly this export's boards of ``method``.
     """
-    _check_board_k(model, k)
     _check_method_name(method)
     records = sorted(records, key=lambda r: r.sample_id)
     for prev, rec in zip(records, records[1:]):
         if prev.sample_id == rec.sample_id:
             raise FormatError(f"repeated sample_id {rec.sample_id} in the records")
-    texts = [(board["sample_id"], board_text(board)) for board in _boards(records, model, k, method)]
+    texts = render_boards(records, model, k, method)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    for sample_id, text in texts:
-        path = out / f"{method}_{sample_id:06d}.json"
+    for record, text in zip(records, texts):
+        path = out / f"{method}_{record.sample_id:06d}.json"
         write_file(path, text)
         written.append(path)
     _remove_stale(out, rf"{re.escape(method)}_[0-9]+\.json", set(written))
@@ -661,7 +625,7 @@ def correlate_scores(boards_dir, scores_path, out_path=None) -> CorrelationRepor
     boards_dir = Path(boards_dir)
     if not boards_dir.is_dir():
         raise ConfigError(f"boards directory not found: {boards_dir}")
-    board_files = sorted(boards_dir.glob("*.json"))
+    board_files = sorted(path for path in boards_dir.glob("*.json") if path.is_file())
     if not board_files:
         raise InsufficientDataError(f"no board files in {boards_dir}")
     scores = load_scores(scores_path)
@@ -678,9 +642,12 @@ def correlate_scores(boards_dir, scores_path, out_path=None) -> CorrelationRepor
         if board["ground_truth"] == -1:
             warnings.append(f"sample {sid} is unlabeled ({path.name}), skipped")
             continue
-        per_method.setdefault(board["method"], []).append(
-            (board_sample_pca_w(board), scores[sid])
-        )
+        try:
+            ratio = board_sample_pca_w(board)
+        except DegenerateInputError as exc:
+            warnings.append(f"sample {sid}: {exc} ({path.name}), skipped")
+            continue
+        per_method.setdefault(board["method"], []).append((ratio, scores[sid]))
     for sid in sorted(set(scores) - seen_ids):
         warnings.append(f"score for sample {sid} has no board")
     pooled = [pair for pairs in per_method.values() for pair in pairs]

@@ -15,7 +15,7 @@ from pathlib import Path
 from .bench import (
     ABLATION_AXES,
     BenchmarkPlan,
-    _check_board_k,
+    _check_k,
     correlate_scores,
     export_boards,
     method_presets,
@@ -30,7 +30,7 @@ from .harness import (
     save_dataset,
     train_source_model,
 )
-from .metrics import load_records
+from .metrics import PCA_W_K, load_records
 from .model import load_model, save_model
 
 EXIT_OK = 0
@@ -68,12 +68,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_plan_arguments(ablate)
     ablate.add_argument("--axis", required=True, choices=ABLATION_AXES)
 
-    boards = sub.add_parser("boards", help="export per-sample prototype boards from records")
+    boards = sub.add_parser("boards", help=f"export per-sample boards of the top {PCA_W_K} prototypes from records")
     boards.add_argument("--records", required=True, help="activation records .jsonl path")
     boards.add_argument("--model", required=True, help="model file (PTTA1 container)")
     boards.add_argument("--out", required=True, help="output directory")
     boards.add_argument("--method", required=True, help="method name stored in each board")
-    boards.add_argument("--k", type=int, default=5, help="prototypes per board (at least 1)")
     boards.add_argument("--limit", type=int, default=0, help="max boards (0 = all)")
 
     corr = sub.add_parser("correlate", help="correlate board ratios with external scores")
@@ -102,7 +101,6 @@ def _add_plan_arguments(sub_parser: argparse.ArgumentParser) -> None:
     )
     sub_parser.add_argument("--seeds", nargs="+", type=int, default=None)
     sub_parser.add_argument("--num-batches", type=int, default=None)
-    sub_parser.add_argument("--board-k", type=int, default=None)
     sub_parser.add_argument("--record-batches", type=int, default=None)
 
 
@@ -175,11 +173,11 @@ def _cmd_boards(args: argparse.Namespace) -> int:
         if not Path(path).is_file():
             raise ConfigError(f"{label} file not found: {path}")
     model = load_model(args.model)
-    _check_board_k(model, args.k)
+    _check_k(model, PCA_W_K)
     records = load_records(args.records)
     if args.limit > 0:
         records = records[: args.limit]
-    written = export_boards(records, model, k=args.k, method=args.method, out_dir=args.out)
+    written = export_boards(records, model, k=PCA_W_K, method=args.method, out_dir=args.out)
     print(f"wrote {len(written)} boards to {args.out}")
     return EXIT_OK
 

@@ -70,6 +70,8 @@ class CorruptionSpec:
     severity: int
 
     def __post_init__(self):
+        check_type(str, "corruption kind", self.kind)
+        check_type(int, "corruption severity", self.severity)
         if self.kind not in CORRUPTION_KINDS:
             raise ConfigError(f"unknown corruption {self.kind!r}; choose from {CORRUPTION_KINDS}")
         if not 1 <= self.severity <= 5:
@@ -137,6 +139,8 @@ class SyntheticTaskSpec(JsonConfig):
             raise ConfigError(f"cluster_spread must be finite and positive, got {self.cluster_spread}")
         if self.clusters_per_class < 1 or self.input_dim < 1:
             raise ConfigError("clusters_per_class and input_dim must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be at least 0, got {self.seed}")
         object.__setattr__(self, "samples_per_split", tuple(self.samples_per_split))
         for n in self.samples_per_split:
             check_type(int, "samples_per_split", n)
@@ -266,8 +270,8 @@ def train_source_model(
     # imported per call, so a replaced ``adapt.adam_step`` (a timing hook) is the one used
     from .adapt import TTAConfig, adam_step, init_optimizer
 
-    if epochs < 0:
-        raise ConfigError(f"need epochs >= 0, got {epochs}")
+    if epochs < 0 or seed < 0:
+        raise ConfigError(f"need epochs >= 0 and seed >= 0, got epochs {epochs}, seed {seed}")
     if config is None:
         config = ModelConfig(BackboneConfig(input_dim=dataset.spec.input_dim), num_classes=dataset.spec.num_classes)
     if config.backbone.input_dim != dataset.spec.input_dim:

@@ -27,6 +27,8 @@ from .model import check_type, prototype_contributions, write_file
 
 _RECORD_INTS = ("sample_id", "clean_prediction", "adapted_prediction", "ground_truth")
 _RECORD_ARRAYS = ("clean_activations", "adapted_activations", "mapped_activations")
+# prototypes per sample that PCA-W scores: the bench's pca_w column and every board
+PCA_W_K = 5
 
 
 @dataclass
@@ -157,7 +159,7 @@ def pca_w(
     head: np.ndarray,
     class_of: np.ndarray,
     ground_truths: np.ndarray,
-    k: int = 5,
+    k: int = PCA_W_K,
 ) -> MetricSummary:
     """Contribution share of the true class among each sample's top-k activated prototypes.
 

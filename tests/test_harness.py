@@ -33,6 +33,13 @@ class TestCorruptionSpec:
         with pytest.raises(ConfigError):
             CorruptionSpec.parse(text)
 
+    @pytest.mark.parametrize(
+        "kind, severity", [("gaussian_noise", True), ("gaussian_noise", 5.0), (5, 3), ("gaussian_noise", "5")]
+    )
+    def test_ill_typed_fields_rejected(self, kind, severity):
+        with pytest.raises(ConfigError, match="corruption (kind|severity) must be"):
+            CorruptionSpec(kind, severity)
+
     def test_strength_monotone_per_kind(self):
         # every parameter grows with severity except contrast_scale's factor, which shrinks
         assert set(SEVERITY_TABLES) == set(CORRUPTION_KINDS)
@@ -129,6 +136,14 @@ class TestDatasetGeneration:
 
 
 class TestSourceTraining:
+    @pytest.mark.parametrize("verb", [["gen-data", "--seed", "-1"], ["train", "--seed", "-3"]], ids=["gen-data", "train"])
+    def test_negative_seed_exits_2(self, saved_files, tmp_path, capsys, verb):
+        out = tmp_path / "out.bin"
+        data = ["--data", str(saved_files["dataset"])] if verb[0] == "train" else []
+        assert main([*verb, *data, "--out", str(out)]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_training_reaches_target_and_reports_stats(self, tiny_model, tiny_dataset):
         # session fixture trains 3 epochs; verify the reported accuracy matches
         accuracy = evaluate(tiny_model, tiny_dataset.test_x, tiny_dataset.test_y)

@@ -49,7 +49,6 @@ def non_default_plan() -> BenchmarkPlan:
         methods=(("custom", non_default_tta_config()), ("tent", TTAConfig(method="tent"))),
         seeds=(7, 3),
         num_batches=2,
-        board_k=3,
         record_batches=2,
     )
     assert_no_default_fields(plan)
