@@ -19,7 +19,7 @@ import json
 import os
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from numbers import Real
 from pathlib import Path
 from typing import Callable, Sequence
@@ -383,12 +383,13 @@ def run_benchmark(
     paths["accuracy_raw"] = out / "accuracy_raw.csv"
     _write_csv(paths["accuracy_raw"], ["method", "corruption", "seed", "accuracy"], raw_rows)
     batch_rows = [
-        [c.method, c.corruption, c.seed, r.index, r.size, 100.0 * r.accuracy] for c in cells for r in c.batches
+        [c.method, c.corruption, c.seed, r.index, r.size, 100.0 * r.accuracy, r.selected, r.loss, r.clean_agreement]
+        for c in cells for r in c.batches
     ]
     paths["accuracy_batches"] = out / "accuracy_batches.csv"
     _write_csv(
         paths["accuracy_batches"],
-        ["method", "corruption", "seed", "batch", "size", "accuracy"],
+        ["method", "corruption", "seed", "batch", "size", "accuracy", "selected", "loss", "clean_agreement"],
         batch_rows,
     )
     summaries = {
@@ -436,16 +437,6 @@ def run_benchmark(
     return BenchmarkResult(plan=plan, cells=cells, paths=paths)
 
 
-@dataclass
-class AblationRow:
-    axis: str
-    setting: str
-    mean: float
-    std: float
-    min: float
-    max: float
-
-
 def _ablation_variants(base: TTAConfig, axis: str) -> list[tuple[str, TTAConfig]]:
     if axis == "filter":
         return [
@@ -462,30 +453,14 @@ def run_ablation(
     axis: str,
     model: PrototypeModel | None = None,
     dataset: Dataset | None = None,
-) -> list[AblationRow]:
-    """Clone the plan's prototta config across one axis and compare.
-
-    Records files of the variants that an earlier run into the output
-    directory left and this run did not write are removed.
-    """
+) -> BenchmarkResult:
+    """Benchmark the plan's prototta config cloned across one axis, reporting into ``<output_dir>/ablation_<axis>``."""
     methods = plan.method_map
     if "prototta" not in methods:
         raise ConfigError("ablation needs a method named 'prototta' in the plan")
     variants = _ablation_variants(methods["prototta"], axis)
-    sub_plan = replace(plan, methods=tuple(variants))
-    model, dataset = _load_plan_inputs(sub_plan, model, dataset)
-    cells = _run_cells(sub_plan, model, dataset)
-    by_mc = _group_cells(cells)
-    rows = []
-    for setting, _ in variants:
-        *per_cor, (_, mean, std) = _summary(plan, lambda cor: [c.accuracy for c in by_mc[(setting, cor)]])
-        cor_means = [m for _, m, _ in per_cor]
-        rows.append(AblationRow(axis, setting, mean, std, min(cor_means), max(cor_means)))
-    out = Path(plan.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / f"ablation_{axis}.csv", [f.name for f in fields(AblationRow)], [astuple(r) for r in rows])
-    _dump_cell_records(sub_plan, cells, out)
-    return rows
+    out = Path(plan.output_dir) / f"ablation_{axis}"
+    return run_benchmark(replace(plan, methods=variants, output_dir=str(out)), model, dataset)
 
 
 def _check_k(model: PrototypeModel, k: int) -> None:

@@ -42,10 +42,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ptta",
         description="Prototype-guided test-time adaptation benchmark tools.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen-data", help="generate and save a synthetic dataset")
+    gen = sub.add_parser("gen-data", help="generate and save a synthetic dataset", allow_abbrev=False)
     gen.add_argument("--out", required=True, help="output dataset file (PTTD1 container)")
     gen.add_argument("--classes", type=int, default=SyntheticTaskSpec.num_classes)
     gen.add_argument("--dim", type=int, default=SyntheticTaskSpec.input_dim)
@@ -55,27 +56,27 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--test-samples", type=int, default=SyntheticTaskSpec.samples_per_split[1])
     gen.add_argument("--seed", type=int, default=SyntheticTaskSpec.seed)
 
-    train = sub.add_parser("train", help="train a source model on a saved dataset")
+    train = sub.add_parser("train", help="train a source model on a saved dataset", allow_abbrev=False)
     train.add_argument("--data", required=True, help="dataset file (PTTD1 container)")
     train.add_argument("--out", required=True, help="output model file (PTTA1 container)")
     train.add_argument("--epochs", type=int, default=30)
     train.add_argument("--seed", type=int, default=0)
 
-    bench = sub.add_parser("bench", help="run a benchmark plan and emit report files")
+    bench = sub.add_parser("bench", help="run a benchmark plan and emit report files", allow_abbrev=False)
     _add_plan_arguments(bench)
 
-    ablate = sub.add_parser("ablate", help="compare prototta variants along one axis")
+    ablate = sub.add_parser("ablate", help="compare prototta variants along one axis", allow_abbrev=False)
     _add_plan_arguments(ablate)
     ablate.add_argument("--axis", required=True, choices=ABLATION_AXES)
 
-    boards = sub.add_parser("boards", help=f"export per-sample boards of the top {PCA_W_K} prototypes from records")
+    boards = sub.add_parser("boards", help=f"export each record's top-{PCA_W_K} prototype board", allow_abbrev=False)
     boards.add_argument("--records", required=True, help="activation records .jsonl path")
     boards.add_argument("--model", required=True, help="model file (PTTA1 container)")
     boards.add_argument("--out", required=True, help="output directory")
     boards.add_argument("--method", required=True, help="method name stored in each board")
     boards.add_argument("--limit", type=int, default=0, help="max boards (0 = all)")
 
-    corr = sub.add_parser("correlate", help="correlate board ratios with external scores")
+    corr = sub.add_parser("correlate", help="correlate board ratios with external scores", allow_abbrev=False)
     corr.add_argument("--boards", required=True, help="directory of board .json files")
     corr.add_argument("--scores", required=True, help="csv with header sample_id,score")
     corr.add_argument("--out", default=None, help="optional correlations.csv path")
@@ -148,21 +149,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     plan = _plan_from_args(args)
-    result = run_benchmark(plan)
+    result = run_benchmark(plan) if args.command == "bench" else run_ablation(plan, args.axis)
     for key in sorted(result.paths):
         print(f"{key}: {result.paths[key]}")
-    return EXIT_OK
-
-
-def _cmd_ablate(args: argparse.Namespace) -> int:
-    plan = _plan_from_args(args)
-    rows = run_ablation(plan, args.axis)
-    print(f"ablation_{args.axis}: {Path(plan.output_dir) / f'ablation_{args.axis}.csv'}")
-    for row in rows:
-        print(
-            f"  {row.setting}: mean {row.mean:.2f} std {row.std:.2f}"
-            f" min {row.min:.2f} max {row.max:.2f}"
-        )
     return EXIT_OK
 
 
@@ -197,7 +186,7 @@ _COMMANDS = {
     "gen-data": _cmd_gen_data,
     "train": _cmd_train,
     "bench": _cmd_bench,
-    "ablate": _cmd_ablate,
+    "ablate": _cmd_bench,
     "boards": _cmd_boards,
     "correlate": _cmd_correlate,
 }

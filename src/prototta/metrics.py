@@ -132,13 +132,14 @@ class MetricSummary:
 
 
 def pac(clean: np.ndarray, adapted: np.ndarray) -> MetricSummary:
-    """Mean cosine between each row's clean and adapted activation vectors (n x P each)."""
+    """Mean cosine between each row's clean and adapted activation vectors (n x P each, all finite)."""
     clean = np.asarray(clean, dtype=np.float64)
     adapted = np.asarray(adapted, dtype=np.float64)
     if len(clean) == 0:
         raise InsufficientDataError("need at least one sample")
     if clean.ndim != 2 or clean.shape != adapted.shape:
         raise ShapeError(f"expected two n x P activation blocks of one shape, got {clean.shape} and {adapted.shape}")
+    _check_finite_rows(clean, adapted)
     # each 1xP @ Px1 product is the BLAS dot that ``x @ y`` and np.linalg.norm take on one row
     na = np.sqrt((clean[:, None] @ clean[..., None])[:, 0, 0])
     nb = np.sqrt((adapted[:, None] @ adapted[..., None])[:, 0, 0])
@@ -147,6 +148,13 @@ def pac(clean: np.ndarray, adapted: np.ndarray) -> MetricSummary:
         raise DegenerateInputError(f"zero-norm activation vector in row {bad[0]}")
     values = (clean[:, None] @ adapted[..., None])[:, 0, 0] / (na * nb)
     return MetricSummary(*mean_std(values), values=values)
+
+
+def _check_finite_rows(*blocks: np.ndarray) -> None:
+    """A DomainError naming the first row that holds a NaN or infinity in any of the n x P ``blocks``."""
+    bad = np.flatnonzero(~np.all([np.isfinite(block).all(axis=1) for block in blocks], axis=0))
+    if len(bad):
+        raise DomainError(f"non-finite activation in row {bad[0]}")
 
 
 def _top_indices(scores: np.ndarray, k: int) -> np.ndarray:
@@ -168,11 +176,12 @@ def pca_w(
     head weight); the score is the weight fraction owned by that class.
     Samples whose top-k contribution mass is not positive are excluded and
     counted rather than scored. ``ground_truths`` holds one class in [0, C)
-    per sample.
+    per sample; every activation must be finite.
     """
     agg_sims = np.asarray(agg_sims, dtype=np.float64)
     if agg_sims.ndim != 2:
         raise ShapeError(f"expected n x P activations, got {agg_sims.shape}")
+    _check_finite_rows(agg_sims)
     n, num_protos = agg_sims.shape
     if not 1 <= k <= num_protos:
         raise ShapeError(f"k must be in [1, {num_protos}], got {k}")

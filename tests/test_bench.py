@@ -208,7 +208,7 @@ class TestRunBenchmark:
         _, raw = read_csv(out / "accuracy_raw.csv")
         _, batches = read_csv(out / "accuracy_batches.csv")
         grouped = {}
-        for method, corruption, seed, _b, size, accuracy in batches:
+        for method, corruption, seed, _b, size, accuracy, _selected, _loss, _agreement in batches:
             grouped.setdefault((method, corruption, seed), []).append(
                 (int(size), float(accuracy))
             )
@@ -217,6 +217,20 @@ class TestRunBenchmark:
             correct = sum(size * acc / 100.0 for size, acc in parts)
             total = sum(size for size, _ in parts)
             assert float(accuracy) == pytest.approx(100.0 * correct / total, abs=1e-9)
+
+    def test_batch_dynamics_match_step_records(self, plan_kwargs):
+        result = run_benchmark(BenchmarkPlan(**plan_kwargs))
+        _, rows = read_csv(result.paths["accuracy_batches"])
+        assert len(rows) == sum(len(c.batches) for c in result.cells)
+        for cell in result.cells:
+            got = [row[6:] for row in rows if row[:3] == [cell.method, cell.corruption, str(cell.seed)]]
+            want = [
+                [str(r.selected), "" if r.loss is None else repr(r.loss), repr(r.clean_agreement)] for r in cell.batches
+            ]
+            assert got == want
+            if cell.method == "unadapted":
+                assert {(loss, agreement) for _, loss, agreement in got} == {("", "1.0")}
+        assert any(row[7] for row in rows if row[0] == "prototta")
 
     def test_unadapted_accuracy_equals_direct_evaluation(self, plan_kwargs, tiny_model, tiny_dataset):
         plan = BenchmarkPlan(
@@ -310,38 +324,33 @@ class TestRunBenchmark:
 
 class TestRunAblation:
     def test_filter_axis_has_two_rows(self, plan_kwargs):
-        rows = run_ablation(BenchmarkPlan(**plan_kwargs), "filter")
-        assert [r.setting for r in rows] == ["with_filter", "no_filter"]
-        path = Path(plan_kwargs["output_dir"]) / "ablation_filter.csv"
-        header, body = read_csv(path)
-        assert header == ["axis", "setting", "mean", "std", "min", "max"]
-        assert len(body) == 2
+        result = run_ablation(BenchmarkPlan(**plan_kwargs), "filter")
+        assert [name for name, _ in result.plan.methods] == ["with_filter", "no_filter"]
+        out = Path(plan_kwargs["output_dir"])
+        _, body = read_csv(out / "ablation_filter" / "accuracy.csv")
+        assert [row[0] for row in body] == ["with_filter"] * 3 + ["no_filter"] * 3
+        assert not (out / "ablation_filter.csv").exists()
 
     def test_consensus_axis_rows(self, plan_kwargs):
-        rows = run_ablation(BenchmarkPlan(**plan_kwargs), "consensus")
-        assert {r.setting for r in rows} == {"max", "mean", "topk_mean"}
+        result = run_ablation(BenchmarkPlan(**plan_kwargs), "consensus")
+        assert {name for name, _ in result.plan.methods} == {"max", "mean", "topk_mean"}
 
     def test_rows_match_single_config_runs(self, plan_kwargs, tmp_path):
         plan = BenchmarkPlan(**plan_kwargs)
-        rows = run_ablation(plan, "param_mode")
+        _, rows = read_csv(run_ablation(plan, "param_mode").paths["accuracy"])
         base = plan.method_map["prototta"]
-        from dataclasses import replace
-
-        for row in rows:
+        settings = sorted({row[0] for row in rows})
+        assert len(settings) > 1
+        for setting in settings:
             single = BenchmarkPlan(
                 **{
                     **plan_kwargs,
-                    "output_dir": str(tmp_path / f"single_{row.setting}"),
-                    "methods": ((row.setting, replace(base, param_mode=row.setting)),),
+                    "output_dir": str(tmp_path / f"single_{setting}"),
+                    "methods": ((setting, replace(base, param_mode=setting)),),
                 }
             )
-            result = run_benchmark(single)
-            per_cor = {}
-            for cell in result.cells:
-                per_cor.setdefault(cell.corruption, []).append(cell.accuracy)
-            means = [np.mean(v) for v in per_cor.values()]
-            assert row.mean == pytest.approx(np.mean(means), abs=1e-12)
-            assert row.min == pytest.approx(np.min(means), abs=1e-12)
+            _, want = read_csv(run_benchmark(single).paths["accuracy"])
+            assert [row for row in rows if row[0] == setting] == want
 
     def test_requires_a_prototta_method(self, plan_kwargs):
         plan = BenchmarkPlan(
@@ -724,7 +733,7 @@ class TestCli:
             ]
         )
         assert code == 0
-        assert (tmp_path / "reports" / "ablation_filter.csv").is_file()
+        assert (tmp_path / "reports" / "ablation_filter" / "accuracy.md").is_file()
 
     def test_plan_file_round_trip(self, saved_files, tmp_path):
         plan = BenchmarkPlan(
@@ -950,6 +959,23 @@ class TestCli:
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "verb, prefix", [("bench", "--out"), ("ablate", "--ax"), ("boards", "--rec")], ids=["bench", "ablate", "boards"]
+    )
+    def test_flag_prefixes_exit_2(self, saved_files, tmp_path, capsys, verb, prefix):
+        model, out = str(saved_files["model"]), tmp_path / "out"
+        if verb == "boards":
+            argv = ["--rec", str(tmp_path / "r.jsonl"), "--model", model, "--out", str(out), "--method", "m"]
+        else:
+            argv = ["--model", model, "--data", str(saved_files["dataset"]), "--corruptions", "gaussian_noise:5"]
+            argv += ["--seeds", "0", "--num-batches", "1"]
+            argv += ["--out", str(out)] if verb == "bench" else ["--out-dir", str(out), "--ax", "filter"]
+        with pytest.raises(SystemExit) as exc:
+            main([verb, *argv])
+        assert exc.value.code == 2
+        assert prefix in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("method", ["../escaped", "a/b", "nul\0"], ids=["parent", "subdirectory", "nul"])
     def test_boards_method_name_leaving_out_exits_2(
         self, saved_files, tiny_model, tiny_dataset, rng, tmp_path, capsys, method
@@ -1133,11 +1159,13 @@ class TestCli:
             for name in kept:
                 (out / name).write_text("x")
         assert main([*argv, "--out-dir", str(rerun), "--corruptions", "gaussian_noise:5", "brightness_shift:5"]) == 0
-        assert (rerun / "records" / "no_filter_brightness_shift_5.jsonl").is_file()
+        assert (rerun / "ablation_filter" / "records" / "no_filter_brightness_shift_5.jsonl").is_file()
         for out in (rerun, fresh):
             assert main([*argv, "--out-dir", str(out), "--corruptions", "gaussian_noise:5"]) == 0
-        assert set(kept) <= tree_bytes(rerun).keys()
-        assert tree_bytes(rerun) == tree_bytes(fresh)
+        assert {name: (rerun / name).read_text() for name in kept} == dict.fromkeys(kept, "x")
+        got, want = tree_bytes(rerun / "ablation_filter"), tree_bytes(fresh / "ablation_filter")
+        assert "records/no_filter_gaussian_noise_5.jsonl" in want
+        assert got == want
 
     def test_bench_batch_size_is_one_per_plan(self, saved_files, tmp_path):
         out = tmp_path / "reports"
@@ -1153,7 +1181,9 @@ class TestCli:
         ]
         assert main(argv) == 0
         header, rows = read_csv(out / "accuracy_batches.csv")
-        assert header == ["method", "corruption", "seed", "batch", "size", "accuracy"]
+        assert header == [
+            "method", "corruption", "seed", "batch", "size", "accuracy", "selected", "loss", "clean_agreement"
+        ]
         assert {row[4] for row in rows} == {str(STREAM_BATCH_SIZE)}
         keys = {method: {tuple(row[1:5]) for row in rows if row[0] == method} for method in ("unadapted", "prototta")}
         assert len(keys["unadapted"]) == 2 * 2 * 3 and keys["unadapted"] == keys["prototta"]

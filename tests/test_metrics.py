@@ -344,6 +344,22 @@ class TestPcaW:
             pca_w(self.agg, self.head, self.class_of, truths, k=5)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("metric", ["pca_w", "pac-clean", "pac-adapted"])
+def test_non_finite_activation_names_the_first_bad_row(metric, value):
+    rng = np.random.default_rng(5)
+    agg = rng.uniform(0, 1, (6, 8))
+    bad = agg.copy()
+    bad[2, agg[2].argmax()] = bad[4, 0] = value  # row 2's top activation: the sort used to pass a NaN there over
+    with pytest.raises(DomainError, match=r"non-finite activation in row 2$"):
+        if metric == "pca_w":
+            pca_w(bad, rng.normal(size=(4, 8)), np.repeat(np.arange(4), 2), rng.integers(0, 4, 6), k=5)
+        elif metric == "pac-clean":
+            pac(bad, agg)
+        else:
+            pac(agg, bad)
+
+
 def top_board(contributions, class_of, ground_truth, k):
     """A board of the k largest contributions in descending order, as ``export_boards`` writes it."""
     top = np.argsort(-contributions, kind="stable")[:k]
