@@ -21,6 +21,7 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from numbers import Real
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -42,6 +43,7 @@ from .metrics import (
     _median_throughput,
     _owned_share,
     _top_indices,
+    check_index,
     dump_records,
     load_scores,
     mean_std,
@@ -274,17 +276,8 @@ def _write_csv(path: Path, header: list[str], rows: list[Sequence]) -> None:
     write_file(path, buf.getvalue())
 
 
-def _summary(plan: BenchmarkPlan, values: Callable[[str], list[float]]) -> list[tuple[str, float, float]]:
-    """``(corruption, mean, std)`` over seeds per plan corruption, then ``TOTAL`` over those means.
-
-    ``values(corruption)`` gives the per-seed values of one corruption.
-    """
-    rows = [(str(c), *mean_std(values(str(c)))) for c in plan.corruptions]
-    return rows + [("TOTAL", *mean_std([mean for _, mean, _ in rows]))]
-
-
-def _accuracy_markdown(plan: BenchmarkPlan, summaries: dict[str, list[tuple[str, float, float]]]) -> str:
-    """Markdown table grouped by corruption family, methods as rows."""
+def _accuracy_markdown(plan: BenchmarkPlan, rows: list[list]) -> str:
+    """Markdown view of ``accuracy.csv``'s rows, grouped by corruption family, methods as rows."""
     groups: dict[str, list[str]] = {}
     for c in plan.corruptions:
         groups.setdefault(CORRUPTION_GROUPS[c.kind], []).append(str(c))
@@ -293,9 +286,9 @@ def _accuracy_markdown(plan: BenchmarkPlan, summaries: dict[str, list[tuple[str,
     lines = ["# Accuracy (%) by corruption", ""]
     lines.append("| " + " | ".join(header) + " |")
     lines.append("|" + "---|" * len(header))
-    for name, summary in summaries.items():
-        cells = {cor: f"{m:.2f} ± {s:.2f}" for cor, m, s in summary}
-        row = [name] + [cells[cor] for _, cor in columns] + [cells["TOTAL"]]
+    cells = {(name, cor): f"{m:.2f} ± {s:.2f}" for name, cor, m, s in rows}
+    for name, _ in plan.methods:
+        row = [name.replace("|", r"\|")] + [cells[name, cor] for _, cor in columns] + [cells[name, "TOTAL"]]
         lines.append("| " + " | ".join(row) + " |")
     return "\n".join(lines) + "\n"
 
@@ -378,6 +371,19 @@ def run_benchmark(
     paths: dict[str, Path] = {}
 
     by_mc = _group_cells(cells)
+    corruptions = [str(c) for c in plan.corruptions]
+
+    def table(name: str, header: list[str], columns: list[Callable[[CellResult], float]]) -> list[list]:
+        """Write ``<name>.csv``: per method and plan corruption, each per-cell value column's mean and std
+        over seeds, then a ``TOTAL`` row of each column's mean and std over the corruption means."""
+        rows = []
+        for method, _ in plan.methods:
+            stats = [[mean_std([value(c) for c in by_mc[method, cor]]) for value in columns] for cor in corruptions]
+            stats.append([mean_std([mean for mean, _ in column]) for column in zip(*stats)])
+            rows += [[method, cor, *(v for pair in row for v in pair)] for cor, row in zip([*corruptions, "TOTAL"], stats)]
+        paths[name] = out / f"{name}.csv"
+        _write_csv(paths[name], ["method", "corruption", *header], rows)
+        return rows
 
     raw_rows = [[c.method, c.corruption, c.seed, c.accuracy] for c in cells]
     paths["accuracy_raw"] = out / "accuracy_raw.csv"
@@ -392,47 +398,19 @@ def run_benchmark(
         ["method", "corruption", "seed", "batch", "size", "accuracy", "selected", "loss", "clean_agreement"],
         batch_rows,
     )
-    summaries = {
-        name: _summary(plan, lambda cor: [c.accuracy for c in by_mc[(name, cor)]])
-        for name, _ in plan.methods
-    }
-    paths["accuracy"] = out / "accuracy.csv"
-    _write_csv(
-        paths["accuracy"],
-        ["method", "corruption", "mean", "std"],
-        [[name, *row] for name, summary in summaries.items() for row in summary],
-    )
+    rows = table("accuracy", ["mean", "std"], [attrgetter("accuracy")])
     paths["accuracy_md"] = out / "accuracy.md"
-    write_file(paths["accuracy_md"], _accuracy_markdown(plan, summaries))
-
-    rows = []
-    for name, _ in plan.methods:
-        columns = [
-            _summary(plan, lambda cor: [getattr(c, attr) for c in by_mc[(name, cor)]])
-            for _, attr in INTERP_METRICS
-        ]
-        for per_metric in zip(*columns):
-            rows.append([name, per_metric[0][0]] + [v for _, m, s in per_metric for v in (m, s)])
-    paths["interpretability"] = out / "interpretability.csv"
+    write_file(paths["accuracy_md"], _accuracy_markdown(plan, rows))
     header = [f"{label}_{stat}" for label, _ in INTERP_METRICS for stat in ("mean", "std")]
-    _write_csv(paths["interpretability"], ["method", "corruption"] + header, rows)
+    table("interpretability", header, [attrgetter(attr) for _, attr in INTERP_METRICS])
 
     paths["records"] = out / "records"
     _dump_cell_records(plan, cells, out)
 
     if "unadapted" in plan.method_map:
-
-        def relative_speeds(name: str, cor: str) -> list[float]:
-            pairs = zip(by_mc[(name, cor)], by_mc[("unadapted", cor)])
-            return [relative_speed(c.throughput, base.throughput) for c, base in pairs]
-
-        rows = [
-            [name, *row]
-            for name, _ in plan.methods
-            for row in _summary(plan, lambda cor: relative_speeds(name, cor))
-        ]
-        paths["efficiency"] = out / "efficiency.csv"
-        _write_csv(paths["efficiency"], ["method", "corruption", "relative_speed_mean", "relative_speed_std"], rows)
+        base = {(c.corruption, c.seed): c.throughput for c in cells if c.method == "unadapted"}
+        speed = [lambda c: relative_speed(c.throughput, base[c.corruption, c.seed])]
+        table("efficiency", ["relative_speed_mean", "relative_speed_std"], speed)
     _remove_stale(out, r"efficiency\.csv", set(paths.values()))
     return BenchmarkResult(plan=plan, cells=cells, paths=paths)
 
@@ -576,14 +554,16 @@ def _read_board(path: Path) -> dict:
     try:
         board = json.loads(path.read_text(encoding="utf-8"))
         check_type(dict, "board", board)
-        for kind, key in ((int, "sample_id"), (str, "method"), (int, "ground_truth"), (list, "prototypes")):
-            check_type(kind, key, board.get(key))
+        for key in ("sample_id", "ground_truth"):
+            check_index(key, board.get(key))
+        check_type(str, "method", board.get("method"))
+        check_type(list, "prototypes", board.get("prototypes"))
         if not board["prototypes"]:
             raise ConfigError("prototypes must not be empty")
         for proto in board["prototypes"]:
             check_type(dict, "prototype", proto)
             check_type(Real, "contribution", proto.get("contribution"))
-            check_type(int, "owning_class", proto.get("owning_class"))
+            check_index("owning_class", proto.get("owning_class"))
     except (json.JSONDecodeError, ConfigError) as exc:
         raise FormatError(f"{path}: malformed board: {exc}") from None
     return board

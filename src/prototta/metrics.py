@@ -70,16 +70,21 @@ class ActivationRecord:
                 if key not in obj:
                     raise ConfigError(f"missing field {key!r}")
             for key in _RECORD_INTS:
-                check_type(int, key, obj[key])
-                if obj[key] < 0 and (key, obj[key]) != ("ground_truth", -1):
-                    unlabeled = " or -1 (unlabeled)" if key == "ground_truth" else ""
-                    raise ConfigError(f"{key} must be non-negative{unlabeled}, got {obj[key]}")
+                check_index(key, obj[key])
             arrays = {key: _activations(key, obj[key]) for key in _RECORD_ARRAYS if key in obj}
             if len({len(a) for a in arrays.values()}) != 1:
                 raise ConfigError(f"activation lists differ in length: {[len(a) for a in arrays.values()]}")
         except (ValueError, ConfigError) as exc:
             raise FormatError(f"bad activation record: {exc}") from None
         return cls(**{key: obj[key] for key in _RECORD_INTS}, **arrays)
+
+
+def check_index(key: str, value) -> None:
+    """A ConfigError unless ``value`` is a non-negative int, or the ``ground_truth`` -1 of an unlabeled sample."""
+    check_type(int, key, value)
+    if value < 0 and (key, value) != ("ground_truth", -1):
+        unlabeled = " or -1 (unlabeled)" if key == "ground_truth" else ""
+        raise ConfigError(f"{key} must be non-negative{unlabeled}, got {value}")
 
 
 def _activations(key: str, value) -> np.ndarray:

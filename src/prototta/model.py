@@ -553,20 +553,20 @@ def load_model(path) -> PrototypeModel:
         names = [name for name, _ in header["tensors"]]
         shapes = [tuple(shape) for _, shape in header["tensors"]]
         stat_layers = header["running_stat_layers"]
-        class_of = header["class_of"]
-    model = PrototypeModel(config, seed=0)
-    if class_of != model.class_of.tolist():
-        raise FormatError(f"{path}: stored class_of disagrees with the config")
-    expected = model.param_names()
-    if names != expected:
-        raise FormatError(f"{path}: tensor manifest does not match config")
-    for name, shape in zip(expected, shapes):
-        if shape != model.params[name].shape:
-            raise FormatError(f"{path}: {name} has shape {shape}, expected {model.params[name].shape}")
-    if stat_layers != sorted(model.running_stats):
-        raise FormatError(f"{path}: running statistics of layers {stat_layers} do not match config")
-    stat_shapes = [stat.shape for i in stat_layers for stat in model.running_stats[i]]
-    blocks = _read_blocks(body, shapes + stat_shapes, path)
+        model = PrototypeModel(config, seed=0)
+        if header["class_of"] != model.class_of.tolist():
+            raise FormatError(f"{path}: stored class_of disagrees with the config")
+        expected = model.param_names()
+        if names != expected:
+            raise FormatError(f"{path}: tensor manifest does not match config")
+        for name, shape in zip(expected, shapes):
+            if shape != model.params[name].shape:
+                raise FormatError(f"{path}: {name} has shape {shape}, expected {model.params[name].shape}")
+        if stat_layers != sorted(model.running_stats):
+            raise FormatError(f"{path}: running statistics of layers {stat_layers} do not match config")
+        stat_shapes = [stat.shape for i in stat_layers for stat in model.running_stats[i]]
+        # a dimension that equals an int but is not one, such as 32.0, fails here, still as a header fault
+        blocks = _read_blocks(body, shapes + stat_shapes, path)
     for name, block in zip(expected, blocks[: len(expected)]):
         model.params[name].data = block.copy()
     rest = blocks[len(expected) :]

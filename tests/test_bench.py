@@ -5,7 +5,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from prototta.adapt import TTAConfig, iter_batches, run_stream
 from prototta.bench import (
+    INTERP_METRICS,
     STREAM_BATCH_SIZE,
     BenchmarkPlan,
     board_sample_pca_w,
@@ -29,7 +32,16 @@ from prototta.bench import (
 from prototta.cli import main
 from prototta.errors import ConfigError, DegenerateInputError, FormatError, InsufficientDataError
 from prototta.harness import CorruptionSpec, corrupt, evaluate, save_dataset
-from prototta.metrics import PCA_W_K, ActivationRecord, dump_records, load_records, pca_w, pearson
+from prototta.metrics import (
+    PCA_W_K,
+    ActivationRecord,
+    dump_records,
+    load_records,
+    mean_std,
+    pca_w,
+    pearson,
+    relative_speed,
+)
 from prototta.model import (
     BackboneConfig,
     ModelConfig,
@@ -278,6 +290,43 @@ class TestRunBenchmark:
             a = (tmp_path / "a" / name).read_bytes()
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b, name
+
+    def test_summary_tables_are_seed_statistics_of_the_cells(self, plan_kwargs):
+        # seeds out of plan order: every row is over the plan's seeds, and speeds pair cells of one seed
+        plan = BenchmarkPlan(**{**plan_kwargs, "seeds": (1, 0)})
+        result = run_benchmark(plan)
+        cells = {(c.method, c.corruption, c.seed): c for c in result.cells}
+
+        def speed(c):
+            return relative_speed(c.throughput, cells["unadapted", c.corruption, c.seed].throughput)
+
+        tables = {"interpretability": [attrgetter(attr) for _, attr in INTERP_METRICS], "efficiency": [speed]}
+        for name, columns in tables.items():
+            _, rows = read_csv(result.paths[name])
+            want = []
+            for method, _ in plan.methods:
+                per_cor = {
+                    str(cor): [mean_std([col(cells[method, str(cor), s]) for s in plan.seeds]) for col in columns]
+                    for cor in plan.corruptions
+                }
+                per_cor["TOTAL"] = [mean_std([stats[i][0] for stats in per_cor.values()]) for i in range(len(columns))]
+                want += [[method, cor, *(repr(v) for ms in stats for v in ms)] for cor, stats in per_cor.items()]
+            assert rows == want, name
+        _, rows = read_csv(result.paths["efficiency"])
+        assert {tuple(row[2:]) for row in rows if row[0] == "unadapted"} == {("100.0", "0.0")}
+
+    def test_markdown_escapes_pipes_in_method_names(self, plan_kwargs):
+        presets = method_presets()
+        methods = (("unadapted", presets["unadapted"]), ("tent|lr", presets["tent"]))
+        result = run_benchmark(BenchmarkPlan(**{**plan_kwargs, "methods": methods, "seeds": (0,)}))
+        out = Path(plan_kwargs["output_dir"])
+        lines = (out / "accuracy.md").read_text(encoding="utf-8").splitlines()[2:]
+        widths = {len(re.split(r"(?<!\\)\|", line)) for line in lines}
+        assert len(widths) == 1, lines
+        assert lines[-1].startswith("| tent\\|lr | ")
+        _, rows = read_csv(result.paths["accuracy"])
+        assert [row[0] for row in rows if row[1] == "TOTAL"] == ["unadapted", "tent|lr"]
+        assert (out / "records" / "tent|lr_gaussian_noise_5.jsonl").is_file()
 
     def test_interpretability_matches_record_definitions_for_every_preset(self, plan_kwargs, monkeypatch):
         reports = {}
@@ -1233,8 +1282,14 @@ class TestCli:
             {"sample_id": 1, "method": "x", "ground_truth": 0, "prototypes": []},
             {"sample_id": 1, "method": "x", "ground_truth": 0, "prototypes": [{"contribution": 1.0}]},
             {"sample_id": 1, "method": 5, "ground_truth": 0, "prototypes": [{"contribution": 1.0, "owning_class": 0}]},
+            {"sample_id": -1, "method": "x", "ground_truth": 0, "prototypes": [{"contribution": 1.0, "owning_class": 0}]},
+            {"sample_id": 1, "method": "x", "ground_truth": -5, "prototypes": [{"contribution": 1.0, "owning_class": 0}]},
+            {"sample_id": 1, "method": "x", "ground_truth": 0, "prototypes": [{"contribution": 1.0, "owning_class": -3}]},
         ],
-        ids=["method-only", "list", "sample-id-bool", "no-prototypes", "owning-class-missing", "method-int"],
+        ids=[
+            "method-only", "list", "sample-id-bool", "no-prototypes", "owning-class-missing", "method-int",
+            "sample-id-negative", "ground-truth-negative", "owning-class-negative",
+        ],
     )
     def test_malformed_board_exits_2(self, correlate_inputs, capsys, board):
         boards, scores, _ = correlate_inputs

@@ -321,10 +321,12 @@ class TestPersistence:
             lambda h: {**h, "config": {**h["config"], "agg_k": 1.9}},
             lambda h: {**h, "config": {**h["config"], "dropout": 0.1}},
             lambda h: {**h, "config": {k: v for k, v in h["config"].items() if k != "mapping"}},
+            lambda h: {**h, "tensors": [[name, [float(d) for d in shape]] for name, shape in h["tensors"]]},
         ],
         ids=[
             "num-classes-string", "unknown-stat-layer", "header-list", "tensors-int", "backbone-null",
             "temperature-nan", "attention-bias-string", "agg-k-float", "unknown-config-key", "mapping-missing",
+            "tensor-dims-float",
         ],
     )
     def test_malformed_header_is_format_error(self, small_model, tmp_path, rewrite_header, edit, capsys):
