@@ -1,8 +1,9 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 The operation set is deliberately small: exactly what the prototype model,
-the adaptation losses, and source training need. Every op registers a
-backward closure on the active tape; ``backward`` replays the tape in
+the adaptation losses, and source training need. Every op gives the active
+tape one gradient function per input, kept only for an input that requires a
+gradient or comes from a recorded op; ``backward`` calls the kept functions in
 reverse and writes total derivatives into ``Tensor.grad``. Gradients are
 cross-checked against central finite differences in the test suite.
 """
@@ -10,7 +11,7 @@ cross-checked against central finite differences in the test suite.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -60,20 +61,10 @@ class Tape:
     """
 
     def __init__(self):
-        self._records: list[tuple[Tensor, Callable[[Array], Iterable[tuple[Tensor, Array]]]]] = []
+        self._records: list[tuple[Tensor, list[tuple[Tensor, Callable[[Array], Array]]]]] = []
         self._on_tape: set[int] = set()
         # inputs that require grad, by id, in order of first use
         self._watched: dict[int, Tensor] = {}
-
-    def _track(self, out: Tensor, inputs: Sequence[Tensor], backward_fn) -> None:
-        for t in inputs:
-            if t.requires_grad:
-                self._watched.setdefault(id(t), t)
-        self._on_tape.add(id(out))
-        self._records.append((out, backward_fn))
-
-    def includes(self, tensor: Tensor) -> bool:
-        return id(tensor) in self._on_tape
 
     def __len__(self) -> int:
         return len(self._records)
@@ -111,10 +102,17 @@ def active_tape() -> Tape | None:
     return stack[-1] if stack else None
 
 
-def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
+def _record(out: Tensor, *pairs: tuple[Tensor, Callable[[Array], Array]]) -> Tensor:
+    """Record ``out`` with those ``(input, grad)`` pairs whose input requires a gradient or is a
+    recorded op's output; ``grad`` maps out's gradient to that input's. No pair left, no record."""
     tape = active_tape()
-    if tape is not None and any(t.requires_grad or tape.includes(t) for t in inputs):
-        tape._track(out, inputs, backward_fn)
+    kept = [(t, grad) for t, grad in pairs if tape is not None and (t.requires_grad or id(t) in tape._on_tape)]
+    if kept:
+        for t, _ in kept:
+            if t.requires_grad:
+                tape._watched.setdefault(id(t), t)
+        tape._on_tape.add(id(out))
+        tape._records.append((out, kept))
     return out
 
 
@@ -127,13 +125,13 @@ def backward(tape: Tape, loss: Tensor) -> None:
     if loss.data.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.shape}")
     adjoints: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
-    for out, fn in reversed(tape._records):
+    for out, pairs in reversed(tape._records):
         g = adjoints.get(id(out))
         if g is None:
             continue
-        for tensor, contribution in fn(g):
+        for tensor, grad in pairs:
             prev = adjoints.get(id(tensor))
-            adjoints[id(tensor)] = contribution if prev is None else prev + contribution
+            adjoints[id(tensor)] = grad(g) if prev is None else prev + grad(g)
     for t in tape._watched.values():
         g = adjoints.get(id(t))
         t.grad = np.zeros_like(t.data) if g is None else np.array(g, dtype=np.float64)
@@ -166,20 +164,19 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 
 def _unary(x: Tensor, value, grad: Callable[[Array], Array]) -> Tensor:
     """Record an op of one input whose input gradient is ``grad(g)``."""
-    return _record(Tensor(value), (x,), lambda g: ((x, grad(g)),))
+    return _record(Tensor(value), (x, grad))
 
 
-def _binary(a, b, op, grads) -> Tensor:
-    """Record ``op(a, b)`` with broadcasting; ``grads(g, a, b)`` gives both
-    gradients at the output shape, which are summed back to each operand's."""
+def _binary(a, b, op, ga, gb) -> Tensor:
+    """Record ``op(a, b)`` with broadcasting; ``ga(g, x, y)`` and ``gb(g, x, y)`` give the
+    gradients of a and b at the output shape, each summed back to its operand's."""
     a, b = as_tensor(a), as_tensor(b)
     _broadcast_check(a, b)
-
-    def fn(g: Array):
-        ga, gb = grads(g, a.data, b.data)
-        return ((a, _unbroadcast(ga, a.shape)), (b, _unbroadcast(gb, b.shape)))
-
-    return _record(Tensor(op(a.data, b.data)), (a, b), fn)
+    return _record(
+        Tensor(op(a.data, b.data)),
+        (a, lambda g: _unbroadcast(ga(g, a.data, b.data), a.shape)),
+        (b, lambda g: _unbroadcast(gb(g, a.data, b.data), b.shape)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +189,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    out = Tensor(a.data @ b.data)
-
-    def fn(g: Array):
-        return ((a, g @ b.data.T), (b, a.data.T @ g))
-
-    return _record(out, (a, b), fn)
+    return _record(Tensor(a.data @ b.data), (a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g))
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -213,19 +205,19 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
 
 
 def add(a, b) -> Tensor:
-    return _binary(a, b, np.add, lambda g, x, y: (g, g))
+    return _binary(a, b, np.add, lambda g, x, y: g, lambda g, x, y: g)
 
 
 def sub(a, b) -> Tensor:
-    return _binary(a, b, np.subtract, lambda g, x, y: (g, -g))
+    return _binary(a, b, np.subtract, lambda g, x, y: g, lambda g, x, y: -g)
 
 
 def mul(a, b) -> Tensor:
-    return _binary(a, b, np.multiply, lambda g, x, y: (g * y, g * x))
+    return _binary(a, b, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
 def div(a, b) -> Tensor:
-    return _binary(a, b, np.divide, lambda g, x, y: (g / y, -g * x / (y * y)))
+    return _binary(a, b, np.divide, lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
 
 
 def scale(x, factor: float) -> Tensor:
@@ -360,12 +352,13 @@ def _affine_operands(x, gamma, beta) -> tuple[Tensor, Tensor, Tensor]:
 def _affine(x: Tensor, gamma: Tensor, beta: Tensor, xhat: Array, dx: Callable[[Array], Array]) -> Tensor:
     """Record ``xhat * gamma + beta`` over the last axis, where xhat is x
     normalized; ``dx`` maps the gradient of xhat to the gradient of x."""
-
-    def fn(g: Array):
-        lead = tuple(range(g.ndim - 1))
-        return ((x, dx(g * gamma.data)), (gamma, (g * xhat).sum(axis=lead)), (beta, g.sum(axis=lead)))
-
-    return _record(Tensor(xhat * gamma.data + beta.data), (x, gamma, beta), fn)
+    lead = tuple(range(xhat.ndim - 1))
+    return _record(
+        Tensor(xhat * gamma.data + beta.data),
+        (x, lambda g: dx(g * gamma.data)),
+        (gamma, lambda g: (g * xhat).sum(axis=lead)),
+        (beta, lambda g: g.sum(axis=lead)),
+    )
 
 
 def _standardize(x: Tensor, gamma: Tensor, beta: Tensor, axis: int) -> Tensor:
@@ -420,14 +413,11 @@ def cosine_similarity(a, b) -> Tensor:
             raise DegenerateInputError(f"zero-norm row {int(np.argmin(norms))} in operand {label}")
     ahat, bhat = a.data / na, b.data / nb
     c = ahat @ bhat.T
-
-    def fn(g: Array):
-        gc = g * c
-        ga = (g @ bhat - ahat * gc.sum(axis=1, keepdims=True)) / na
-        gb = (g.T @ ahat - bhat * gc.sum(axis=0)[:, None]) / nb
-        return ((a, ga), (b, gb))
-
-    return _record(Tensor(c), (a, b), fn)
+    return _record(
+        Tensor(c),
+        (a, lambda g: (g @ bhat - ahat * (g * c).sum(axis=1, keepdims=True)) / na),
+        (b, lambda g: (g.T @ ahat - bhat * (g * c).sum(axis=0)[:, None]) / nb),
+    )
 
 
 def finite_difference_grad(f: Callable[[Tensor], float], params: Tensor, eps: float = 1e-5) -> Tensor:

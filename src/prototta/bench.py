@@ -112,10 +112,10 @@ def method_presets() -> dict[str, TTAConfig]:
 
 
 def _check_method_name(name) -> None:
-    """A ConfigError unless ``name`` is a string that keeps the files named after it in their directory."""
+    """A ConfigError unless ``name`` is a string keeping its files in their directory and its report rows on one line."""
     check_type(str, "method name", name)
-    if "/" in name or "\0" in name:
-        raise ConfigError(f"method name must not contain '/' or NUL, got {name!r}")
+    if "/" in name or any(c < "\x20" or c == "\x7f" for c in name):
+        raise ConfigError(f"method name must not contain '/' or NUL or another control character, got {name!r}")
 
 
 def derive_seed(*parts) -> int:

@@ -8,14 +8,14 @@ well-trained source model well below its clean accuracy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .adapt import iter_batches
 from .autodiff import Tensor
-from .errors import ConfigError, TrainingError
+from .errors import ConfigError, FormatError, TrainingError
 from .model import (
     BackboneConfig,
     JsonConfig,
@@ -202,7 +202,13 @@ def load_dataset(path) -> Dataset:
     with _header_fields(path):
         spec = _header_config(SyntheticTaskSpec, header["spec"])
         tx, ex, cs = (tuple(header["shapes"][key]) for key in ("train_x", "test_x", "centers"))
+        centers = (spec.num_classes, spec.clusters_per_class, spec.input_dim)
+        if tx[1:] != centers[2:] or ex[1:] != centers[2:] or cs != centers:
+            raise FormatError(f"{path}: need x {centers[2]} wide and centers {centers}, got {tx}, {ex} and {cs}")
         blocks = _read_blocks(body, [tx, (tx[0],), ex, (ex[0],), cs], path)
+        for y in blocks[1], blocks[3]:
+            if not ((y == np.floor(y)) & (y >= 0) & (y < spec.num_classes)).all():
+                raise FormatError(f"{path}: labels must be whole numbers in [0, {spec.num_classes})")
     return Dataset(
         spec=spec,
         train_x=blocks[0],

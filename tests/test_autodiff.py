@@ -261,6 +261,17 @@ class TestOpSemantics:
         tape.clear()
         assert len(tape) == 0 and x.grad is None
 
+    def test_constant_operand_gets_no_gradient_computed(self):
+        # d/db of a / b is -g * a / (b * b), which overflows for b = 1e200: it must never be computed
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.full(3, 1e200))
+        tape = Tape()
+        with tape:
+            loss = ad.reduce_sum(ad.div(a, b))
+        with np.errstate(over="raise"):
+            ad.backward(tape, loss)
+        assert np.array_equal(a.grad, np.full(3, 1e-200)) and b.grad is None
+
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):
             ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))

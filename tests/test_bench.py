@@ -126,6 +126,24 @@ class TestPlan:
         assert "method name must not contain '/' or NUL" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["plan.json"]
 
+    @pytest.mark.parametrize("char", ["\n", "\t", "\x1b", "\x7f"], ids=["newline", "tab", "escape", "delete"])
+    def test_method_name_with_control_character_exits_2(
+        self, plan_kwargs, saved_files, tiny_model, tiny_dataset, rng, tmp_path, capsys, char
+    ):
+        # a newline would split the method's accuracy.md row and put a line break in its records file name
+        name = f"te{char}nt"
+        with pytest.raises(ConfigError, match="control character"):
+            BenchmarkPlan(**{**plan_kwargs, "methods": ((name, TTAConfig(method="tent")),)})
+        plan = {**BenchmarkPlan(**plan_kwargs).to_dict(), "methods": [[name, {"method": "tent"}]]}
+        (tmp_path / "plan.json").write_text(json.dumps(plan), encoding="utf-8")
+        assert main(["bench", "--plan", str(tmp_path / "plan.json")]) == 2
+        assert "control character" in capsys.readouterr().err
+        dump_records(stream_records(tiny_model, tiny_dataset, rng)[:4], tmp_path / "records.jsonl")
+        argv = ["boards", "--records", str(tmp_path / "records.jsonl"), "--model", str(saved_files["model"])]
+        assert main([*argv, "--method", name, "--out", str(tmp_path / "run" / "boards")]) == 2
+        assert "control character" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plan.json", "records.jsonl"]
+
     def test_default_methods_are_the_presets(self, plan_kwargs):
         plan = BenchmarkPlan(**{k: v for k, v in plan_kwargs.items() if k != "methods"})
         assert [name for name, _ in plan.methods] == [
@@ -1262,6 +1280,38 @@ class TestCli:
         boards = ["boards", "--records", str(records), "--model", str(model_path), "--out", str(out), "--method", "m"]
         assert main(boards) == 2
         assert f"{model_path}: tensor" in capsys.readouterr().err and not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            ({"test_y": 7}, "labels must be whole numbers in [0, 5)"),
+            ({"test_y": -1}, "labels must be whole numbers in [0, 5)"),
+            ({"train_y": 2.5}, "labels must be whole numbers in [0, 5)"),
+            ({"test_x": 16}, "need x 32 wide and centers (5, 1, 32), got (400, 32), (2048, 16)"),
+            ({"centers": 2}, "need x 32 wide and centers (5, 1, 32), got (400, 32), (2048, 32) and (5, 2, 32)"),
+        ],
+        ids=["label-7", "label-minus-1", "label-2.5", "x-16-wide", "two-clusters"],
+    )
+    def test_dataset_with_bad_labels_or_shapes_exits_2(
+        self, saved_files, tiny_dataset, tmp_path, capsys, edit, problem
+    ):
+        (key, value), = edit.items()
+        data = tiny_dataset
+        if key.endswith("_y"):
+            labels = getattr(data, key).astype(np.float64)
+            labels[3] = value
+            data = replace(data, **{key: labels})
+        elif key == "test_x":
+            data = replace(data, test_x=data.test_x[:, :value].copy())
+        else:
+            data = replace(data, centers=np.repeat(data.centers, value, axis=1))
+        data_path, out = tmp_path / "data.pttd", tmp_path / "out"
+        save_dataset(data, data_path)
+        bench = ["bench", "--model", str(saved_files["model"]), "--data", str(data_path), "--out-dir", str(out),
+                 "--corruptions", "gaussian_noise:5", "--methods", "unadapted", "--seeds", "0", "--num-batches", "2"]
+        assert main(bench) == 2
+        err = capsys.readouterr().err
+        assert f"{data_path}: " in err and problem in err and not out.exists()
 
     @pytest.fixture()
     def correlate_inputs(self, tiny_model, tiny_dataset, rng, tmp_path):
