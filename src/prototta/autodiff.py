@@ -19,7 +19,8 @@ from .errors import ContractError, DegenerateInputError, DomainError, ShapeError
 
 Array = np.ndarray
 
-_NORM_FLOOR = 1e-12
+# cosine_similarity refuses rows of norm at or below this
+NORM_FLOOR = 1e-12
 # variance floor of layer_norm and batch_norm
 NORM_EPS = 1e-5
 
@@ -409,7 +410,7 @@ def cosine_similarity(a, b) -> Tensor:
     na = np.linalg.norm(a.data, axis=1, keepdims=True)
     nb = np.linalg.norm(b.data, axis=1, keepdims=True)
     for label, norms in (("a", na), ("b", nb)):
-        if (norms <= _NORM_FLOOR).any():
+        if (norms <= NORM_FLOOR).any():
             raise DegenerateInputError(f"zero-norm row {int(np.argmin(norms))} in operand {label}")
     ahat, bhat = a.data / na, b.data / nb
     c = ahat @ bhat.T

@@ -625,5 +625,7 @@ def correlate_scores(boards_dir, scores_path, out_path=None) -> CorrelationRepor
         except DegenerateInputError as exc:
             warnings.append(f"method {name}: {exc}, skipped")
     if out_path is not None:
-        _write_csv(Path(out_path), ["scope", "n", "pearson", "spearman"], rows)
+        out_path = Path(out_path)
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        _write_csv(out_path, ["scope", "n", "pearson", "spearman"], rows)
     return CorrelationReport(rows=rows, warnings=warnings)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, DomainError, FormatError, ShapeError
+from .errors import ConfigError, DegenerateInputError, DomainError, FormatError, ShapeError
 
 EPS_CLAMP = 1e-7
 
@@ -174,7 +174,6 @@ class BatchOutputs:
     """Everything one forward pass produces, gradients attached where live."""
 
     features: Tensor  # n x D
-    raw_sims: Tensor  # n x P x K
     agg_sims: Tensor  # n x P
     mapped_sims: Tensor  # n x P, in [eps, 1-eps]
     logits: Tensor  # n x C
@@ -370,9 +369,28 @@ def update_running_stats(model: PrototypeModel, x: np.ndarray) -> None:
         model.running_stats[i] = (z.data.mean(axis=0), z.data.var(axis=0))
 
 
-def _aggregate(raw_sims: Tensor, config: ModelConfig) -> Tensor:
-    k = {"max": 1, "mean": config.sub_prototypes, "topk_mean": config.agg_k}[config.aggregation]
-    return ad.topk_mean(raw_sims, k)
+def _consensus_k(config: ModelConfig) -> int:
+    """Sub-prototype similarities averaged per prototype."""
+    return {"max": 1, "mean": config.sub_prototypes, "topk_mean": config.agg_k}[config.aggregation]
+
+
+def _mean_consensus(features: Tensor, prototypes: np.ndarray) -> Tensor:
+    """Mean cosine of each feature row with each prototype's K constant sub-prototypes: n x P.
+
+    The mean of K cosines is one cosine against the mean unit sub-prototype
+    c_p, times |c_p|, so this is one n x P product instead of n x (P*K). A c_p
+    of zero norm (antipodal sub-prototypes, say) has every cosine mean 0; it
+    is scaled by 0 after a cosine against a stand-in row.
+    """
+    norms = np.linalg.norm(prototypes, axis=2, keepdims=True)
+    if (norms <= ad.NORM_FLOOR).any():
+        p, k = np.argwhere(norms[..., 0] <= ad.NORM_FLOOR)[0]
+        raise DegenerateInputError(f"zero-norm sub-prototype {k} of prototype {p}")
+    centres = (prototypes / norms).mean(axis=1)
+    scale = np.linalg.norm(centres, axis=1)
+    dead = scale <= ad.NORM_FLOOR
+    cosines = ad.cosine_similarity(features, np.where(dead[:, None], 1.0, centres))
+    return ad.mul(cosines, np.where(dead, 0.0, scale))
 
 
 def model_forward(model: PrototypeModel, x: Tensor | np.ndarray, use_batch_stats: bool = True) -> BatchOutputs:
@@ -393,8 +411,12 @@ def model_forward(model: PrototypeModel, x: Tensor | np.ndarray, use_batch_stats
     features = backbone_features(model, x, use_batch_stats)
     n = x.shape[0]
     P, K, d = model.prototypes.shape
-    raw_sims = ad.reshape(ad.cosine_similarity(features, ad.reshape(model.prototypes, (P * K, d))), (n, P, K))
-    agg_sims = _aggregate(raw_sims, model.config)
+    k = _consensus_k(model.config)
+    if k == K and not model.prototypes.requires_grad:
+        agg_sims = _mean_consensus(features, model.prototypes.data)
+    else:
+        raw_sims = ad.cosine_similarity(features, ad.reshape(model.prototypes, (P * K, d)))
+        agg_sims = ad.topk_mean(ad.reshape(raw_sims, (n, P, K)), k)
     if model.config.mapping.kind == "log_inverse_distance":
         # squared euclidean distance between unit vectors: 2 * (1 - cos)
         dist = ad.scale(ad.sub(1.0, agg_sims), 2.0)
@@ -407,7 +429,6 @@ def model_forward(model: PrototypeModel, x: Tensor | np.ndarray, use_batch_stats
     confidences = probs.data[np.arange(n), pseudo_labels].copy()
     return BatchOutputs(
         features=features,
-        raw_sims=raw_sims,
         agg_sims=agg_sims,
         mapped_sims=mapped,
         logits=logits,

@@ -132,7 +132,9 @@ def test_01_adaptation_loss_gradient_matches_finite_differences():
         assert len(rel) > 0
         # central differences need a locally smooth point: no near-ties in the
         # top-1 sub-prototype choice and no near-flips of any pseudo-label
-        raw_sorted = np.sort(base.raw_sims.data, axis=-1)
+        feats = base.features.data / np.linalg.norm(base.features.data, axis=1, keepdims=True)
+        protos = model.prototypes.data / np.linalg.norm(model.prototypes.data, axis=-1, keepdims=True)
+        raw_sorted = np.sort(np.einsum("nd,pkd->npk", feats, protos), axis=-1)
         assert (raw_sorted[..., -1] - raw_sorted[..., -2]).min() > 5e-4
         prob_sorted = np.sort(base.probs.data, axis=-1)
         assert (prob_sorted[:, -1] - prob_sorted[:, -2])[rel.indices].min() > 5e-4

@@ -1366,6 +1366,12 @@ class TestCli:
         assert main(["correlate", "--boards", str(boards), "--scores", str(scores)]) == 2
         assert f"{scores}:{len(ids) + 2}: {problem}" in capsys.readouterr().err
 
+    def test_out_in_a_new_directory_is_made(self, correlate_inputs, tmp_path):
+        boards, scores, _ = correlate_inputs
+        out = tmp_path / "new" / "x.csv"
+        assert main(["correlate", "--boards", str(boards), "--scores", str(scores), "--out", str(out)]) == 0
+        assert out.read_text().startswith("scope,n,pearson,spearman")
+
     def test_runtime_errors_exit_3(self, tiny_model, tiny_dataset, rng, tmp_path, capsys):
         records = stream_records(tiny_model, tiny_dataset, rng)
         boards = tmp_path / "boards"

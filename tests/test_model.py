@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from prototta.autodiff import Tensor
+from prototta import autodiff as ad
+from prototta.autodiff import Tensor, finite_difference_grad
 from prototta.cli import main
 from prototta.errors import ConfigError, DegenerateInputError, DomainError, FormatError
 from prototta.model import (
@@ -89,6 +91,13 @@ class TestMappings:
             MappingScheme("logistic")
 
 
+def unit_cosines(features: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
+    """n x P x K cosines of every feature row with every sub-prototype, by einsum."""
+    feats = features / np.linalg.norm(features, axis=1, keepdims=True)
+    protos = prototypes / np.linalg.norm(prototypes, axis=-1, keepdims=True)
+    return np.einsum("nd,pkd->npk", feats, protos)
+
+
 def _forward_agg(model, x, aggregation, agg_k=None):
     cfg = model.config
     alt = ModelConfig(
@@ -132,11 +141,10 @@ class TestForward:
         np.testing.assert_allclose(out.probs.data.sum(axis=1), 1.0, atol=1e-9)
         np.testing.assert_allclose(out.confidences, out.probs.data.max(axis=1), atol=1e-15)
         assert np.array_equal(out.pseudo_labels, out.probs.data.argmax(axis=1))
-        assert out.raw_sims.shape == (32, len(small_model.class_of), 2)
-        feats = out.features.data / np.linalg.norm(out.features.data, axis=1, keepdims=True)
-        protos = small_model.prototypes.data
-        protos = protos / np.linalg.norm(protos, axis=-1, keepdims=True)
-        np.testing.assert_allclose(out.raw_sims.data, np.einsum("nd,pkd->npk", feats, protos), rtol=0, atol=1e-12)
+        cosines = unit_cosines(out.features.data, small_model.prototypes.data)
+        assert cosines.shape == (32, len(small_model.class_of), 2)
+        # agg_k is 1 here, so the activations are the top cosine of each prototype
+        np.testing.assert_allclose(out.agg_sims.data, cosines.max(axis=-1), rtol=0, atol=1e-12)
 
     def test_zero_features_are_degenerate(self, small_model, rng):
         last = len(small_model.config.backbone.hidden_dims) - 1
@@ -175,6 +183,81 @@ class TestForward:
         model_forward(small_model, x, use_batch_stats=False)
         after = small_model.state_snapshot()
         assert all(np.array_equal(before[k], after[k]) for k in before)
+
+
+def _fd_error(build, tensor: Tensor) -> float:
+    """Worst relative error of the tape gradient of ``build()`` in ``tensor`` against central differences."""
+    tensor.requires_grad = True
+    tape = ad.Tape()
+    with tape:
+        loss = build()
+    ad.backward(tape, loss)
+    analytic = tensor.grad.copy()
+    tensor.requires_grad = False
+    fd = finite_difference_grad(lambda _: build().item(), tensor).data
+    return float((np.abs(analytic - fd) / np.maximum(np.abs(fd), 1e-6)).max())
+
+
+class TestMeanConsensus:
+    """A k = K consensus over frozen prototypes: one cosine against the mean unit sub-prototype."""
+
+    @pytest.fixture()
+    def model(self):
+        config = ModelConfig(
+            backbone=BackboneConfig(input_dim=8, hidden_dims=(16,), has_onexone=True),
+            num_classes=3,
+            protos_per_class=2,
+            sub_prototypes=4,
+            aggregation="mean",
+        )
+        return PrototypeModel(config, seed=1)
+
+    @staticmethod
+    def loss(out, weights: np.ndarray):
+        # the activations reach the loss through the mapping and through the head
+        return ad.add(ad.reduce_sum(ad.mul(out.mapped_sims, weights)), ad.reduce_sum(ad.mul(out.probs, weights[:, :3])))
+
+    def test_gradient_matches_finite_differences(self, model, rng, monkeypatch):
+        x = rng.normal(size=(12, 8))
+        weights = rng.normal(size=(12, 6))
+        features = Tensor(model_forward(model, x).features.data)
+        with monkeypatch.context() as patched:
+            patched.setattr("prototta.model.backbone_features", lambda *_: features)
+            assert _fd_error(lambda: self.loss(model_forward(model, x), weights), features) < 1e-5
+        for name in model.adaptable_param_names("all_adaptive"):
+            assert _fd_error(lambda: self.loss(model_forward(model, x), weights), model.params[name]) < 1e-5, name
+
+    @pytest.mark.parametrize("aggregation, agg_k", [("mean", None), ("topk_mean", 4)])
+    def test_activations_are_the_mean_unit_cosine(self, model, rng, aggregation, agg_k):
+        model = model.copy(replace(model.config, aggregation=aggregation, agg_k=agg_k))
+        out = model_forward(model, rng.normal(size=(32, 8)))
+        expected = unit_cosines(out.features.data, model.prototypes.data).mean(axis=-1)
+        np.testing.assert_allclose(out.agg_sims.data, expected, rtol=0, atol=1e-12)
+
+    def test_trainable_prototypes_still_get_a_gradient(self, model, rng):
+        model.set_trainable(["prototypes"])
+        tape = ad.Tape()
+        with tape:
+            loss = self.loss(model_forward(model, rng.normal(size=(12, 8))), rng.normal(size=(12, 6)))
+        ad.backward(tape, loss)
+        # every sub-prototype gets a gradient, so training stays on the n x P x K path
+        assert (np.abs(model.prototypes.grad).max(axis=-1) > 0).all()
+
+    def test_antipodal_sub_prototypes_give_zero(self, small_model, rng):
+        x = rng.normal(size=(16, 8))
+        small_model.prototypes.data[3, 1] = -small_model.prototypes.data[3, 0]
+        model = small_model.copy(replace(small_model.config, aggregation="mean"))
+        out = model_forward(model, x)
+        assert (out.agg_sims.data[:, 3] == 0.0).all()
+        model.prototypes.requires_grad = True  # the n x P x K path
+        assert (model_forward(model, x).agg_sims.data[:, 3] == 0.0).all()
+        rest = np.delete(unit_cosines(out.features.data, model.prototypes.data).mean(axis=-1), 3, axis=1)
+        np.testing.assert_allclose(np.delete(out.agg_sims.data, 3, axis=1), rest, rtol=0, atol=1e-12)
+
+    def test_zero_norm_sub_prototype_is_degenerate(self, model, rng):
+        model.prototypes.data[2, 3] = 0.0
+        with pytest.raises(DegenerateInputError, match="sub-prototype 3 of prototype 2"):
+            model_forward(model, rng.normal(size=(4, 8)))
 
 
 class TestAdaptableSets:
