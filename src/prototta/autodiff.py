@@ -19,8 +19,7 @@ from .errors import ContractError, DegenerateInputError, DomainError, ShapeError
 
 Array = np.ndarray
 
-# cosine_similarity refuses rows of norm at or below this
-NORM_FLOOR = 1e-12
+_NORM_FLOOR = 1e-12
 # variance floor of layer_norm and batch_norm
 NORM_EPS = 1e-5
 
@@ -402,17 +401,30 @@ def batch_norm(x, gamma, beta, running: tuple[Array, Array] | None = None) -> Te
     return _affine(x, gamma, beta, (x.data - mean) / sigma, lambda gxhat: gxhat / sigma)
 
 
+def _unit(x: Array, label: str) -> tuple[Array, Array]:
+    """The rows of a matrix scaled to unit norm, and their norms; a DegenerateInputError on a zero-norm row."""
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    if (norms <= _NORM_FLOOR).any():
+        raise DegenerateInputError(f"zero-norm row {int(np.argmin(norms))} in operand {label}")
+    return x / norms, norms
+
+
+def unit_rows(a) -> Tensor:
+    """Every row of an n x d ``a`` divided by its Euclidean norm."""
+    a = as_tensor(a)
+    if a.data.ndim != 2:
+        raise ShapeError(f"unit_rows expects an n x d matrix, got {a.shape}")
+    ahat, na = _unit(a.data, "a")
+    return _unary(a, ahat, lambda g: (g - ahat * (g * ahat).sum(axis=1, keepdims=True)) / na)
+
+
 def cosine_similarity(a, b) -> Tensor:
     """Cosine of every row of an n x d ``a`` with every row of an m x d ``b``: n x m."""
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeError(f"cosine_similarity expects n x d and m x d matrices, got {a.shape} and {b.shape}")
-    na = np.linalg.norm(a.data, axis=1, keepdims=True)
-    nb = np.linalg.norm(b.data, axis=1, keepdims=True)
-    for label, norms in (("a", na), ("b", nb)):
-        if (norms <= NORM_FLOOR).any():
-            raise DegenerateInputError(f"zero-norm row {int(np.argmin(norms))} in operand {label}")
-    ahat, bhat = a.data / na, b.data / nb
+    ahat, na = _unit(a.data, "a")
+    bhat, nb = _unit(b.data, "b")
     c = ahat @ bhat.T
     return _record(
         Tensor(c),

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, DegenerateInputError, DomainError, FormatError, ShapeError
+from .errors import ConfigError, DomainError, FormatError, ShapeError
 
 EPS_CLAMP = 1e-7
 
@@ -377,20 +377,13 @@ def _consensus_k(config: ModelConfig) -> int:
 def _mean_consensus(features: Tensor, prototypes: np.ndarray) -> Tensor:
     """Mean cosine of each feature row with each prototype's K constant sub-prototypes: n x P.
 
-    The mean of K cosines is one cosine against the mean unit sub-prototype
-    c_p, times |c_p|, so this is one n x P product instead of n x (P*K). A c_p
-    of zero norm (antipodal sub-prototypes, say) has every cosine mean 0; it
-    is scaled by 0 after a cosine against a stand-in row.
+    The mean of K cosines is the unit feature row dotted with c_p, the mean of
+    the K unit sub-prototypes, so this is one n x P product instead of
+    n x (P*K). A c_p of zero norm (antipodal sub-prototypes, say) gives 0.
     """
-    norms = np.linalg.norm(prototypes, axis=2, keepdims=True)
-    if (norms <= ad.NORM_FLOOR).any():
-        p, k = np.argwhere(norms[..., 0] <= ad.NORM_FLOOR)[0]
-        raise DegenerateInputError(f"zero-norm sub-prototype {k} of prototype {p}")
-    centres = (prototypes / norms).mean(axis=1)
-    scale = np.linalg.norm(centres, axis=1)
-    dead = scale <= ad.NORM_FLOOR
-    cosines = ad.cosine_similarity(features, np.where(dead[:, None], 1.0, centres))
-    return ad.mul(cosines, np.where(dead, 0.0, scale))
+    P, K, d = prototypes.shape
+    centres = ad.unit_rows(prototypes.reshape(P * K, d)).data.reshape(P, K, d).mean(axis=1)
+    return ad.matmul(ad.unit_rows(features), centres.T)
 
 
 def model_forward(model: PrototypeModel, x: Tensor | np.ndarray, use_batch_stats: bool = True) -> BatchOutputs:

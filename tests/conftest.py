@@ -46,6 +46,18 @@ def small_model():
     return PrototypeModel(config, seed=0)
 
 
+@pytest.fixture(scope="session")
+def unit_cosines():
+    """n x P x K cosines of every feature row with every sub-prototype, by einsum."""
+
+    def cosines(features: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
+        feats = features / np.linalg.norm(features, axis=1, keepdims=True)
+        protos = prototypes / np.linalg.norm(prototypes, axis=-1, keepdims=True)
+        return np.einsum("nd,pkd->npk", feats, protos)
+
+    return cosines
+
+
 @pytest.fixture()
 def rewrite_header():
     """Replace the JSON header of a saved container with ``edit(header)``."""

@@ -113,7 +113,7 @@ def recovery(task):
     }
 
 
-def test_01_adaptation_loss_gradient_matches_finite_differences():
+def test_01_adaptation_loss_gradient_matches_finite_differences(unit_cosines):
     config = ModelConfig(
         backbone=BackboneConfig(input_dim=8, hidden_dims=(16,), has_onexone=True),
         num_classes=3,
@@ -132,9 +132,7 @@ def test_01_adaptation_loss_gradient_matches_finite_differences():
         assert len(rel) > 0
         # central differences need a locally smooth point: no near-ties in the
         # top-1 sub-prototype choice and no near-flips of any pseudo-label
-        feats = base.features.data / np.linalg.norm(base.features.data, axis=1, keepdims=True)
-        protos = model.prototypes.data / np.linalg.norm(model.prototypes.data, axis=-1, keepdims=True)
-        raw_sorted = np.sort(np.einsum("nd,pkd->npk", feats, protos), axis=-1)
+        raw_sorted = np.sort(unit_cosines(base.features.data, model.prototypes.data), axis=-1)
         assert (raw_sorted[..., -1] - raw_sorted[..., -2]).min() > 5e-4
         prob_sorted = np.sort(base.probs.data, axis=-1)
         assert (prob_sorted[:, -1] - prob_sorted[:, -2])[rel.indices].min() > 5e-4

@@ -129,6 +129,10 @@ class TestGradientChecks:
         check_grad(lambda t: ad.reduce_sum(ad.mul(ad.cosine_similarity(t, Tensor(b[:3])), weights)), tall)
         check_grad(lambda t: ad.reduce_sum(ad.mul(ad.cosine_similarity(Tensor(tall), t), weights)), b[:3])
 
+    def test_unit_rows(self, rng):
+        weights = rng.uniform(0.5, 1.5, (5, 6))
+        check_grad(lambda t: ad.reduce_sum(ad.mul(ad.unit_rows(t), weights)), rng.uniform(-2, 2, (5, 6)))
+
     def test_reshape_transpose(self, rng):
         x = rng.uniform(-2, 2, (3, 4))
         w = rng.uniform(-2, 2, (4, 3))
@@ -279,12 +283,16 @@ class TestOpSemantics:
             ad.cosine_similarity(Tensor(np.ones((2, 1, 3))), Tensor(np.ones((4, 3))))
         with pytest.raises(ShapeError):
             ad.cosine_similarity(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
+        with pytest.raises(ShapeError):
+            ad.unit_rows(Tensor(np.ones(3)))
 
     def test_cosine_zero_row_is_degenerate(self):
         b = np.ones((4, 3))
         b[2] = 0.0
         with pytest.raises(DegenerateInputError, match="row 2 in operand b"):
             ad.cosine_similarity(Tensor(np.ones((2, 3))), Tensor(b))
+        with pytest.raises(DegenerateInputError, match="row 2 in operand a"):
+            ad.unit_rows(Tensor(b))
 
     def test_log_domain_error(self):
         with pytest.raises(DomainError):

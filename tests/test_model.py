@@ -91,13 +91,6 @@ class TestMappings:
             MappingScheme("logistic")
 
 
-def unit_cosines(features: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
-    """n x P x K cosines of every feature row with every sub-prototype, by einsum."""
-    feats = features / np.linalg.norm(features, axis=1, keepdims=True)
-    protos = prototypes / np.linalg.norm(prototypes, axis=-1, keepdims=True)
-    return np.einsum("nd,pkd->npk", feats, protos)
-
-
 def _forward_agg(model, x, aggregation, agg_k=None):
     cfg = model.config
     alt = ModelConfig(
@@ -134,17 +127,21 @@ class TestForward:
         np.testing.assert_allclose(out2.logits.data, 3.0 * out.logits.data, atol=1e-12)
         assert np.array_equal(out2.pseudo_labels, out.pseudo_labels)
 
-    def test_output_invariants(self, small_model, rng):
-        out = model_forward(small_model, rng.normal(size=(32, 8)), use_batch_stats=False)
+    def test_output_invariants(self, small_model, rng, unit_cosines):
+        x = rng.normal(size=(32, 8))
+        out = model_forward(small_model, x, use_batch_stats=False)
         s = out.mapped_sims.data
         assert (s >= EPS_CLAMP).all() and (s <= 1 - EPS_CLAMP).all()
         np.testing.assert_allclose(out.probs.data.sum(axis=1), 1.0, atol=1e-9)
         np.testing.assert_allclose(out.confidences, out.probs.data.max(axis=1), atol=1e-15)
         assert np.array_equal(out.pseudo_labels, out.probs.data.argmax(axis=1))
+        assert out.agg_sims.shape == (32, len(small_model.class_of))
+        # agg_k is 1 here, so the activations are the top cosine of each prototype; with
+        # K = 2, the top cosine and the mean consensus together fix every sub-prototype cosine
         cosines = unit_cosines(out.features.data, small_model.prototypes.data)
-        assert cosines.shape == (32, len(small_model.class_of), 2)
-        # agg_k is 1 here, so the activations are the top cosine of each prototype
         np.testing.assert_allclose(out.agg_sims.data, cosines.max(axis=-1), rtol=0, atol=1e-12)
+        as_mean = _forward_agg(small_model, x, "mean").agg_sims.data
+        np.testing.assert_allclose(as_mean, cosines.mean(axis=-1), rtol=0, atol=1e-12)
 
     def test_zero_features_are_degenerate(self, small_model, rng):
         last = len(small_model.config.backbone.hidden_dims) - 1
@@ -199,7 +196,7 @@ def _fd_error(build, tensor: Tensor) -> float:
 
 
 class TestMeanConsensus:
-    """A k = K consensus over frozen prototypes: one cosine against the mean unit sub-prototype."""
+    """A k = K consensus over frozen prototypes: the unit feature row dotted with the mean unit sub-prototype."""
 
     @pytest.fixture()
     def model(self):
@@ -228,7 +225,7 @@ class TestMeanConsensus:
             assert _fd_error(lambda: self.loss(model_forward(model, x), weights), model.params[name]) < 1e-5, name
 
     @pytest.mark.parametrize("aggregation, agg_k", [("mean", None), ("topk_mean", 4)])
-    def test_activations_are_the_mean_unit_cosine(self, model, rng, aggregation, agg_k):
+    def test_activations_are_the_mean_unit_cosine(self, model, rng, unit_cosines, aggregation, agg_k):
         model = model.copy(replace(model.config, aggregation=aggregation, agg_k=agg_k))
         out = model_forward(model, rng.normal(size=(32, 8)))
         expected = unit_cosines(out.features.data, model.prototypes.data).mean(axis=-1)
@@ -243,7 +240,7 @@ class TestMeanConsensus:
         # every sub-prototype gets a gradient, so training stays on the n x P x K path
         assert (np.abs(model.prototypes.grad).max(axis=-1) > 0).all()
 
-    def test_antipodal_sub_prototypes_give_zero(self, small_model, rng):
+    def test_antipodal_sub_prototypes_give_zero(self, small_model, rng, unit_cosines):
         x = rng.normal(size=(16, 8))
         small_model.prototypes.data[3, 1] = -small_model.prototypes.data[3, 0]
         model = small_model.copy(replace(small_model.config, aggregation="mean"))
@@ -256,7 +253,8 @@ class TestMeanConsensus:
 
     def test_zero_norm_sub_prototype_is_degenerate(self, model, rng):
         model.prototypes.data[2, 3] = 0.0
-        with pytest.raises(DegenerateInputError, match="sub-prototype 3 of prototype 2"):
+        # sub-prototype 3 of prototype 2 is row 2 * K + 3 of the P*K sub-prototypes
+        with pytest.raises(DegenerateInputError, match="zero-norm row 11 "):
             model_forward(model, rng.normal(size=(4, 8)))
 
 
