@@ -309,10 +309,14 @@ def softmax(logits) -> Tensor:
 def topk_mean(x, k: int) -> Tensor:
     """Mean of the k largest entries along the last axis; the input must be finite.
 
-    k first-maximum ``argmax`` rounds pick the entries, so ties break toward the
-    lowest index. Summed from +0.0 in rank order, as NumPy's row mean sums fewer
-    than 8 values, the value is the sorted top-k mean bit for bit up to k = 7 and
-    within a few ULP of its pairwise sum beyond. Each pick gets 1/k of the gradient.
+    The value comes from k running maxima: each slice ``x[..., j]`` is inserted
+    with ``np.maximum``/``np.minimum``, which move values and never round them.
+    Summed from +0.0 in rank order, as NumPy's row mean sums fewer than 8 values,
+    the value is the sorted top-k mean bit for bit up to k = 7 and within a few
+    ULP of its pairwise sum beyond. Only the gradient needs the picks, so only
+    ``backward`` finds them: every entry above the k-th largest, then those equal
+    to it from the lowest index, as first-maximum ``argmax`` rounds would pick.
+    Each pick gets 1/k of the gradient.
     """
     x = as_tensor(x)
     last = x.shape[-1] if x.data.ndim else 0
@@ -323,22 +327,31 @@ def topk_mean(x, k: int) -> Tensor:
     if k == last:
         # selecting everything: identical to a plain mean, bit for bit
         return _unary(x, x.data.mean(axis=-1), lambda g: np.broadcast_to(g[..., None] / k, x.shape).copy())
-    work = x.data.reshape(-1, last).copy()
-    picks = np.empty((k, work.shape[0]), dtype=np.intp)  # flat positions in x, in rank order
-    for r in range(k):
-        picks[r] = work.argmax(axis=1) + np.arange(0, work.size, last)
-        if r < k - 1:
-            work.reshape(-1)[picks[r]] = -np.inf
+    data = x.data
+    top: list[Array] = []  # the running maxima, largest first
+    for j in range(last):
+        v = data[..., j]
+        for r in range(min(j, k)):
+            top[r], v = np.maximum(top[r], v), np.minimum(top[r], v)
+        if j < k:
+            top.append(v)
     total = 0.0
-    for picked in x.data.reshape(-1)[picks]:
-        total += picked
+    for m in top:
+        total += m
+    kth = top[-1][..., None]
 
     def grad(g: Array) -> Array:
-        gx = np.zeros(x.data.size)
-        gx[picks] = g.reshape(-1) / k
-        return gx.reshape(x.shape)
+        picked = data >= kth
+        if np.count_nonzero(picked) > g.size * k:
+            # some row ties at its k-th largest: keep the ties of lowest index
+            above = data > kth
+            ties = np.cumsum(picked & ~above, axis=-1)
+            picked &= above | (ties <= k - above.sum(axis=-1, keepdims=True))
+        gx = np.zeros(data.size)
+        gx[np.flatnonzero(picked)] = np.repeat(g.reshape(-1) / k, k)
+        return gx.reshape(data.shape)
 
-    return _unary(x, (total / k).reshape(x.shape[:-1]), grad)
+    return _unary(x, total / k, grad)
 
 
 def _affine_operands(x, gamma, beta) -> tuple[Tensor, Tensor, Tensor]:

@@ -60,6 +60,7 @@ from .model import (
     PARAM_MODES,
     JsonConfig,
     PrototypeModel,
+    check_output,
     check_type,
     load_model,
     prototype_contributions,
@@ -364,6 +365,7 @@ def run_benchmark(
     removed afterwards.
     """
     model, dataset = _load_plan_inputs(plan, model, dataset)
+    check_output(plan.output_dir, directory=True)
     cells = _run_cells(plan, model, dataset)
 
     out = Path(plan.output_dir)
@@ -523,6 +525,7 @@ def export_boards(
     so the directory holds exactly this export's boards of ``method``.
     """
     _check_method_name(method)
+    check_output(out_dir, directory=True)
     records = sorted(records, key=lambda r: r.sample_id)
     for prev, rec in zip(records, records[1:]):
         if prev.sample_id == rec.sample_id:
@@ -580,6 +583,8 @@ def correlate_scores(boards_dir, scores_path, out_path=None) -> CorrelationRepor
     boards_dir = Path(boards_dir)
     if not boards_dir.is_dir():
         raise ConfigError(f"boards directory not found: {boards_dir}")
+    if out_path is not None:
+        check_output(out_path)
     board_files = sorted(path for path in boards_dir.glob("*.json") if path.is_file())
     if not board_files:
         raise InsufficientDataError(f"no board files in {boards_dir}")

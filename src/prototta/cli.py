@@ -31,7 +31,7 @@ from .harness import (
     train_source_model,
 )
 from .metrics import PCA_W_K, load_records
-from .model import load_model, save_model
+from .model import check_output, load_model, save_model
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -140,6 +140,7 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     if not Path(args.data).is_file():
         raise ConfigError(f"dataset file not found: {args.data}")
+    check_output(args.out)
     dataset = load_dataset(args.data)
     model, stats = train_source_model(dataset, epochs=args.epochs, seed=args.seed)
     save_model(model, args.out)

@@ -17,6 +17,7 @@ import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
 from numbers import Real
+from pathlib import Path
 
 import numpy as np
 
@@ -317,12 +318,12 @@ def map_similarity(raw: Tensor, scheme: MappingScheme) -> Tensor:
     if (raw.data < -_DOMAIN_TOL).any():
         raise DomainError(f"negative distance {float(raw.data.min())}")
     s_raw = log_inverse_kernel(raw)
-    s_min = ad.reduce_min(s_raw)
-    span = float(s_raw.data.max() - s_raw.data.min())
+    s_min, s_max = ad.reduce_min(s_raw), ad.reduce_max(s_raw)
+    span = float(s_max.data - s_min.data)
     if span <= 1e-12:
         # all distances equal: no ordering information, call everything 0.5
         return ad.clamp(ad.add(ad.scale(s_raw, 0.0), 0.5), lo, hi)
-    normed = ad.div(ad.sub(s_raw, s_min), ad.sub(ad.reduce_max(s_raw), s_min))
+    normed = ad.div(ad.sub(s_raw, s_min), ad.sub(s_max, s_min))
     return ad.clamp(normed, lo, hi)
 
 
@@ -443,6 +444,21 @@ def prototype_contributions(activations: np.ndarray, head: np.ndarray, cls) -> n
 # persistence
 
 
+def check_output(path, directory: bool = False) -> None:
+    """A ConfigError naming ``path`` unless a file (with ``directory``, a directory) can be made there.
+
+    An existing ``path`` must be of that kind, and the nearest of its parents
+    that exists must be a directory, so the missing ones can be made.
+    """
+    path = Path(path)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if existing == path:
+        if path.is_dir() != directory:
+            raise ConfigError(f"output {path} {'is not' if directory else 'is'} a directory")
+    elif not existing.is_dir():
+        raise ConfigError(f"output {path}: {existing} is not a directory")
+
+
 def write_file(path, data: str | bytes) -> None:
     """Write ``data`` (text as UTF-8) to ``path``, overwriting an existing file in place.
 
@@ -470,13 +486,15 @@ def write_file(path, data: str | bytes) -> None:
 
 
 def _write_container(path, magic: bytes, header: dict, blocks: list[np.ndarray]) -> None:
-    """Write a new file beside ``path`` and rename it over ``path``.
+    """Write a new file beside ``path``, making its missing parents, and rename it over ``path``.
 
     A saved model or dataset of one config has the same length on every save,
     so an in-place overwrite torn by a crash could mix old and new parameters
     and still pass every check in ``_read_container``; the rename leaves
     either the old file or the whole new one in place.
     """
+    check_output(path)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     payload = canonical_dumps(header).encode("utf-8")
     arrays = [np.ascontiguousarray(block, dtype="<f8").tobytes() for block in blocks]
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"

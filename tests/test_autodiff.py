@@ -190,21 +190,31 @@ class TestOpSemantics:
                 ]
                 for data in rows:
                     g = rng.normal(size=lead)
+                    wide = np.zeros((*lead, 2 * K))
+                    wide[..., ::2] = data
+                    # the same values as a contiguous copy, a strided view and a copy with swapped axes
+                    layouts = [data.copy(), wide[..., ::2], np.swapaxes(np.swapaxes(data, 0, -1).copy(), 0, -1)]
                     for k in range(1, K):
-                        x = Tensor(data.copy(), requires_grad=True)
-                        tape = Tape()
-                        with tape:
-                            out = ad.topk_mean(x, k)
-                            loss = ad.reduce_sum(ad.mul(out, g))
-                        ad.backward(tape, loss)
                         value, grad = argsort_topk(data, k, g)
-                        if k < 8:
-                            assert np.array_equal(bits(out.data), bits(value))
-                        else:
-                            # NumPy's mean sums 8 or more values pairwise, the kernel left to right
-                            bound = k * np.finfo(np.float64).eps * np.abs(data).max()
-                            np.testing.assert_allclose(out.data, value, rtol=0, atol=bound)
-                        assert np.array_equal(bits(x.grad), bits(grad))
+                        for view in layouts:
+                            x = Tensor(view, requires_grad=True)
+                            tape = Tape()
+                            with tape:
+                                out = ad.topk_mean(x, k)
+                                loss = ad.reduce_sum(ad.mul(out, g))
+                            ad.backward(tape, loss)
+                            if k < 8:
+                                assert np.array_equal(bits(out.data), bits(value))
+                            else:
+                                # NumPy's mean sums 8 or more values pairwise, the kernel left to right
+                                bound = k * np.finfo(np.float64).eps * np.abs(data).max()
+                                np.testing.assert_allclose(out.data, value, rtol=0, atol=bound)
+                            assert np.array_equal(bits(x.grad), bits(grad))
+                            first = x.grad
+                            ad.backward(tape, loss)
+                            assert np.array_equal(bits(x.grad), bits(first))
+                            assert np.array_equal(bits(ad.topk_mean(Tensor(view), k).data), bits(out.data))
+                            assert np.array_equal(bits(view), bits(data))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_topk_rejects_non_finite_input(self, bad):

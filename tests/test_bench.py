@@ -31,7 +31,7 @@ from prototta.bench import (
 )
 from prototta.cli import main
 from prototta.errors import ConfigError, DegenerateInputError, FormatError, InsufficientDataError
-from prototta.harness import CorruptionSpec, corrupt, evaluate, save_dataset
+from prototta.harness import CorruptionSpec, corrupt, evaluate, load_dataset, save_dataset
 from prototta.metrics import (
     PCA_W_K,
     ActivationRecord,
@@ -1011,6 +1011,70 @@ class TestCli:
         assert "at most the model's" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("verb", [["bench", "--methods", "unadapted"], ["ablate", "--axis", "filter"]])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "under-file"])
+    def test_out_dir_blocked_by_a_file_exits_2(self, saved_files, tmp_path, capsys, verb, below):
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        out_dir = taken / "sub" if below else taken
+        code = main(
+            [
+                *verb,
+                "--model", str(saved_files["model"]),
+                "--data", str(saved_files["dataset"]),
+                "--out-dir", str(out_dir),
+                "--corruptions", "gaussian_noise:5",
+                "--seeds", "0",
+                "--num-batches", "1",
+            ]
+        )
+        assert code == 2
+        assert f"{taken} is not a directory" in capsys.readouterr().err
+        assert taken.read_text() == "keep"
+
+    def test_boards_out_that_is_a_file_exits_2(self, saved_files, tiny_model, tiny_dataset, rng, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        dump_records(stream_records(tiny_model, tiny_dataset, rng)[:4], records)
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        argv = ["boards", "--records", str(records), "--model", str(saved_files["model"]), "--method", "m"]
+        assert main([*argv, "--out", str(taken)]) == 2
+        assert f"output {taken} is not a directory" in capsys.readouterr().err
+        assert taken.read_text() == "keep"
+
+    @pytest.fixture()
+    def container_argv(self, saved_files):
+        """The arguments but ``--out`` of ``gen-data`` and of ``train``, each writing one container file."""
+        return {
+            "gen-data": ["gen-data", "--train-samples", "60", "--test-samples", "30"],
+            "train": ["train", "--data", str(saved_files["dataset"]), "--epochs", "1"],
+        }
+
+    @pytest.mark.parametrize("verb", ["gen-data", "train"])
+    def test_container_out_that_is_a_directory_exits_2(self, container_argv, tmp_path, capsys, verb):
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        assert main([*container_argv[verb], "--out", str(taken)]) == 2
+        assert f"output {taken} is a directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [taken]
+        assert list(taken.iterdir()) == []
+
+    @pytest.mark.parametrize("verb", ["gen-data", "train"])
+    def test_container_out_under_a_file_exits_2(self, container_argv, tmp_path, capsys, verb):
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        assert main([*container_argv[verb], "--out", str(taken / "x")]) == 2
+        assert f"output {taken / 'x'}: {taken} is not a directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [taken]
+        assert taken.read_text() == "keep"
+
+    @pytest.mark.parametrize("verb", ["gen-data", "train"])
+    def test_container_out_in_a_missing_directory_makes_it(self, container_argv, tmp_path, verb):
+        out = tmp_path / "new" / "sub" / "x"
+        assert main([*container_argv[verb], "--out", str(out)]) == 0
+        assert list(out.parent.iterdir()) == [out]
+        (load_dataset if verb == "gen-data" else load_model)(out)
+
     @pytest.mark.parametrize("verb", [["bench"], ["ablate", "--axis", "filter"], ["boards"]], ids=lambda verb: verb[0])
     def test_removed_k_options_exit_2(self, saved_files, tmp_path, capsys, verb):
         model, out = str(saved_files["model"]), tmp_path / "out"
@@ -1371,6 +1435,14 @@ class TestCli:
         out = tmp_path / "new" / "x.csv"
         assert main(["correlate", "--boards", str(boards), "--scores", str(scores), "--out", str(out)]) == 0
         assert out.read_text().startswith("scope,n,pearson,spearman")
+
+    def test_out_that_is_a_directory_exits_2(self, correlate_inputs, tmp_path, capsys):
+        boards, scores, _ = correlate_inputs
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        assert main(["correlate", "--boards", str(boards), "--scores", str(scores), "--out", str(taken)]) == 2
+        assert f"output {taken} is a directory" in capsys.readouterr().err
+        assert list(taken.iterdir()) == []
 
     def test_runtime_errors_exit_3(self, tiny_model, tiny_dataset, rng, tmp_path, capsys):
         records = stream_records(tiny_model, tiny_dataset, rng)
