@@ -80,6 +80,8 @@ INTERP_METRICS = (
     ("stability", "stability"),
     ("selection_rate", "selection_rate"),
 )
+# the report files every run writes in its output directory, besides efficiency.csv and records/
+REPORT_FILES = ("accuracy_raw.csv", "accuracy_batches.csv", "accuracy.csv", "accuracy.md", "interpretability.csv")
 
 
 def method_presets() -> dict[str, TTAConfig]:
@@ -249,6 +251,24 @@ def _remove_stale(directory: Path, pattern: str, keep: set[Path]) -> None:
             path.unlink()
 
 
+def _records_path(out: Path, method: str, corruption: str) -> Path:
+    return out / "records" / f"{method}_{corruption.replace(':', '_')}.jsonl"
+
+
+def _check_outputs(plan: BenchmarkPlan) -> None:
+    """A ConfigError naming the first path this plan's run could not write, so it fails before any cell runs:
+    the output directory, the report files, ``records`` and each method and corruption's records file."""
+    out = Path(plan.output_dir)
+    check_output(out, directory=True)
+    names = [*REPORT_FILES, *(["efficiency.csv"] if "unadapted" in plan.method_map else [])]
+    for name in names:
+        check_output(out / name)
+    check_output(out / "records", directory=True)
+    for method, _ in plan.methods:
+        for cor in plan.corruptions:
+            check_output(_records_path(out, method, str(cor)))
+
+
 def _dump_cell_records(plan: BenchmarkPlan, cells: list[CellResult], out: Path) -> None:
     """Per-sample record dumps: every table row has a first-seed records file.
 
@@ -261,7 +281,7 @@ def _dump_cell_records(plan: BenchmarkPlan, cells: list[CellResult], out: Path) 
     written = set()
     for c in cells:
         if c.records:
-            path = rec_dir / f"{c.method}_{c.corruption.replace(':', '_')}.jsonl"
+            path = _records_path(out, c.method, c.corruption)
             dump_records(c.records, path)
             written.add(path)
     methods = "|".join(re.escape(name) for name, _ in plan.methods)
@@ -358,14 +378,15 @@ def run_benchmark(
     """Run every cell of the plan and emit the report files.
 
     Passing model/dataset objects skips loading from the plan paths (used by
-    tests); otherwise both files must exist before any work starts. Every
-    report file is written but ``efficiency.csv``, which needs an ``unadapted``
-    method; an ``efficiency.csv`` and plan methods' records files that an
+    tests); otherwise both files must exist, and every path the run will write
+    must be free to write, before any work starts. Every report file is
+    written but ``efficiency.csv``, which needs an ``unadapted`` method; an
+    ``efficiency.csv`` and plan methods' records files that an
     earlier run left in the output directory and this run did not write are
     removed afterwards.
     """
     model, dataset = _load_plan_inputs(plan, model, dataset)
-    check_output(plan.output_dir, directory=True)
+    _check_outputs(plan)
     cells = _run_cells(plan, model, dataset)
 
     out = Path(plan.output_dir)

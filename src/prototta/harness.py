@@ -239,20 +239,28 @@ def _prototype_pull(model: PrototypeModel, features: Tensor, labels: np.ndarray)
     """Mean squared distance from each sub-prototype to its nearest same-class feature.
 
     Nearest-neighbour selection is done on detached values; gradients flow
-    into both the prototypes and the features.
+    into both the prototypes and the features. For a fixed sub-prototype p,
+    |f - p|^2 ranks the candidate features f as |f|^2 - 2 p.f does, so each
+    class's search is one Gram product of its rows with its candidates. Exact
+    ties (duplicated features) go to the lowest batch index, as ``argmin``
+    takes the first; features whose distances differ only at rounding level
+    may rank either way. The rows of a class with no feature in the batch add
+    0. The targets are a one-hot matmul rather than a row gather: its backward
+    ``pick.T @ g`` sums each feature's gradient in BLAS order, while a gather's
+    scatter-add would sum it in another order and change the trained bits.
     """
     protos = model.prototypes
     num_protos, k, d = protos.shape
     flat = ad.reshape(protos, (num_protos * k, d))
     feats = features.data
+    sq = (feats * feats).sum(axis=1)
     row_class = np.repeat(model.class_of, k)
     pick = np.zeros((num_protos * k, feats.shape[0]))
     for c in np.unique(labels):
         candidates = np.flatnonzero(labels == c)
         rows = np.flatnonzero(row_class == c)
-        diffs = feats[candidates][None, :, :] - flat.data[rows][:, None, :]
-        nearest = candidates[np.argmin((diffs * diffs).sum(axis=2), axis=1)]
-        pick[rows, nearest] = 1.0
+        score = sq[candidates] - 2.0 * (flat.data[rows] @ feats[candidates].T)
+        pick[rows, candidates[np.argmin(score, axis=1)]] = 1.0
     targets = ad.matmul(Tensor(pick), features)
     mask = (pick.sum(axis=1) > 0).astype(np.float64)[:, None]
     diff = ad.mul(Tensor(mask), ad.sub(flat, targets))

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from prototta.adapt import TTAConfig, iter_batches, run_stream
 from prototta.bench import (
     INTERP_METRICS,
+    REPORT_FILES,
     STREAM_BATCH_SIZE,
     BenchmarkPlan,
     board_sample_pca_w,
@@ -180,6 +181,14 @@ class TestRunBenchmark:
         ):
             assert (out / name).is_file(), name
         assert len(result.cells) == 2 * 2 * 2
+
+    def test_writes_exactly_the_checked_paths(self, plan_kwargs):
+        run_benchmark(BenchmarkPlan(**plan_kwargs))
+        out = Path(plan_kwargs["output_dir"])
+        assert sorted(p.name for p in out.iterdir()) == sorted([*REPORT_FILES, "efficiency.csv", "records"])
+        methods, corruptions = [m for m, _ in plan_kwargs["methods"]], plan_kwargs["corruptions"]
+        records = [f"{m}_{c.replace(':', '_')}.jsonl" for m in methods for c in corruptions]
+        assert sorted(p.name for p in (out / "records").iterdir()) == sorted(records)
 
     def test_every_method_row_has_a_records_file(self, plan_kwargs):
         run_benchmark(BenchmarkPlan(**plan_kwargs))
@@ -1031,6 +1040,68 @@ class TestCli:
         assert code == 2
         assert f"{taken} is not a directory" in capsys.readouterr().err
         assert taken.read_text() == "keep"
+
+    @pytest.fixture()
+    def no_cells(self, monkeypatch):
+        """Make any benchmark cell an error, so a run that exits 2 shows it stopped before the first cell."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr("prototta.bench._run_cell", refuse)
+
+    @pytest.mark.parametrize("verb", [["bench"], ["ablate", "--axis", "filter"]])
+    @pytest.mark.parametrize(
+        "blocked, as_dir",
+        [
+            *((name, True) for name in REPORT_FILES),
+            ("records", False),
+            ("records/{method}_gaussian_noise_5.jsonl", True),
+        ],
+    )
+    def test_blocked_report_path_exits_2_before_any_cell(
+        self, saved_files, tmp_path, capsys, no_cells, verb, blocked, as_dir
+    ):
+        out_dir = tmp_path / "rep"
+        if verb[0] == "ablate":
+            taken = out_dir / "ablation_filter" / blocked.format(method="no_filter")
+        else:
+            taken = out_dir / blocked.format(method="prototta")
+        taken.parent.mkdir(parents=True)
+        taken.mkdir() if as_dir else taken.write_text("keep")
+        code = main(
+            [
+                *verb,
+                "--model", str(saved_files["model"]),
+                "--data", str(saved_files["dataset"]),
+                "--out-dir", str(out_dir),
+                "--methods", "prototta",
+                "--corruptions", "gaussian_noise:5",
+                "--seeds", "0",
+                "--num-batches", "1",
+            ]
+        )
+        assert code == 2
+        assert f"output {taken} is {'a' if as_dir else 'not a'} directory" in capsys.readouterr().err
+        assert taken.is_dir() if as_dir else taken.read_text() == "keep"
+
+    def test_efficiency_path_is_checked_only_with_unadapted(self, saved_files, tmp_path, capsys, monkeypatch):
+        out_dir = tmp_path / "rep"
+        (out_dir / "efficiency.csv").mkdir(parents=True)
+        argv = [
+            "bench",
+            "--model", str(saved_files["model"]),
+            "--data", str(saved_files["dataset"]),
+            "--out-dir", str(out_dir),
+            "--corruptions", "gaussian_noise:5",
+            "--seeds", "0",
+            "--num-batches", "1",
+        ]
+        assert main([*argv, "--methods", "tent"]) == 0
+        assert (out_dir / "accuracy.csv").is_file() and (out_dir / "efficiency.csv").is_dir()
+        monkeypatch.setattr("prototta.bench._run_cell", lambda *a, **k: pytest.fail("a cell ran"))
+        assert main([*argv, "--methods", "unadapted", "tent"]) == 2
+        assert f"output {out_dir / 'efficiency.csv'} is a directory" in capsys.readouterr().err
 
     def test_boards_out_that_is_a_file_exits_2(self, saved_files, tiny_model, tiny_dataset, rng, tmp_path, capsys):
         records = tmp_path / "records.jsonl"

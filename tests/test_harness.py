@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from prototta import autodiff as ad
+from prototta.autodiff import Tensor, finite_difference_grad
 from prototta.cli import main
 from prototta.errors import ConfigError, FormatError
 from prototta.harness import (
@@ -13,6 +15,7 @@ from prototta.harness import (
     TRAIN_BATCH_SIZE,
     CorruptionSpec,
     SyntheticTaskSpec,
+    _prototype_pull,
     corrupt,
     evaluate,
     generate_dataset,
@@ -250,3 +253,93 @@ class TestDatasetPersistence:
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError):
             load_dataset(path)
+
+
+def reference_pull(model, features, labels):
+    """The prototype pull with each sub-prototype's pick by an explicit argmin of ((f - p) ** 2).sum() over
+    its class's features, lowest batch index first on ties; the loss ops after the picks are the pull's."""
+    protos = model.prototypes
+    num_protos, k, d = protos.shape
+    flat = ad.reshape(protos, (num_protos * k, d))
+    row_class = np.repeat(model.class_of, k)
+    pick = np.zeros((num_protos * k, len(labels)))
+    for row, p in enumerate(flat.data):
+        candidates = np.flatnonzero(labels == row_class[row])
+        if candidates.size:
+            pick[row, candidates[np.argmin(((features.data[candidates] - p) ** 2).sum(axis=1))]] = 1.0
+    targets = ad.matmul(Tensor(pick), features)
+    mask = (pick.sum(axis=1) > 0).astype(np.float64)[:, None]
+    diff = ad.mul(Tensor(mask), ad.sub(flat, targets))
+    return ad.reduce_mean(ad.mul(diff, diff))
+
+
+def pull_with_grads(pull, model, feats, labels):
+    """The pull's value and its gradients with respect to the prototypes and the features."""
+    model.set_trainable(["prototypes"])
+    features = Tensor(feats.copy(), requires_grad=True)
+    tape = ad.Tape()
+    with tape:
+        loss = pull(model, features, labels)
+    ad.backward(tape, loss)
+    result = loss.item(), model.prototypes.grad.copy(), features.grad.copy()
+    tape.clear()
+    model.set_trainable([])
+    return result
+
+
+class TestPrototypePull:
+    @pytest.fixture()
+    def batch(self, small_model, rng):
+        """Features near the small model's sub-prototypes, labels 0 and 1 alternating; class 2 absent."""
+        flat = small_model.prototypes.data.reshape(-1, small_model.prototypes.shape[-1])
+        feats = flat[rng.integers(0, len(flat), 12)] + rng.normal(scale=0.5, size=(12, flat.shape[1]))
+        return feats, np.arange(12) % 2
+
+    def shaped(self, small_model, batch, kind):
+        feats, labels = batch[0].copy(), batch[1].copy()
+        if kind == "one-sample-class":
+            labels[5] = 2
+        elif kind == "duplicate":
+            # two copies of a class-0 feature next to a class-0 sub-prototype, so some row picks them
+            row = int(np.flatnonzero(np.repeat(small_model.class_of, small_model.prototypes.shape[1]) == 0)[0])
+            feats[2] = feats[8] = small_model.prototypes.data.reshape(-1, feats.shape[1])[row] + 1e-3
+        return feats, labels
+
+    @pytest.mark.parametrize("kind", ["missing-class", "one-sample-class", "duplicate"])
+    def test_matches_the_brute_force_search(self, small_model, batch, kind):
+        feats, labels = self.shaped(small_model, batch, kind)
+        value, proto_grad, feat_grad = pull_with_grads(_prototype_pull, small_model, feats, labels)
+        want = pull_with_grads(reference_pull, small_model, feats, labels)
+        assert value == want[0]
+        assert np.array_equal(proto_grad, want[1]) and np.array_equal(feat_grad, want[2])
+        protos = small_model.prototypes.data
+        rows = protos.reshape(-1, protos.shape[-1])
+        row_class = np.repeat(small_model.class_of, protos.shape[1])
+        nearest = [((feats[labels == c] - p) ** 2).sum(axis=1).min() if (labels == c).any() else 0.0
+                   for p, c in zip(rows, row_class)]
+        assert value == pytest.approx(sum(nearest) / rows.size, rel=1e-12)
+        # the rows of a class absent from the batch add nothing and take no gradient
+        absent = ~np.isin(row_class, labels)
+        assert absent.any() == (kind != "one-sample-class")
+        assert not proto_grad.reshape(len(rows), -1)[absent].any()
+        if kind == "duplicate":
+            assert feat_grad[2].any() and not feat_grad[8].any()
+
+    def test_gradient_matches_finite_differences(self, small_model, batch):
+        feats, labels = self.shaped(small_model, batch, "one-sample-class")
+        _, proto_grad, feat_grad = pull_with_grads(_prototype_pull, small_model, feats, labels)
+        fd_protos = finite_difference_grad(
+            lambda _: _prototype_pull(small_model, Tensor(feats), labels).item(), small_model.prototypes
+        ).data
+        fd_feats = finite_difference_grad(
+            lambda t: _prototype_pull(small_model, t, labels).item(), Tensor(feats.copy())
+        ).data
+        assert np.allclose(proto_grad, fd_protos, rtol=1e-6, atol=1e-9)
+        assert np.allclose(feat_grad, fd_feats, rtol=1e-6, atol=1e-9)
+        assert feat_grad.any() and proto_grad.any()
+
+    def test_training_with_the_brute_force_search_is_bit_identical(self, tiny_dataset, monkeypatch):
+        want, _ = train_source_model(tiny_dataset, epochs=2, seed=0)
+        monkeypatch.setattr("prototta.harness._prototype_pull", reference_pull)
+        got, _ = train_source_model(tiny_dataset, epochs=2, seed=0)
+        assert all(np.array_equal(want.params[n].data, got.params[n].data) for n in want.params)
