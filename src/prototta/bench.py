@@ -5,9 +5,8 @@ and a set of named method configurations. Every (method x corruption x seed)
 cell runs on a fresh model copy over an identically corrupted, identically
 shuffled stream, so method columns are directly comparable. All randomness
 is derived from the cell coordinates, which makes every report file except
-``efficiency.csv`` byte-identical across reruns and thread counts;
-``efficiency.csv`` holds timed speeds, which vary from run to run and with
-``PTTA_THREADS``.
+``efficiency.csv`` byte-identical across reruns; ``efficiency.csv`` holds
+timed speeds, which vary only from run to run.
 """
 
 from __future__ import annotations
@@ -16,9 +15,7 @@ import csv
 import hashlib
 import io
 import json
-import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from numbers import Real
 from operator import attrgetter
@@ -335,39 +332,14 @@ def _group_cells(cells: list[CellResult]) -> dict[tuple[str, str], list[CellResu
     return groups
 
 
-def _thread_count() -> int:
-    """Worker threads from ``PTTA_THREADS``, defaulting to one per CPU."""
-    workers = os.environ.get("PTTA_THREADS", "")
-    if not workers.strip():
-        return os.cpu_count() or 1
-    try:
-        count = int(workers)
-    except ValueError:
-        raise ConfigError(f"PTTA_THREADS must be an integer, got {workers!r}") from None
-    if count < 1:
-        raise ConfigError(f"PTTA_THREADS must be at least 1, got {count}")
-    return count
-
-
 def _run_cells(plan: BenchmarkPlan, model: PrototypeModel, dataset: Dataset) -> list[CellResult]:
-    """Run all plan cells, possibly in parallel; result order is job order."""
-    first_seed = plan.seeds[0]
-    jobs = [
-        (cor, name, cfg, seed)
+    """Every plan cell, run in turn on the calling thread in plan order: by corruption, then method, then seed."""
+    return [
+        _run_cell(model, dataset, cor, name, cfg, seed, plan, keep_records=seed == plan.seeds[0])
         for cor in plan.corruptions
         for name, cfg in plan.methods
         for seed in plan.seeds
     ]
-
-    def work(job):
-        cor, name, cfg, seed = job
-        return _run_cell(model, dataset, cor, name, cfg, seed, plan, keep_records=seed == first_seed)
-
-    max_workers = min(_thread_count(), len(jobs))
-    if max_workers == 1:
-        return [work(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(work, jobs))
 
 
 def run_benchmark(
@@ -588,7 +560,7 @@ def _read_board(path: Path) -> dict:
             check_type(dict, "prototype", proto)
             check_type(Real, "contribution", proto.get("contribution"))
             check_index("owning_class", proto.get("owning_class"))
-    except (json.JSONDecodeError, ConfigError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, ConfigError) as exc:
         raise FormatError(f"{path}: malformed board: {exc}") from None
     return board
 

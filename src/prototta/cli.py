@@ -111,7 +111,11 @@ def _plan_from_args(args: argparse.Namespace) -> BenchmarkPlan:
         path = Path(args.plan)
         if not path.is_file():
             raise ConfigError(f"plan file not found: {path}")
-        base = BenchmarkPlan.from_json(path.read_text(encoding="utf-8")).to_dict()
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
+        base = BenchmarkPlan.from_json(text).to_dict()
     elif args.model_path is None or args.dataset_path is None or args.output_dir is None:
         raise ConfigError("without --plan, all of --model, --data, --out-dir are required")
     overrides = {f.name: getattr(args, f.name) for f in fields(BenchmarkPlan)}

@@ -298,27 +298,30 @@ def load_scores(path) -> dict[int, float]:
     sample id appear once."""
     import csv
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty scores file") from None
-        if [h.strip() for h in header] != ["sample_id", "score"]:
-            raise FormatError(f"{path}: expected header 'sample_id,score', got {header}")
-        scores = {}
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise FormatError(f"{path}:{row_num}: bad row {row}: expected 2 fields, got {len(row)}")
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
             try:
-                sid, score = int(row[0]), float(row[1])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{row_num}: bad row {row}: {exc}") from None
-            if sid in scores:
-                raise FormatError(f"{path}:{row_num}: repeated sample_id {sid}")
-            if not np.isfinite(score):
-                raise FormatError(f"{path}:{row_num}: non-finite score {row[1]!r}")
-            scores[sid] = score
+                header = next(reader)
+            except StopIteration:
+                raise FormatError(f"{path}: empty scores file") from None
+            if [h.strip() for h in header] != ["sample_id", "score"]:
+                raise FormatError(f"{path}: expected header 'sample_id,score', got {header}")
+            scores = {}
+            for row_num, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 2:
+                    raise FormatError(f"{path}:{row_num}: bad row {row}: expected 2 fields, got {len(row)}")
+                try:
+                    sid, score = int(row[0]), float(row[1])
+                except ValueError as exc:
+                    raise FormatError(f"{path}:{row_num}: bad row {row}: {exc}") from None
+                if sid in scores:
+                    raise FormatError(f"{path}:{row_num}: repeated sample_id {sid}")
+                if not np.isfinite(score):
+                    raise FormatError(f"{path}:{row_num}: non-finite score {row[1]!r}")
+                scores[sid] = score
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
     return scores

@@ -6,6 +6,7 @@ import csv
 import json
 import math
 import re
+import threading
 from dataclasses import replace
 from operator import attrgetter
 from pathlib import Path
@@ -21,6 +22,7 @@ from prototta.bench import (
     REPORT_FILES,
     STREAM_BATCH_SIZE,
     BenchmarkPlan,
+    _run_cell,
     board_sample_pca_w,
     correlate_scores,
     derive_seed,
@@ -303,12 +305,10 @@ class TestRunBenchmark:
         _, agg = read_csv(Path(plan_kwargs["output_dir"]) / "accuracy.csv")
         assert all(float(std) >= 0.0 for *_rest, std in agg)
 
-    def test_byte_identical_across_thread_counts(self, plan_kwargs, tmp_path, monkeypatch):
+    def test_byte_identical_across_runs(self, plan_kwargs, tmp_path):
         plan1 = BenchmarkPlan(**{**plan_kwargs, "output_dir": str(tmp_path / "a")})
         plan2 = BenchmarkPlan(**{**plan_kwargs, "output_dir": str(tmp_path / "b")})
-        monkeypatch.setenv("PTTA_THREADS", "4")
         run_benchmark(plan1)
-        monkeypatch.setenv("PTTA_THREADS", "1")
         run_benchmark(plan2)
         records = [sorted(p.name for p in (tmp_path / side / "records").glob("*.jsonl")) for side in "ab"]
         assert records[0] and records[0] == records[1]
@@ -317,6 +317,26 @@ class TestRunBenchmark:
             a = (tmp_path / "a" / name).read_bytes()
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b, name
+
+    def test_cells_run_in_plan_order_on_the_calling_thread(self, plan_kwargs, monkeypatch):
+        monkeypatch.delenv("PTTA_THREADS", raising=False)
+        calls = []
+
+        def logged(model, dataset, cor, name, cfg, seed, *args, **kwargs):
+            calls.append((str(cor), name, seed, threading.get_ident()))
+            return _run_cell(model, dataset, cor, name, cfg, seed, *args, **kwargs)
+
+        monkeypatch.setattr("prototta.bench._run_cell", logged)
+        plan = BenchmarkPlan(**plan_kwargs)
+        result = run_benchmark(plan)
+        expected = [
+            (str(cor), name, seed, threading.get_ident())
+            for cor in plan.corruptions
+            for name, _ in plan.methods
+            for seed in plan.seeds
+        ]
+        assert len(expected) == 8 and calls == expected
+        assert [(c.corruption, c.method, c.seed) for c in result.cells] == [call[:3] for call in expected]
 
     def test_summary_tables_are_seed_statistics_of_the_cells(self, plan_kwargs):
         # seeds out of plan order: every row is over the plan's seeds, and speeds pair cells of one seed
@@ -894,6 +914,12 @@ class TestCli:
             assert "must be a JSON object" in err
         assert not (tmp_path / "reports").exists()
 
+    def test_non_utf8_plan_exits_2(self, tmp_path, capsys):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_bytes(b'{"seeds": [0]}\xff\n')
+        assert main(["bench", "--plan", str(plan_path)]) == 2
+        assert f"{plan_path}: not UTF-8 text" in capsys.readouterr().err
+
     def test_train_takes_task_shape_from_dataset(self, tmp_path):
         data = tmp_path / "data.pttd"
         model = tmp_path / "model.ptta"
@@ -957,9 +983,8 @@ class TestCli:
         assert "corruptions must be unique" in capsys.readouterr().err
         assert not (tmp_path / "reports").exists()
 
-    @pytest.mark.parametrize("threads", ["two", "0", "-2"])
-    def test_non_integer_thread_count_exits_2(self, saved_files, tmp_path, capsys, monkeypatch, threads):
-        monkeypatch.setenv("PTTA_THREADS", threads)
+    def test_thread_setting_is_ignored(self, saved_files, tmp_path, monkeypatch):
+        monkeypatch.setenv("PTTA_THREADS", "two")
         code = main(
             [
                 "bench",
@@ -972,8 +997,8 @@ class TestCli:
                 "--num-batches", "1",
             ]
         )
-        assert code == 2
-        assert "PTTA_THREADS" in capsys.readouterr().err
+        assert code == 0
+        assert all((tmp_path / "reports" / name).is_file() for name in (*REPORT_FILES, "efficiency.csv"))
 
     @pytest.fixture()
     def three_prototype_model(self, tmp_path):
@@ -1500,6 +1525,19 @@ class TestCli:
         scores.write_text(scores.read_text() + row(ids) + "\n")
         assert main(["correlate", "--boards", str(boards), "--scores", str(scores)]) == 2
         assert f"{scores}:{len(ids) + 2}: {problem}" in capsys.readouterr().err
+
+    def test_non_utf8_scores_exit_2(self, correlate_inputs, capsys):
+        boards, scores, _ = correlate_inputs
+        scores.write_bytes(scores.read_bytes() + b"\xff,0.5\n")
+        assert main(["correlate", "--boards", str(boards), "--scores", str(scores)]) == 2
+        assert f"{scores}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_non_utf8_board_exits_2(self, correlate_inputs, capsys):
+        boards, scores, _ = correlate_inputs
+        bad = boards / "zz_bad.json"
+        bad.write_bytes(b'{"method": "\xff"}')
+        assert main(["correlate", "--boards", str(boards), "--scores", str(scores)]) == 2
+        assert f"{bad}: malformed board" in capsys.readouterr().err
 
     def test_out_in_a_new_directory_is_made(self, correlate_inputs, tmp_path):
         boards, scores, _ = correlate_inputs
