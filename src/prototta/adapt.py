@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError, DomainError, EmptyReliableSetError
+from .errors import ConfigError, ContractError, EmptyReliableSetError
 from .metrics import ActivationRecord
 from .model import (
     EPS_CLAMP,
@@ -28,6 +28,7 @@ from .model import (
     BatchOutputs,
     JsonConfig,
     PrototypeModel,
+    check_domain,
     model_forward,
 )
 
@@ -185,23 +186,23 @@ class AdaptationReport:
         return sum(r.accuracy * r.size for r in self.records) / n
 
     @property
-    def batch_accuracies(self) -> list[float]:
-        return [r.accuracy for r in self.records]
-
-    @property
     def batch_durations(self) -> list[float]:
         return [r.duration_s for r in self.records]
 
 
 def binary_entropy(s: Tensor) -> Tensor:
-    """Elementwise -s ln s - (1-s) ln(1-s); maximal ln 2 at s = 0.5."""
+    """Elementwise -s ln s - (1-s) ln(1-s) of s clamped to [eps, 1-eps], as one recorded op.
+
+    Maximal ln 2 at s = 0.5; the gradient is zero at and beyond the clamp bounds.
+    """
     s = ad.as_tensor(s)
-    if (s.data < 0.0).any() or (s.data > 1.0).any():
-        bad = float(s.data.reshape(-1)[np.argmax(np.abs(s.data - 0.5))])
-        raise DomainError(f"binary entropy needs values in [0, 1], got {bad}")
-    s = ad.clamp(s, EPS_CLAMP, 1.0 - EPS_CLAMP)
-    one_minus = ad.sub(1.0, s)
-    return ad.sub(ad.scale(ad.mul(s, ad.log(s)), -1.0), ad.mul(one_minus, ad.log(one_minus)))
+    check_domain(s.data, (s.data >= 0.0) & (s.data <= 1.0), "binary entropy needs values in [0, 1]")
+    lo, hi = EPS_CLAMP, 1.0 - EPS_CLAMP
+    c = np.clip(s.data, lo, hi)
+    rest = 1.0 - c
+    log_c, log_rest = np.log(c), np.log(rest)
+    value = (c * log_c) * -1.0 - rest * log_rest
+    return ad.unary(s, value, lambda g: g * (log_rest - log_c) * ((s.data > lo) & (s.data < hi)))
 
 
 def shannon_entropy_rows(probs: np.ndarray) -> np.ndarray:

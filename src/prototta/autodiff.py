@@ -4,7 +4,9 @@ The operation set is deliberately small: exactly what the prototype model,
 the adaptation losses, and source training need. Every op gives the active
 tape one gradient function per input, kept only for an input that requires a
 gradient or comes from a recorded op; ``backward`` calls the kept functions in
-reverse and writes total derivatives into ``Tensor.grad``. Gradients are
+reverse and writes total derivatives into ``Tensor.grad``. A fused op outside
+this module (the similarity mapping, the binary entropy) computes its value in
+NumPy and records its hand-written gradient through ``unary``. Gradients are
 cross-checked against central finite differences in the test suite.
 """
 
@@ -162,8 +164,8 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 # recording cores of the elementwise and reduction ops
 
 
-def _unary(x: Tensor, value, grad: Callable[[Array], Array]) -> Tensor:
-    """Record an op of one input whose input gradient is ``grad(g)``."""
+def unary(x: Tensor, value, grad: Callable[[Array], Array]) -> Tensor:
+    """Record an op of one input with output ``value`` whose input gradient is ``grad(g)``."""
     return _record(Tensor(value), (x, grad))
 
 
@@ -196,12 +198,12 @@ def transpose(x: Tensor) -> Tensor:
     x = as_tensor(x)
     if x.data.ndim != 2:
         raise ShapeError(f"transpose expects a 2-D tensor, got {x.shape}")
-    return _unary(x, x.data.T.copy(), lambda g: g.T)
+    return unary(x, x.data.T.copy(), lambda g: g.T)
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     x = as_tensor(x)
-    return _unary(x, x.data.reshape(shape), lambda g: g.reshape(x.shape))
+    return unary(x, x.data.reshape(shape), lambda g: g.reshape(x.shape))
 
 
 def add(a, b) -> Tensor:
@@ -216,81 +218,42 @@ def mul(a, b) -> Tensor:
     return _binary(a, b, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
-def div(a, b) -> Tensor:
-    return _binary(a, b, np.divide, lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
-
-
 def scale(x, factor: float) -> Tensor:
     x = as_tensor(x)
     factor = float(factor)
-    return _unary(x, x.data * factor, lambda g: g * factor)
-
-
-def sigmoid(x) -> Tensor:
-    x = as_tensor(x)
-    z = x.data
-    # split by sign so neither tail overflows
-    pos = z >= 0
-    s = np.empty_like(z)
-    s[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    s[~pos] = ez / (1.0 + ez)
-    return _unary(x, s, lambda g: g * s * (1.0 - s))
+    return unary(x, x.data * factor, lambda g: g * factor)
 
 
 def log(x) -> Tensor:
     x = as_tensor(x)
     if not (x.data > 0).all():
         raise DomainError("log requires strictly positive input")
-    return _unary(x, np.log(x.data), lambda g: g / x.data)
+    return unary(x, np.log(x.data), lambda g: g / x.data)
 
 
 def clamp(x, lo: float, hi: float) -> Tensor:
     x = as_tensor(x)
     # gradient passes only strictly inside (lo, hi); zero at and beyond bounds
     mask = (x.data > lo) & (x.data < hi)
-    return _unary(x, np.clip(x.data, lo, hi), lambda g: g * mask)
+    return unary(x, np.clip(x.data, lo, hi), lambda g: g * mask)
 
 
 def tanh(x) -> Tensor:
     x = as_tensor(x)
     t = np.tanh(x.data)
-    return _unary(x, t, lambda g: g * (1.0 - t * t))
+    return unary(x, t, lambda g: g * (1.0 - t * t))
 
 
 def reduce_sum(x, axis=None) -> Tensor:
     x = as_tensor(x)
     value = x.data.sum(axis=axis)
-    return _unary(x, value, lambda g: np.broadcast_to(g if axis is None else np.expand_dims(g, axis), x.shape).copy())
+    return unary(x, value, lambda g: np.broadcast_to(g if axis is None else np.expand_dims(g, axis), x.shape).copy())
 
 
 def reduce_mean(x) -> Tensor:
     """Mean over every entry, as a scalar."""
     x = as_tensor(x)
-    return _unary(x, x.data.mean(), lambda g: np.broadcast_to(g, x.shape) / x.data.size)
-
-
-def _pick(x, arg) -> Tensor:
-    """The entry at flat index ``arg(x)`` as a scalar; the subgradient routes there."""
-    x = as_tensor(x)
-    flat_idx = int(arg(x.data))
-
-    def grad(g: Array) -> Array:
-        gx = np.zeros_like(x.data)
-        gx.reshape(-1)[flat_idx] = g
-        return gx
-
-    return _unary(x, x.data.reshape(-1)[flat_idx], grad)
-
-
-def reduce_max(x) -> Tensor:
-    """Global maximum as a scalar; subgradient routes to the first occurrence."""
-    return _pick(x, np.argmax)
-
-
-def reduce_min(x) -> Tensor:
-    """Global minimum as a scalar; subgradient routes to the first occurrence."""
-    return _pick(x, np.argmin)
+    return unary(x, x.data.mean(), lambda g: np.broadcast_to(g, x.shape) / x.data.size)
 
 
 def softmax(logits) -> Tensor:
@@ -303,7 +266,7 @@ def softmax(logits) -> Tensor:
     shifted = x.data - x.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=1, keepdims=True)
-    return _unary(x, p, lambda g: p * (g - (g * p).sum(axis=1, keepdims=True)))
+    return unary(x, p, lambda g: p * (g - (g * p).sum(axis=1, keepdims=True)))
 
 
 def topk_mean(x, k: int) -> Tensor:
@@ -326,7 +289,7 @@ def topk_mean(x, k: int) -> Tensor:
         raise DomainError("topk_mean requires finite input")
     if k == last:
         # selecting everything: identical to a plain mean, bit for bit
-        return _unary(x, x.data.mean(axis=-1), lambda g: np.broadcast_to(g[..., None] / k, x.shape).copy())
+        return unary(x, x.data.mean(axis=-1), lambda g: np.broadcast_to(g[..., None] / k, x.shape).copy())
     data = x.data
     top: list[Array] = []  # the running maxima, largest first
     for j in range(last):
@@ -351,7 +314,7 @@ def topk_mean(x, k: int) -> Tensor:
         gx[np.flatnonzero(picked)] = np.repeat(g.reshape(-1) / k, k)
         return gx.reshape(data.shape)
 
-    return _unary(x, total / k, grad)
+    return unary(x, total / k, grad)
 
 
 def _affine_operands(x, gamma, beta) -> tuple[Tensor, Tensor, Tensor]:
@@ -428,7 +391,7 @@ def unit_rows(a) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"unit_rows expects an n x d matrix, got {a.shape}")
     ahat, na = _unit(a.data, "a")
-    return _unary(a, ahat, lambda g: (g - ahat * (g * ahat).sum(axis=1, keepdims=True)) / na)
+    return unary(a, ahat, lambda g: (g - ahat * (g * ahat).sum(axis=1, keepdims=True)) / na)
 
 
 def cosine_similarity(a, b) -> Tensor:
@@ -445,21 +408,3 @@ def cosine_similarity(a, b) -> Tensor:
         (b, lambda g: (g.T @ ahat - bhat * (g * c).sum(axis=0)[:, None]) / nb),
     )
 
-
-def finite_difference_grad(f: Callable[[Tensor], float], params: Tensor, eps: float = 1e-5) -> Tensor:
-    """Central-difference gradient estimate of a scalar function.
-
-    ``params.data`` is perturbed in place one coordinate at a time and
-    restored afterwards; ``f`` must be deterministic.
-    """
-    flat = params.data.reshape(-1)
-    grad = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        f_plus = float(f(params))
-        flat[i] = orig - eps
-        f_minus = float(f(params))
-        flat[i] = orig
-        grad[i] = (f_plus - f_minus) / (2.0 * eps)
-    return Tensor(grad.reshape(params.shape))

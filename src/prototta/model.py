@@ -289,42 +289,86 @@ class PrototypeModel:
         return clone
 
 
+def check_domain(values: np.ndarray, inside: np.ndarray, what: str) -> None:
+    """A DomainError naming the first value where the mask ``inside`` is false.
+
+    Build ``inside`` from comparisons that NaN fails, such as ``values >= lo``.
+    """
+    if not inside.all():
+        raise DomainError(f"{what}, got {float(values.reshape(-1)[np.argmin(inside)])}")
+
+
+def _log_inverse(d: np.ndarray) -> np.ndarray:
+    """ln((d+1)/(d+1e-4)) of finite, non-negative distances."""
+    check_domain(d, (d >= -_DOMAIN_TOL) & (d < np.inf), "distance outside [0, inf)")
+    return np.log((d + 1.0) / (d + 1e-4))
+
+
+def _log_inverse_slope(d: np.ndarray) -> np.ndarray:
+    """The derivative of ``_log_inverse`` in d."""
+    return 1.0 / (d + 1.0) - 1.0 / (d + 1e-4)
+
+
 def log_inverse_kernel(d: Tensor | np.ndarray | float) -> Tensor:
     """Log-inverse distance response before normalization: ln((d+1)/(d+1e-4))."""
     d = ad.as_tensor(d)
-    return ad.log(ad.div(ad.add(d, 1.0), ad.add(d, 1e-4)))
+    return ad.unary(d, _log_inverse(d.data), lambda g: g * _log_inverse_slope(d.data))
 
 
 def map_similarity(raw: Tensor, scheme: MappingScheme) -> Tensor:
-    """Map raw similarities (or distances) into clamped [eps, 1-eps] scores.
+    """Map raw similarities (or distances) into clamped [eps, 1-eps] scores, as one recorded op.
 
     linear and temp_sigmoid read ``raw`` as cosine-like values in [-1, 1];
     log_inverse_distance reads it as non-negative distances, applies the
-    log-inverse kernel, then min-max normalizes over the whole block.
+    log-inverse kernel, then min-max normalizes over the whole block. The
+    gradient is zero at and beyond the clamp bounds; the block's min and max
+    pass theirs to their first occurrence. A block whose kernel values span at
+    most 1e-12 maps to 0.5 with zero gradient.
     """
     raw = ad.as_tensor(raw)
+    r = raw.data
     lo, hi = EPS_CLAMP, 1.0 - EPS_CLAMP
-    if scheme.kind in ("linear", "temp_sigmoid"):
-        vals = raw.data
-        if (vals < -1.0 - _DOMAIN_TOL).any() or (vals > 1.0 + _DOMAIN_TOL).any():
-            worst = float(vals.reshape(-1)[np.argmax(np.abs(vals))])
-            raise DomainError(f"similarity {worst} outside [-1, 1]")
+    if scheme.kind == "log_inverse_distance":
+        s = _log_inverse(r)
+        s_min, s_max = s.min(), s.max()
+        span = s_max - s_min
+        if span <= 1e-12:
+            # all distances equal: no ordering information, call everything 0.5
+            return ad.unary(raw, np.full(r.shape, 0.5), np.zeros_like)
+        shifted = s - s_min
+        mapped = shifted / span
+
+        def inner(g: np.ndarray) -> np.ndarray:
+            # through (s - min) / (max - min), the min and max at their first occurrence, then the kernel
+            gs = g / span
+            g_max = (-g * shifted / (span * span)).sum()
+            g_min = -(g_max + gs.sum())
+            gs.flat[np.argmax(s)] += g_max
+            gs.flat[np.argmin(s)] += g_min
+            return gs * _log_inverse_slope(r)
+
+    else:
+        check_domain(r, (r >= -1.0 - _DOMAIN_TOL) & (r <= 1.0 + _DOMAIN_TOL), "similarity outside [-1, 1]")
         if scheme.kind == "linear":
-            mapped = ad.scale(ad.add(raw, 1.0), 0.5)
+            mapped = (r + 1.0) * 0.5
+
+            def inner(g: np.ndarray) -> np.ndarray:
+                return g * 0.5
+
         else:
-            mapped = ad.sigmoid(ad.scale(raw, scheme.temperature))
-        return ad.clamp(mapped, lo, hi)
-    # log_inverse_distance
-    if (raw.data < -_DOMAIN_TOL).any():
-        raise DomainError(f"negative distance {float(raw.data.min())}")
-    s_raw = log_inverse_kernel(raw)
-    s_min, s_max = ad.reduce_min(s_raw), ad.reduce_max(s_raw)
-    span = float(s_max.data - s_min.data)
-    if span <= 1e-12:
-        # all distances equal: no ordering information, call everything 0.5
-        return ad.clamp(ad.add(ad.scale(s_raw, 0.0), 0.5), lo, hi)
-    normed = ad.div(ad.sub(s_raw, s_min), ad.sub(s_max, s_min))
-    return ad.clamp(normed, lo, hi)
+            temperature = float(scheme.temperature)
+            z = r * temperature
+            # split by sign so neither tail overflows
+            pos = z >= 0
+            mapped = np.empty_like(z)
+            mapped[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+            ez = np.exp(z[~pos])
+            mapped[~pos] = ez / (1.0 + ez)
+
+            def inner(g: np.ndarray) -> np.ndarray:
+                return g * mapped * (1.0 - mapped) * temperature
+
+    return ad.unary(raw, np.clip(mapped, lo, hi), lambda g: inner(g * ((mapped > lo) & (mapped < hi))))
 
 
 def _backbone_layer(model: PrototypeModel, i: int, h: Tensor, use_batch_stats: bool) -> tuple[Tensor, Tensor]:

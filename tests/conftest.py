@@ -1,4 +1,4 @@
-"""Shared fixtures: a small dataset and trained model reused across test files."""
+"""Shared fixtures: a small dataset and trained model reused across test files, and the finite-difference checker."""
 
 from __future__ import annotations
 
@@ -7,8 +7,28 @@ import json
 import numpy as np
 import pytest
 
+from prototta.autodiff import Tensor
 from prototta.harness import SyntheticTaskSpec, generate_dataset, save_dataset, train_source_model
 from prototta.model import BackboneConfig, ModelConfig, PrototypeModel, save_model
+
+
+def finite_difference_grad(f, params: Tensor, eps: float = 1e-5) -> Tensor:
+    """Central-difference gradient estimate of a scalar function.
+
+    ``params.data`` is perturbed in place one coordinate at a time and
+    restored afterwards; ``f`` must be deterministic.
+    """
+    flat = params.data.reshape(-1)
+    grad = np.zeros_like(flat)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        f_plus = float(f(params))
+        flat[i] = orig - eps
+        f_minus = float(f(params))
+        flat[i] = orig
+        grad[i] = (f_plus - f_minus) / (2.0 * eps)
+    return Tensor(grad.reshape(params.shape))
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import finite_difference_grad
 from prototta import autodiff as ad
 from prototta.adapt import (
     AdaptationReport,
@@ -30,7 +31,7 @@ from prototta.adapt import (
     shannon_entropy_rows,
     tent_loss,
 )
-from prototta.autodiff import Tensor, finite_difference_grad, topk_mean
+from prototta.autodiff import Tensor, topk_mean
 from prototta.bench import BenchmarkPlan, board_sample_pca_w, method_presets, run_benchmark
 from prototta.harness import (
     CorruptionSpec,
@@ -104,7 +105,7 @@ def recovery(task):
             )
             per_seed[name].append(100.0 * report.accuracy)
             if name == "prototta":
-                prototta_curves.append([100.0 * a for a in report.batch_accuracies])
+                prototta_curves.append([100.0 * r.accuracy for r in report.records])
     return {
         "means": {name: float(np.mean(v)) for name, v in per_seed.items()},
         "per_seed": per_seed,

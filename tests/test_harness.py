@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import finite_difference_grad
 from prototta import autodiff as ad
-from prototta.autodiff import Tensor, finite_difference_grad
+from prototta.autodiff import Tensor
 from prototta.cli import main
 from prototta.errors import ConfigError, FormatError
 from prototta.harness import (

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import finite_difference_grad
 from prototta import autodiff as ad
-from prototta.autodiff import Tensor, finite_difference_grad
+from prototta.autodiff import Tensor
 from prototta.cli import main
 from prototta.errors import ConfigError, DegenerateInputError, DomainError, FormatError
 from prototta.model import (

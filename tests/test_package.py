@@ -46,3 +46,35 @@ def test_no_unused_imports():
                     if name not in used:
                         unused.append(f"{path.name}:{node.lineno} ({name})")
     assert unused == []
+
+
+def test_every_public_autodiff_function_has_a_caller():
+    # an op nothing in the package calls is surface to keep and test for no use: delete it instead
+    package = Path(prototta.__file__).parent
+    autodiff = ast.parse((package / "autodiff.py").read_text(encoding="utf-8"))
+    public = {n.name: n for n in autodiff.body if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")}
+    called = set()
+    for path in sorted(package.glob("*.py")):
+        tree = autodiff if path.name == "autodiff.py" else ast.parse(path.read_text(encoding="utf-8"))
+        # names bound to autodiff's functions, and names bound to the module itself
+        direct = {name: name for name in public} if tree is autodiff else {}
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "autodiff":
+                direct.update({alias.asname or alias.name: alias.name for alias in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None:
+                modules.update(alias.asname or alias.name for alias in node.names if alias.name == "autodiff")
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                name = direct.get(func.id)
+            elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in modules:
+                name = func.attr
+            else:
+                continue
+            own = public.get(name)
+            if own is not None and not (tree is autodiff and own.lineno <= node.lineno <= own.end_lineno):
+                called.add(name)
+    assert sorted(set(public) - called) == []
