@@ -389,7 +389,15 @@ def run_stream(
     A frozen copy of the incoming model provides the clean reference
     predictions and activations (computed outside the timed region); an
     unadapted model never changes, so its own outputs are the reference.
-    Prototypes and head weights are verified unchanged at the end.
+    The mapped activations of a sample block are computed after the batch's
+    timer stops unless the method's filter already read them. Prototypes
+    and head weights are verified unchanged at the end.
+
+    A batch that raises ends the stream with its exception. Every parameter
+    is then frozen again (``requires_grad`` off, no gradient), and a model
+    adapted in place keeps the updates of the batches before the failing
+    one; under a consensus override the stream adapts a copy, and the
+    caller's model is left as it was.
     """
     work = _apply_consensus(model, cfg)
     adapting = cfg.method != "unadapted"
@@ -402,35 +410,37 @@ def run_stream(
     else:
         state = None
     report = AdaptationReport(method=cfg.method)
-    for index, (x, y) in enumerate(batches):
-        if adapting:
-            clean_out = model_forward(clean, x, use_batch_stats=False)
-            outputs, record = adapt_batch(
-                work, (x, y), cfg, state, index=index, clean_predictions=clean_out.pseudo_labels
-            )
-        else:
-            outputs, record = adapt_batch(work, (x, y), cfg, state, index=index)
-            clean_out = outputs
-            record.clean_agreement = 1.0
-        report.records.append(record)
-        if collect_samples:
-            # one copy of each output per batch, so the blocks share no memory
-            report.sample_blocks.append(
-                SampleBlock(
-                    clean_out.agg_sims.data.copy(),
-                    outputs.agg_sims.data.copy(),
-                    outputs.mapped_sims.data.copy(),
-                    clean_out.pseudo_labels.copy(),
-                    outputs.pseudo_labels.copy(),
-                    np.full(len(x), -1, dtype=np.int64) if y is None else np.array(y, dtype=np.int64),
+    try:
+        for index, (x, y) in enumerate(batches):
+            if adapting:
+                clean_out = model_forward(clean, x, use_batch_stats=False)
+                outputs, record = adapt_batch(
+                    work, (x, y), cfg, state, index=index, clean_predictions=clean_out.pseudo_labels
                 )
-            )
+            else:
+                outputs, record = adapt_batch(work, (x, y), cfg, state, index=index)
+                clean_out = outputs
+                record.clean_agreement = 1.0
+            report.records.append(record)
+            if collect_samples:
+                # one copy of each output per batch, so the blocks share no memory
+                report.sample_blocks.append(
+                    SampleBlock(
+                        clean_out.agg_sims.data.copy(),
+                        outputs.agg_sims.data.copy(),
+                        outputs.mapped_sims.data.copy(),
+                        clean_out.pseudo_labels.copy(),
+                        outputs.pseudo_labels.copy(),
+                        np.full(len(x), -1, dtype=np.int64) if y is None else np.array(y, dtype=np.int64),
+                    )
+                )
+    finally:
+        if adapting:
+            work.set_trainable([])
     if not np.array_equal(work.prototypes.data, proto_before) or not np.array_equal(
         work.head.data, head_before
     ):
         raise ContractError("frozen parameters changed during adaptation")
-    if adapting:
-        work.set_trainable([])
     # propagate adapted state back to the caller's model object
     if work is not model:
         model.load_snapshot(work.state_snapshot())

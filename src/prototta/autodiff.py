@@ -4,10 +4,11 @@ The operation set is deliberately small: exactly what the prototype model,
 the adaptation losses, and source training need. Every op gives the active
 tape one gradient function per input, kept only for an input that requires a
 gradient or comes from a recorded op; ``backward`` calls the kept functions in
-reverse and writes total derivatives into ``Tensor.grad``. A fused op outside
-this module (the similarity mapping, the binary entropy) computes its value in
-NumPy and records its hand-written gradient through ``unary``. Gradients are
-cross-checked against central finite differences in the test suite.
+reverse and writes total derivatives into ``Tensor.grad``. A fused op, such as
+``norm_tanh`` (a whole backbone layer) or, outside this module, the similarity
+mapping and the binary entropy, computes its value in NumPy and records its
+hand-written gradients in one record. Gradients are cross-checked against
+central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import ContractError, DegenerateInputError, DomainError, ShapeError
 Array = np.ndarray
 
 _NORM_FLOOR = 1e-12
-# variance floor of layer_norm and batch_norm
+# variance floor of norm_tanh's standardization
 NORM_EPS = 1e-5
 
 
@@ -238,12 +239,6 @@ def clamp(x, lo: float, hi: float) -> Tensor:
     return unary(x, np.clip(x.data, lo, hi), lambda g: g * mask)
 
 
-def tanh(x) -> Tensor:
-    x = as_tensor(x)
-    t = np.tanh(x.data)
-    return unary(x, t, lambda g: g * (1.0 - t * t))
-
-
 def reduce_sum(x, axis=None) -> Tensor:
     x = as_tensor(x)
     value = x.data.sum(axis=axis)
@@ -310,71 +305,71 @@ def topk_mean(x, k: int) -> Tensor:
             above = data > kth
             ties = np.cumsum(picked & ~above, axis=-1)
             picked &= above | (ties <= k - above.sum(axis=-1, keepdims=True))
-        gx = np.zeros(data.size)
-        gx[np.flatnonzero(picked)] = np.repeat(g.reshape(-1) / k, k)
-        return gx.reshape(data.shape)
+        return np.where(picked, (g / k)[..., None], 0.0)
 
     return unary(x, total / k, grad)
 
 
-def _affine_operands(x, gamma, beta) -> tuple[Tensor, Tensor, Tensor]:
-    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    d = x.shape[-1]
-    if gamma.shape != (d,) or beta.shape != (d,):
-        raise ShapeError(f"gamma/beta must have shape ({d},), got {gamma.shape}/{beta.shape}")
-    return x, gamma, beta
+def _once(fn: Callable[[Array], Array]) -> Callable[[Array], Array]:
+    """``fn``, computed once per output gradient and shared by every gradient function that asks for it."""
+    memo: list = [None, None]
+
+    def shared(g: Array) -> Array:
+        if memo[0] is not g:
+            memo[:] = g, fn(g)
+        return memo[1]
+
+    return shared
 
 
-def _affine(x: Tensor, gamma: Tensor, beta: Tensor, xhat: Array, dx: Callable[[Array], Array]) -> Tensor:
-    """Record ``xhat * gamma + beta`` over the last axis, where xhat is x
-    normalized; ``dx`` maps the gradient of xhat to the gradient of x."""
-    lead = tuple(range(xhat.ndim - 1))
-    return _record(
-        Tensor(xhat * gamma.data + beta.data),
-        (x, lambda g: dx(g * gamma.data)),
-        (gamma, lambda g: (g * xhat).sum(axis=lead)),
-        (beta, lambda g: g.sum(axis=lead)),
-    )
+def norm_tanh(h, w, gamma, beta, bias=None, norm: int | tuple[Array, Array] = -1) -> tuple[Tensor, Array]:
+    """One backbone layer, ``tanh(norm(h @ w) * gamma + beta [+ bias])``, as one recorded op.
 
-
-def _standardize(x: Tensor, gamma: Tensor, beta: Tensor, axis: int) -> Tensor:
-    """Standardize x with its own moments over ``axis``, differentiated through."""
-    mu = x.data.mean(axis=axis, keepdims=True)
-    var = x.data.var(axis=axis, keepdims=True)
-    sigma = np.sqrt(var + NORM_EPS)
-    xhat = (x.data - mu) / sigma
-
-    def dx(gxhat: Array) -> Array:
-        return (
-            gxhat
-            - gxhat.mean(axis=axis, keepdims=True)
-            - xhat * (gxhat * xhat).mean(axis=axis, keepdims=True)
-        ) / sigma
-
-    return _affine(x, gamma, beta, xhat, dx)
-
-
-def layer_norm(x, gamma, beta) -> Tensor:
-    """Standardize each row over the last axis, then apply affine scale/shift."""
-    return _standardize(*_affine_operands(x, gamma, beta), -1)
-
-
-def batch_norm(x, gamma, beta, running: tuple[Array, Array] | None = None) -> Tensor:
-    """Normalize each feature over the batch axis (axis 0) of an n x d matrix.
-
-    With ``running`` given, the supplied (mean, var) are treated as constants
-    and only x/gamma/beta receive gradients; otherwise current-batch moments
-    are used and differentiated through.
+    ``norm`` standardizes z = h @ w with its own moments over an axis (-1 per
+    row, as layer norm; 0 per feature over the batch, as batch norm), which the
+    gradient differentiates through, or with constant running (mean, var).
+    The steps are those of ``np.mean`` and ``np.var``, so the bits are those of
+    the separate ops. Returns the output and the pre-norm z.
     """
-    x = as_tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeError(f"batch_norm expects an n x d matrix, got {x.shape}")
-    x, gamma, beta = _affine_operands(x, gamma, beta)
-    if running is None:
-        return _standardize(x, gamma, beta, 0)
-    mean, var = running
-    sigma = np.sqrt(np.asarray(var, dtype=np.float64) + NORM_EPS)
-    return _affine(x, gamma, beta, (x.data - mean) / sigma, lambda gxhat: gxhat / sigma)
+    h, w, gamma, beta = as_tensor(h), as_tensor(w), as_tensor(gamma), as_tensor(beta)
+    bias = None if bias is None else as_tensor(bias)
+    if h.data.ndim != 2 or w.data.ndim != 2 or h.shape[1] != w.shape[0]:
+        raise ShapeError(f"norm_tanh expects n x d and d x m matrices, got {h.shape} and {w.shape}")
+    if any(t.shape != (w.shape[1],) for t in (gamma, beta, bias) if t is not None):
+        raise ShapeError(f"gamma, beta and bias must have shape ({w.shape[1]},)")
+    z = h.data @ w.data
+    running = isinstance(norm, tuple)
+    if running:
+        xhat = z - norm[0]
+        sigma = np.sqrt(np.asarray(norm[1], dtype=np.float64) + NORM_EPS)
+    else:
+        n = z.shape[norm]
+        xhat = z - z.sum(axis=norm, keepdims=True) / n
+        sigma = np.sqrt((xhat * xhat).sum(axis=norm, keepdims=True) / n + NORM_EPS)
+    xhat /= sigma
+    t = xhat * gamma.data
+    t += beta.data
+    if bias is not None:
+        t += bias.data
+    np.tanh(t, out=t)
+    gt = _once(lambda g: g * (1.0 - t * t))
+    colsum = _once(lambda g: gt(g).sum(axis=0))
+
+    def standardize_grad(g: Array) -> Array:
+        gx = gt(g) * gamma.data
+        if running:
+            return gx / sigma
+        return (gx - gx.mean(axis=norm, keepdims=True) - xhat * (gx * xhat).mean(axis=norm, keepdims=True)) / sigma
+
+    gz = _once(standardize_grad)
+    return _record(
+        Tensor(t),
+        (h, lambda g: gz(g) @ w.data.T),
+        (w, lambda g: h.data.T @ gz(g)),
+        (gamma, lambda g: (gt(g) * xhat).sum(axis=0)),
+        (beta, colsum),
+        *([] if bias is None else [(bias, colsum)]),
+    ), z
 
 
 def _unit(x: Array, label: str) -> tuple[Array, Array]:

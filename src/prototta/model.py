@@ -16,6 +16,7 @@ import math
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from numbers import Real
 from pathlib import Path
 
@@ -176,11 +177,20 @@ class BatchOutputs:
 
     features: Tensor  # n x D
     agg_sims: Tensor  # n x P
-    mapped_sims: Tensor  # n x P, in [eps, 1-eps]
     logits: Tensor  # n x C
     probs: Tensor  # n x C
     pseudo_labels: np.ndarray  # n, argmax class per sample
     confidences: np.ndarray  # n, max class probability per sample
+    mapping: MappingScheme
+
+    @cached_property
+    def mapped_sims(self) -> Tensor:
+        """n x P s-bar values in [eps, 1-eps], mapped from agg_sims on first read and recorded
+        on the tape active then; later reads return the same tensor."""
+        if self.mapping.kind == "log_inverse_distance":
+            # squared euclidean distance between unit vectors: 2 * (1 - cos)
+            return map_similarity(ad.scale(ad.sub(1.0, self.agg_sims), 2.0), self.mapping)
+        return map_similarity(self.agg_sims, self.mapping)
 
 
 class PrototypeModel:
@@ -371,27 +381,17 @@ def map_similarity(raw: Tensor, scheme: MappingScheme) -> Tensor:
     return ad.unary(raw, np.clip(mapped, lo, hi), lambda g: inner(g * ((mapped > lo) & (mapped < hi))))
 
 
-def _backbone_layer(model: PrototypeModel, i: int, h: Tensor, use_batch_stats: bool) -> tuple[Tensor, Tensor]:
-    """Layer ``i`` as linear -> norm -> bias -> tanh; returns (pre-norm, output)."""
-    z = ad.matmul(h, model.params[f"backbone.{i}.weight"])
-    gamma = model.params[f"backbone.{i}.norm.gamma"]
-    beta = model.params[f"backbone.{i}.norm.beta"]
-    if model.config.backbone.norm_kind == "layer_norm":
-        out = ad.layer_norm(z, gamma, beta)
-    elif use_batch_stats:
-        out = ad.batch_norm(z, gamma, beta)
-    else:
-        out = ad.batch_norm(z, gamma, beta, running=model.running_stats[i])
-    bias = model.params.get(f"backbone.{i}.attn_bias")
-    if bias is not None:
-        out = ad.add(out, bias)
-    return z, ad.tanh(out)
+def _backbone_layer(model: PrototypeModel, i: int, h: Tensor, use_batch_stats: bool) -> tuple[Tensor, np.ndarray]:
+    """Layer ``i`` as linear -> norm -> bias -> tanh, one recorded op; returns (output, pre-norm)."""
+    norm = -1 if model.config.backbone.norm_kind == "layer_norm" else 0 if use_batch_stats else model.running_stats[i]
+    w, gamma, beta = (model.params[f"backbone.{i}.{name}"] for name in ("weight", "norm.gamma", "norm.beta"))
+    return ad.norm_tanh(h, w, gamma, beta, model.params.get(f"backbone.{i}.attn_bias"), norm)
 
 
 def backbone_features(model: PrototypeModel, x: Tensor, use_batch_stats: bool = True) -> Tensor:
     h = x
     for i in range(len(model.config.backbone.hidden_dims)):
-        _, h = _backbone_layer(model, i, h, use_batch_stats)
+        h, _ = _backbone_layer(model, i, h, use_batch_stats)
     mix = model.params.get("backbone.mix.weight")
     if mix is not None:
         h = ad.matmul(h, mix)
@@ -410,8 +410,8 @@ def update_running_stats(model: PrototypeModel, x: np.ndarray) -> None:
         return
     h = ad.as_tensor(x)
     for i in range(len(bb.hidden_dims)):
-        z, h = _backbone_layer(model, i, h, use_batch_stats=True)
-        model.running_stats[i] = (z.data.mean(axis=0), z.data.var(axis=0))
+        h, z = _backbone_layer(model, i, h, use_batch_stats=True)
+        model.running_stats[i] = (z.mean(axis=0), z.var(axis=0))
 
 
 def _consensus_k(config: ModelConfig) -> int:
@@ -432,10 +432,11 @@ def _mean_consensus(features: Tensor, prototypes: np.ndarray) -> Tensor:
 
 
 def model_forward(model: PrototypeModel, x: Tensor | np.ndarray, use_batch_stats: bool = True) -> BatchOutputs:
-    """Full forward pass: features, similarities, mapped scores, predictions.
+    """Full forward pass: features, similarities, predictions.
 
     Runs on the active tape, so gradients flow from any loss built on the
-    outputs back to whichever parameters currently require gradients.
+    outputs back to whichever parameters currently require gradients. The
+    mapped scores are computed only when ``mapped_sims`` is first read.
     batch_norm backbones use current-batch statistics unless
     ``use_batch_stats`` is off, which switches to stored running statistics.
     """
@@ -455,12 +456,6 @@ def model_forward(model: PrototypeModel, x: Tensor | np.ndarray, use_batch_stats
     else:
         raw_sims = ad.cosine_similarity(features, ad.reshape(model.prototypes, (P * K, d)))
         agg_sims = ad.topk_mean(ad.reshape(raw_sims, (n, P, K)), k)
-    if model.config.mapping.kind == "log_inverse_distance":
-        # squared euclidean distance between unit vectors: 2 * (1 - cos)
-        dist = ad.scale(ad.sub(1.0, agg_sims), 2.0)
-        mapped = map_similarity(dist, model.config.mapping)
-    else:
-        mapped = map_similarity(agg_sims, model.config.mapping)
     logits = ad.matmul(agg_sims, ad.transpose(model.head))
     probs = ad.softmax(logits)
     pseudo_labels = np.argmax(probs.data, axis=1)
@@ -468,11 +463,11 @@ def model_forward(model: PrototypeModel, x: Tensor | np.ndarray, use_batch_stats
     return BatchOutputs(
         features=features,
         agg_sims=agg_sims,
-        mapped_sims=mapped,
         logits=logits,
         probs=probs,
         pseudo_labels=pseudo_labels,
         confidences=confidences,
+        mapping=model.config.mapping,
     )
 
 

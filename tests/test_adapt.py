@@ -26,7 +26,7 @@ from prototta.adapt import (
     tent_loss,
 )
 from prototta.autodiff import Tensor
-from prototta.errors import ConfigError, ContractError, EmptyReliableSetError
+from prototta.errors import ConfigError, ContractError, DomainError, EmptyReliableSetError
 from prototta.model import model_forward
 
 
@@ -354,6 +354,17 @@ class TestRunStream:
             for n in model.adaptable_param_names("norm_only")
         )
         assert changed
+
+    def test_failed_stream_leaves_the_model_frozen(self, tiny_model, tiny_dataset):
+        model = tiny_model.copy()
+        x = tiny_dataset.test_x[:128].copy()
+        x[2 * 32 + 5, 3] = np.nan  # in the third batch
+        with pytest.raises(DomainError):
+            run_stream(model, iter_batches(x, None, 32), TTAConfig(method="tent"))
+        assert all(not t.requires_grad and t.grad is None for t in model.params.values())
+        # the updates of the two batches before the failing one stay
+        for name in ("backbone.0.norm.gamma", "backbone.0.norm.beta"):
+            assert not np.array_equal(model.params[name].data, tiny_model.params[name].data)
 
     def test_consensus_stream_keeps_caller_config_and_returns_state(self, tiny_model, tiny_dataset, rng):
         x, y = self._batches(tiny_dataset, rng)

@@ -37,6 +37,22 @@ def bits(a) -> np.ndarray:
     return np.asarray(a, dtype=np.float64).view(np.int64)
 
 
+def layer_inputs(rng, n=6, d_in=4, d=5):
+    """h, W, gamma, beta and bias of one n-row backbone layer from d_in to d features."""
+    return (
+        rng.uniform(-2, 2, (n, d_in)),
+        rng.uniform(-1, 1, (d_in, d)),
+        rng.uniform(0.5, 1.5, d),
+        rng.uniform(-0.5, 0.5, d),
+        rng.uniform(-0.5, 0.5, d),
+    )
+
+
+def norm_modes(rng, d=5):
+    """norm_tanh's three modes: row moments, batch moments, constant running (mean, var)."""
+    return [-1, 0, (rng.uniform(-0.5, 0.5, d), rng.uniform(0.5, 2.0, d))]
+
+
 class TestGradientChecks:
     """Every primitive op against central finite differences on [-2, 2] data."""
 
@@ -64,7 +80,9 @@ class TestGradientChecks:
 
     def test_nonlinearities(self, rng):
         x = rng.uniform(-2, 2, (3, 4))
-        check_grad(lambda a: ad.reduce_sum(ad.tanh(a)), x)
+        # tanh through the fused layer, with an identity weight and unit gamma
+        w, g, b = Tensor(np.eye(4)), Tensor(np.ones(4)), Tensor(np.zeros(4))
+        check_grad(lambda a: ad.reduce_sum(ad.norm_tanh(a, w, g, b)[0]), x)
         check_grad(lambda a: ad.reduce_sum(ad.log(a)), rng.uniform(0.1, 2, (3, 4)))
 
     def test_kinked_ops_away_from_kinks(self, rng):
@@ -94,28 +112,56 @@ class TestGradientChecks:
         check_grad(lambda a: ad.reduce_sum(ad.mul(ad.topk_mean(a, 3), weights)), wide)
 
     def test_norm_layers(self, rng):
-        x = rng.uniform(-2, 2, (6, 5))
-        gamma = rng.uniform(0.5, 1.5, 5)
-        beta = rng.uniform(-0.5, 0.5, 5)
-        check_grad(lambda g: ad.reduce_sum(ad.layer_norm(Tensor(x), g, Tensor(beta))), gamma)
-        check_grad(lambda b: ad.reduce_sum(ad.layer_norm(Tensor(x), Tensor(gamma), b)), beta)
-        check_grad(lambda a: ad.reduce_sum(ad.layer_norm(a, Tensor(gamma), Tensor(beta))), x)
-        check_grad(lambda a: ad.reduce_sum(ad.batch_norm(a, Tensor(gamma), Tensor(beta))), x)
-        check_grad(lambda g: ad.reduce_sum(ad.batch_norm(Tensor(x), g, Tensor(beta))), gamma)
+        # h, W, gamma, beta and bias of one fused layer, in each norm mode, with and without bias
+        h, w, gamma, beta, bias = layer_inputs(rng)
         weights = rng.uniform(0.5, 1.5, (6, 5))
-        check_grad(lambda b: ad.reduce_sum(ad.mul(ad.batch_norm(Tensor(x), Tensor(gamma), b), weights)), beta)
-        running = (rng.uniform(-0.5, 0.5, 5), rng.uniform(0.5, 2.0, 5))
+        operands = {"h": h, "w": w, "gamma": gamma, "beta": beta, "bias": bias}
+        for norm in norm_modes(rng):
+            for with_bias in (True, False):
+                for name in operands if with_bias else [n for n in operands if n != "bias"]:
 
-        def fixed(a, g, b):
-            return ad.reduce_sum(ad.mul(ad.batch_norm(a, g, b, running=running), weights))
+                    def loss(a, name=name, norm=norm, with_bias=with_bias):
+                        args = {k: a if k == name else Tensor(v) for k, v in operands.items()}
+                        out, _ = ad.norm_tanh(*(args[k] for k in ("h", "w", "gamma", "beta")),
+                                              args["bias"] if with_bias else None, norm)
+                        return ad.reduce_sum(ad.mul(out, weights))
 
-        check_grad(lambda a: fixed(a, Tensor(gamma), Tensor(beta)), x)
-        check_grad(lambda g: fixed(Tensor(x), g, Tensor(beta)), gamma)
-        check_grad(lambda b: fixed(Tensor(x), Tensor(gamma), b), beta)
-        x3 = rng.uniform(-2, 2, (2, 3, 5))
-        w3 = rng.uniform(0.5, 1.5, (2, 3, 5))
-        check_grad(lambda a: ad.reduce_sum(ad.mul(ad.layer_norm(a, Tensor(gamma), Tensor(beta)), w3)), x3)
-        check_grad(lambda g: ad.reduce_sum(ad.mul(ad.layer_norm(Tensor(x3), g, Tensor(beta)), w3)), gamma)
+                    check_grad(loss, operands[name])
+
+    def test_norm_layers_chained(self, rng):
+        # through two layers, the first layer's operands reach the loss through the second's h
+        h, w1, g1, b1, bias1 = layer_inputs(rng)
+        _, _, g2, b2, bias2 = layer_inputs(rng)
+        w2 = rng.uniform(-1, 1, (5, 5))
+        weights = rng.uniform(0.5, 1.5, (6, 5))
+        for norm in norm_modes(rng):
+
+            def loss(first, second, norm=norm):
+                return ad.reduce_sum(ad.mul(ad.norm_tanh(first, second, g2, b2, bias2, norm)[0], weights))
+
+            check_grad(lambda a: loss(ad.norm_tanh(a, w1, g1, b1, bias1, norm)[0], Tensor(w2)), h)
+            check_grad(lambda a: loss(ad.norm_tanh(Tensor(h), a, g1, b1, bias1, norm)[0], Tensor(w2)), w1)
+            check_grad(lambda a: loss(ad.norm_tanh(Tensor(h), w1, a, b1, bias1, norm)[0], Tensor(w2)), g1)
+            check_grad(lambda a: loss(ad.norm_tanh(Tensor(h), w1, g1, b1, a, norm)[0], Tensor(w2)), bias1)
+            check_grad(lambda a: loss(ad.norm_tanh(Tensor(h), w1, g1, b1, bias1, norm)[0], a), w2)
+
+    def test_norm_tanh_bits_match_the_separate_ops(self, rng):
+        # mean, np.var, sqrt, divide, * gamma + beta, + bias, tanh: the chain of single ops it replaces
+        for n, d_in, d in ((6, 4, 5), (128, 32, 64), (1, 3, 7), (33, 16, 40)):
+            h, w, gamma, beta, bias = layer_inputs(rng, n, d_in, d)
+            for norm in norm_modes(rng, d):
+                for b in (bias, None):
+                    z = h @ w
+                    if isinstance(norm, tuple):
+                        mean, var = norm
+                    else:
+                        mean, var = z.mean(axis=norm, keepdims=True), np.var(z, axis=norm, keepdims=True)
+                    expected = (z - mean) / np.sqrt(var + ad.NORM_EPS) * gamma + beta
+                    if b is not None:
+                        expected = expected + b
+                    out, pre = ad.norm_tanh(Tensor(h), Tensor(w), Tensor(gamma), Tensor(beta), b, norm)
+                    assert np.array_equal(bits(pre), bits(z))
+                    assert np.array_equal(bits(out.data), bits(np.tanh(expected)))
 
     def test_cosine_similarity(self, rng):
         a = rng.uniform(-2, 2, (4, 6))
@@ -248,17 +294,43 @@ class TestOpSemantics:
 
     def test_backward_deterministic(self, rng):
         x_data = rng.normal(size=(6, 5))
+        w = rng.normal(size=(5, 5))
 
         def run():
             x = Tensor(x_data.copy(), requires_grad=True)
             tape = Tape()
             with tape:
-                consensus = ad.reshape(ad.topk_mean(ad.tanh(x), 2), (6, 1))
+                layer, _ = ad.norm_tanh(x, Tensor(w), Tensor(np.ones(5)), Tensor(np.zeros(5)), norm=0)
+                consensus = ad.reshape(ad.topk_mean(layer, 2), (6, 1))
                 loss = ad.reduce_sum(ad.mul(ad.softmax(x), consensus))
             ad.backward(tape, loss)
             return x.grad
 
         assert np.array_equal(run(), run())
+
+    def test_norm_tanh_gradients_follow_each_backward(self, rng):
+        # two losses on one tape: each backward computes its own shared gradient, as a fresh tape would
+        h, w, gamma, beta, bias = (Tensor(a) for a in layer_inputs(rng))
+        gamma.requires_grad = True
+        weights = [rng.uniform(0.5, 1.5, (6, 5)) for _ in range(2)]
+
+        def gamma_grads(tape, losses):
+            grads = []
+            for loss in losses:
+                ad.backward(tape, loss)
+                grads.append(gamma.grad)
+            return grads
+
+        tape = Tape()
+        with tape:
+            out, _ = ad.norm_tanh(h, w, gamma, beta, bias)
+            losses = [ad.reduce_sum(ad.mul(out, wt)) for wt in weights]
+        shared = gamma_grads(tape, losses)
+        for wt, grad in zip(weights, shared):
+            fresh = Tape()
+            with fresh:
+                loss = ad.reduce_sum(ad.mul(ad.norm_tanh(h, w, gamma, beta, bias)[0], wt))
+            assert np.array_equal(gamma_grads(fresh, [loss])[0], grad)
 
     def test_cleared_tape_leaves_no_gradients(self, rng):
         x = Tensor(rng.normal(size=4), requires_grad=True)
@@ -290,6 +362,10 @@ class TestOpSemantics:
             ad.cosine_similarity(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
         with pytest.raises(ShapeError):
             ad.unit_rows(Tensor(np.ones(3)))
+        with pytest.raises(ShapeError):
+            ad.norm_tanh(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), Tensor(np.ones(3)), Tensor(np.zeros(3)))
+        with pytest.raises(ShapeError):
+            ad.norm_tanh(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(3)), Tensor(np.zeros(4)))
 
     def test_cosine_zero_row_is_degenerate(self):
         b = np.ones((4, 3))
@@ -305,7 +381,8 @@ class TestOpSemantics:
 
     def test_values_stay_finite(self, rng):
         x = rng.normal(size=(8, 5))
-        out = ad.softmax(ad.layer_norm(Tensor(x), Tensor(np.ones(5)), Tensor(np.zeros(5))))
+        layer, _ = ad.norm_tanh(Tensor(x), Tensor(np.eye(5)), Tensor(np.ones(5)), Tensor(np.zeros(5)))
+        out = ad.softmax(layer)
         assert np.isfinite(out.data).all()
 
     def test_grad_shape_matches_data(self, rng):

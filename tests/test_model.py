@@ -8,20 +8,23 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import finite_difference_grad
 from prototta import autodiff as ad
+from prototta.adapt import TTAConfig, adapt_batch, init_optimizer
 from prototta.autodiff import Tensor
 from prototta.cli import main
 from prototta.errors import ConfigError, DegenerateInputError, DomainError, FormatError
+from prototta.harness import evaluate, train_source_model
 from prototta.model import (
     EPS_CLAMP,
     BackboneConfig,
     MappingScheme,
     ModelConfig,
     PrototypeModel,
+    backbone_features,
     load_model,
     log_inverse_kernel,
     map_similarity,
@@ -323,6 +326,105 @@ class TestBatchNormModes:
             ]
         )
         np.testing.assert_allclose(full, halves, atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def running_bn_model():
+    """An untrained two-layer batch_norm model with a mixing layer, on running statistics of 256 samples."""
+    config = ModelConfig(
+        backbone=BackboneConfig(input_dim=32, hidden_dims=(24, 16), norm_kind="batch_norm", has_onexone=True),
+        num_classes=3,
+        protos_per_class=2,
+        sub_prototypes=3,
+    )
+    model = PrototypeModel(config, seed=2)
+    update_running_stats(model, np.random.default_rng(2).normal(size=(256, 32)))
+    return model
+
+
+eval_batches = st.tuples(
+    st.integers(0, 2**32 - 1), st.integers(1, 48), st.lists(st.integers(1, 47), max_size=4)
+)
+
+
+class TestEvalRowsArePerSample:
+    """Eval-mode rows depend on the sample alone, for the default layer_norm model and batch_norm on running statistics."""
+
+    @staticmethod
+    def batches(model, seed, n, cuts):
+        x = np.random.default_rng(seed).normal(0.0, 1.5, (n, model.config.backbone.input_dim))
+        return x, np.split(x, sorted({c for c in cuts if c < n}))
+
+    @pytest.mark.parametrize("name", ["tiny_model", "running_bn_model"])
+    @settings(max_examples=25, deadline=None)
+    @given(batch=eval_batches)
+    def test_any_split_gives_the_same_rows(self, request, name, batch):
+        model = request.getfixturevalue(name)
+        x, parts = self.batches(model, *batch)
+        whole = model_forward(model, x, use_batch_stats=False)
+        split = [model_forward(model, part, use_batch_stats=False) for part in parts]
+        assert np.array_equal(whole.pseudo_labels, np.concatenate([o.pseudo_labels for o in split]))
+        # equal to rounding, not bit for bit: BLAS multiplies a batch of a few rows with other kernels
+        for field_name in ("agg_sims", "logits"):
+            rows = np.concatenate([getattr(o, field_name).data for o in split])
+            np.testing.assert_allclose(rows, getattr(whole, field_name).data, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["tiny_model", "running_bn_model"])
+    @settings(max_examples=25, deadline=None)
+    @given(batch=eval_batches, order_seed=st.integers(0, 2**32 - 1))
+    def test_permuting_a_batch_permutes_its_rows(self, request, name, batch, order_seed):
+        model = request.getfixturevalue(name)
+        x, _ = self.batches(model, *batch)
+        order = np.random.default_rng(order_seed).permutation(len(x))
+        whole = model_forward(model, x, use_batch_stats=False)
+        permuted = model_forward(model, x[order], use_batch_stats=False)
+        assert np.array_equal(permuted.pseudo_labels, whole.pseudo_labels[order])
+        for field_name in ("agg_sims", "logits", "mapped_sims"):
+            assert np.array_equal(getattr(permuted, field_name).data, getattr(whole, field_name).data[order])
+
+
+class TestLazyMapping:
+    """The similarity mapping runs only where its output is read, and once per forward."""
+
+    @pytest.fixture()
+    def map_calls(self, monkeypatch):
+        calls = []
+
+        def counting(raw, scheme):
+            calls.append(raw.shape)
+            return map_similarity(raw, scheme)
+
+        monkeypatch.setattr("prototta.model.map_similarity", counting)
+        return calls
+
+    def test_evaluation_and_training_never_map(self, tiny_dataset, map_calls):
+        model, _ = train_source_model(tiny_dataset, epochs=1, seed=0)
+        evaluate(model, tiny_dataset.test_x, tiny_dataset.test_y)
+        assert map_calls == []
+
+    def test_a_prototta_batch_maps_once(self, tiny_model, tiny_dataset, map_calls):
+        model = tiny_model.copy()
+        cfg = TTAConfig(method="prototta", tau_sim=0.1)
+        params = [p for _, p in model.adaptable_params(cfg.param_mode)]
+        model.set_trainable(model.adaptable_param_names(cfg.param_mode))
+        _, record = adapt_batch(model, (tiny_dataset.test_x[:64], None), cfg, init_optimizer(params))
+        assert record.selected > 0 and not record.skipped
+        assert len(map_calls) == 1
+
+    def test_mapped_sims_is_computed_once(self, tiny_model, rng, map_calls):
+        out = model_forward(tiny_model, rng.normal(size=(8, 32)), use_batch_stats=False)
+        assert map_calls == []
+        assert out.mapped_sims is out.mapped_sims
+        assert map_calls == [(8, tiny_model.config.num_prototypes)]
+
+    def test_taped_forward_records_one_op_per_backbone_layer(self, rng):
+        for backbone in (BackboneConfig(), BackboneConfig(hidden_dims=(24, 16), norm_kind="batch_norm")):
+            model = PrototypeModel(ModelConfig(backbone), seed=0)
+            model.set_trainable(model.param_names())
+            tape = ad.Tape()
+            with tape:
+                backbone_features(model, Tensor(rng.normal(size=(8, 32))))
+            assert len(tape) == len(backbone.hidden_dims)
 
 
 class TestPersistence:
