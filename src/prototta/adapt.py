@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -27,8 +27,11 @@ from .model import (
     PARAM_MODES,
     BatchOutputs,
     JsonConfig,
+    MappingScheme,
     PrototypeModel,
     check_domain,
+    frozen_prototypes,
+    map_activations,
     model_forward,
 )
 
@@ -128,15 +131,16 @@ class SampleBlock:
 
     clean_activations: np.ndarray  # n x P aggregated similarities of the clean reference
     adapted_activations: np.ndarray  # n x P of the adapting model, before its update
-    mapped_activations: np.ndarray  # n x P adapted s-bar values
     clean_predictions: np.ndarray  # n
     adapted_predictions: np.ndarray  # n
     labels: np.ndarray  # n ground-truth classes, -1 where the stream has none
+    mapping: MappingScheme  # the adapting model's
 
-    @classmethod
-    def concat(cls, blocks: Sequence["SampleBlock"]) -> "SampleBlock":
-        """The blocks' rows, in order, as one block."""
-        return cls(*(np.concatenate([getattr(b, f.name) for b in blocks]) for f in fields(cls)))
+    @cached_property
+    def mapped_activations(self) -> np.ndarray:
+        """n x P adapted s-bar values, mapped from ``adapted_activations`` on first read as the
+        batch's forward maps them; the log-inverse range is this block's own."""
+        return map_activations(Tensor(self.adapted_activations), self.mapping).data
 
 
 def block_records(blocks: Sequence[SampleBlock]) -> list[ActivationRecord]:
@@ -389,54 +393,57 @@ def run_stream(
     A frozen copy of the incoming model provides the clean reference
     predictions and activations (computed outside the timed region); an
     unadapted model never changes, so its own outputs are the reference.
-    The mapped activations of a sample block are computed after the batch's
-    timer stops unless the method's filter already read them. Prototypes
-    and head weights are verified unchanged at the end.
+    The prototype constants of every frozen forward are computed once, at
+    the start of the stream, and shared by the adapting model and its clean
+    copy (``model.frozen_prototypes``). A sample block maps its activations
+    only when ``mapped_activations`` is first read. Prototypes and head
+    weights are verified unchanged at the end.
 
     A batch that raises ends the stream with its exception. Every parameter
-    is then frozen again (``requires_grad`` off, no gradient), and a model
-    adapted in place keeps the updates of the batches before the failing
-    one; under a consensus override the stream adapts a copy, and the
-    caller's model is left as it was.
+    is then frozen again (``requires_grad`` off, no gradient), no prototype
+    constants stay pinned, and a model adapted in place keeps the updates of
+    the batches before the failing one; under a consensus override the stream
+    adapts a copy, and the caller's model is left as it was.
     """
     work = _apply_consensus(model, cfg)
     adapting = cfg.method != "unadapted"
     clean = work.copy() if adapting else None
     proto_before = work.prototypes.data.copy()
     head_before = work.head.data.copy()
-    if adapting:
-        work.set_trainable(work.adaptable_param_names(cfg.param_mode))
-        state = init_optimizer([p for _, p in work.adaptable_params(cfg.param_mode)])
-    else:
-        state = None
     report = AdaptationReport(method=cfg.method)
-    try:
-        for index, (x, y) in enumerate(batches):
-            if adapting:
-                clean_out = model_forward(clean, x, use_batch_stats=False)
-                outputs, record = adapt_batch(
-                    work, (x, y), cfg, state, index=index, clean_predictions=clean_out.pseudo_labels
-                )
-            else:
-                outputs, record = adapt_batch(work, (x, y), cfg, state, index=index)
-                clean_out = outputs
-                record.clean_agreement = 1.0
-            report.records.append(record)
-            if collect_samples:
-                # one copy of each output per batch, so the blocks share no memory
-                report.sample_blocks.append(
-                    SampleBlock(
-                        clean_out.agg_sims.data.copy(),
-                        outputs.agg_sims.data.copy(),
-                        outputs.mapped_sims.data.copy(),
-                        clean_out.pseudo_labels.copy(),
-                        outputs.pseudo_labels.copy(),
-                        np.full(len(x), -1, dtype=np.int64) if y is None else np.array(y, dtype=np.int64),
-                    )
-                )
-    finally:
+    with frozen_prototypes(*([work, clean] if adapting else [work])):
         if adapting:
-            work.set_trainable([])
+            work.set_trainable(work.adaptable_param_names(cfg.param_mode))
+            state = init_optimizer([p for _, p in work.adaptable_params(cfg.param_mode)])
+        else:
+            state = None
+        try:
+            for index, (x, y) in enumerate(batches):
+                if adapting:
+                    clean_out = model_forward(clean, x, use_batch_stats=False)
+                    outputs, record = adapt_batch(
+                        work, (x, y), cfg, state, index=index, clean_predictions=clean_out.pseudo_labels
+                    )
+                else:
+                    outputs, record = adapt_batch(work, (x, y), cfg, state, index=index)
+                    clean_out = outputs
+                    record.clean_agreement = 1.0
+                report.records.append(record)
+                if collect_samples:
+                    # one copy of each output per batch, so the blocks share no memory
+                    report.sample_blocks.append(
+                        SampleBlock(
+                            clean_out.agg_sims.data.copy(),
+                            outputs.agg_sims.data.copy(),
+                            clean_out.pseudo_labels.copy(),
+                            outputs.pseudo_labels.copy(),
+                            np.full(len(x), -1, dtype=np.int64) if y is None else np.array(y, dtype=np.int64),
+                            work.config.mapping,
+                        )
+                    )
+        finally:
+            if adapting:
+                work.set_trainable([])
     if not np.array_equal(work.prototypes.data, proto_before) or not np.array_equal(
         work.head.data, head_before
     ):

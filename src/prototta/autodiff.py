@@ -394,12 +394,16 @@ def cosine_similarity(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeError(f"cosine_similarity expects n x d and m x d matrices, got {a.shape} and {b.shape}")
-    ahat, na = _unit(a.data, "a")
     bhat, nb = _unit(b.data, "b")
-    c = ahat @ bhat.T
-    return _record(
-        Tensor(c),
-        (a, lambda g: (g @ bhat - ahat * (g * c).sum(axis=1, keepdims=True)) / na),
-        (b, lambda g: (g.T @ ahat - bhat * (g * c).sum(axis=0)[:, None]) / nb),
-    )
+    return _cosine(a, bhat, b, nb)
 
+
+def _cosine(a: Tensor, bhat: Array, b: Tensor | None = None, nb: Array | None = None) -> Tensor:
+    """``cosine_similarity`` of ``a`` with the rows ``bhat`` of a ``b`` already scaled to unit norm;
+    b's gradient is recorded only when ``b`` and its row norms ``nb`` are given."""
+    ahat, na = _unit(a.data, "a")
+    c = ahat @ bhat.T
+    pairs = [(a, lambda g: (g @ bhat - ahat * (g * c).sum(axis=1, keepdims=True)) / na)]
+    if b is not None:
+        pairs.append((b, lambda g: (g.T @ ahat - bhat * (g * c).sum(axis=0)[:, None]) / nb))
+    return _record(Tensor(c), *pairs)

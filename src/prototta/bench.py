@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .adapt import TARGET_SCOPES, WEIGHTINGS, SampleBlock, StepRecord, TTAConfig, block_records, iter_batches, run_stream
+from .adapt import TARGET_SCOPES, WEIGHTINGS, StepRecord, TTAConfig, block_records, iter_batches, run_stream
 from .errors import ConfigError, DegenerateInputError, FormatError, InsufficientDataError
 from .harness import (
     CORRUPTION_GROUPS,
@@ -216,7 +216,11 @@ def _run_cell(
     stream_x, stream_y = stream_x[order[:take]], dataset.test_y[order[:take]]
     work = model.copy()
     report = run_stream(work, iter_batches(stream_x, stream_y, STREAM_BATCH_SIZE), cfg)
-    samples = SampleBlock.concat(report.sample_blocks)
+    # only the arrays the metrics read are joined: a block maps its activations only when they are read
+    clean, adapted, clean_pred, adapted_pred, labels = (
+        np.concatenate([getattr(b, key) for b in report.sample_blocks])
+        for key in ("clean_activations", "adapted_activations", "clean_predictions", "adapted_predictions", "labels")
+    )
     cell = CellResult(
         method=name,
         corruption=str(cor),
@@ -225,9 +229,9 @@ def _run_cell(
         selection_rate=selection_rate(report),
         throughput=_median_throughput(report),
         batches=report.records,
-        pac_mean=pac(samples.clean_activations, samples.adapted_activations).mean,
-        pca_w_mean=pca_w(samples.adapted_activations, model.head.data, model.class_of, samples.labels).mean,
-        stability=prediction_stability(samples.clean_predictions, samples.adapted_predictions),
+        pac_mean=pac(clean, adapted).mean,
+        pca_w_mean=pca_w(adapted, model.head.data, model.class_of, labels).mean,
+        stability=prediction_stability(clean_pred, adapted_pred),
     )
     if keep_records:
         # all batches but the last are full: these are the first record_batches * STREAM_BATCH_SIZE samples
@@ -459,9 +463,9 @@ def render_boards(records: Sequence[ActivationRecord], model: PrototypeModel, k:
     The text is what ``json.dumps(board, indent=2, sort_keys=True) + "\\n"`` gives,
     filled into a fixed layout instead of run through the pure-Python indenting
     encoder; floats are written by ``float.__repr__``, as the encoder writes them.
-    The contributions of all records are one n x P product and their top-k one sort.
-    A record that no board can be built from, or whose board would hold a non-finite
-    contribution or similarity (which JSON cannot), is a FormatError naming it.
+    The contributions of all records are one n x P product and their top-k k ``argmax`` rounds.
+    A record that no board can be built from, with a non-finite contribution to any prototype,
+    or whose board would hold a non-finite similarity (which JSON cannot), is a FormatError naming it.
     """
     _check_k(model, k)
     P, C = len(model.class_of), model.head.shape[0]
@@ -486,7 +490,7 @@ def render_boards(records: Sequence[ActivationRecord], model: PrototypeModel, k:
     top = _top_indices(contributions, k)
     # n x k x 3: the contribution, mapped and raw similarity of each board entry, in layout order
     values = np.stack([np.take_along_axis(a, top, axis=1) for a in (contributions, mapped, raw)], axis=-1)
-    bad = np.flatnonzero(~np.isfinite(values).all(axis=(1, 2)))
+    bad = np.flatnonzero(~(np.isfinite(contributions).all(axis=1) & np.isfinite(values).all(axis=(1, 2))))
     if len(bad):
         raise FormatError(f"board of sample {records[bad[0]].sample_id}: non-finite contribution or similarity")
     name = json.dumps(method)

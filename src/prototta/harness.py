@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .adapt import iter_batches
 from .autodiff import Tensor
-from .errors import ConfigError, FormatError, TrainingError
+from .errors import ConfigError, FormatError, InsufficientDataError, TrainingError
 from .model import (
     BackboneConfig,
     JsonConfig,
@@ -27,6 +27,7 @@ from .model import (
     _read_container,
     _write_container,
     check_type,
+    frozen_prototypes,
     model_forward,
     update_running_stats,
 )
@@ -220,11 +221,17 @@ def load_dataset(path) -> Dataset:
 
 
 def evaluate(model: PrototypeModel, x: np.ndarray, y: np.ndarray) -> float:
-    """Plain accuracy with evaluation-mode statistics, no adaptation, in batches of 512."""
+    """Plain accuracy with evaluation-mode statistics, no adaptation, in batches of 512.
+
+    The prototype constants are computed once for all batches; an empty set is refused.
+    """
+    if len(x) == 0:
+        raise InsufficientDataError("need at least one sample to evaluate")
     correct = 0
-    for xb, yb in iter_batches(x, y, 512):
-        out = model_forward(model, xb, use_batch_stats=False)
-        correct += int((out.pseudo_labels == yb).sum())
+    with frozen_prototypes(model):
+        for xb, yb in iter_batches(x, y, 512):
+            out = model_forward(model, xb, use_batch_stats=False)
+            correct += int((out.pseudo_labels == yb).sum())
     return correct / len(x)
 
 

@@ -163,8 +163,16 @@ def _check_finite_rows(*blocks: np.ndarray) -> None:
 
 
 def _top_indices(scores: np.ndarray, k: int) -> np.ndarray:
-    # stable sort of the negated scores along the last axis: ties resolve to the lowest index
-    return np.argsort(-scores, axis=-1, kind="stable")[..., :k]
+    """The k largest entries of each row of an n x P block, largest first, as k first-maximum
+    ``argmax`` rounds: ties go to the lowest index, so for scores free of NaN and -inf this is
+    ``argsort(-scores, kind="stable")[:, :k]``. A NaN counts as largest."""
+    left = np.array(scores, dtype=np.float64)
+    rows = np.arange(len(left))
+    top = np.empty((len(left), k), dtype=np.intp)
+    for j in range(k):
+        top[:, j] = np.argmax(left, axis=1)
+        left[rows, top[:, j]] = -np.inf
+    return top
 
 
 def pca_w(

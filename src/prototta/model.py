@@ -187,10 +187,7 @@ class BatchOutputs:
     def mapped_sims(self) -> Tensor:
         """n x P s-bar values in [eps, 1-eps], mapped from agg_sims on first read and recorded
         on the tape active then; later reads return the same tensor."""
-        if self.mapping.kind == "log_inverse_distance":
-            # squared euclidean distance between unit vectors: 2 * (1 - cos)
-            return map_similarity(ad.scale(ad.sub(1.0, self.agg_sims), 2.0), self.mapping)
-        return map_similarity(self.agg_sims, self.mapping)
+        return map_activations(self.agg_sims, self.mapping)
 
 
 class PrototypeModel:
@@ -207,6 +204,8 @@ class PrototypeModel:
         self.params: dict[str, Tensor] = {}
         # batch_norm evaluation statistics, per layer index
         self.running_stats: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # the frozen prototypes' constants while ``frozen_prototypes`` pins them
+        self._bank: _PrototypeBank | None = None
         self._init_params(np.random.default_rng(seed))
 
     def _init_params(self, rng: np.random.Generator) -> None:
@@ -381,6 +380,14 @@ def map_similarity(raw: Tensor, scheme: MappingScheme) -> Tensor:
     return ad.unary(raw, np.clip(mapped, lo, hi), lambda g: inner(g * ((mapped > lo) & (mapped < hi))))
 
 
+def map_activations(agg_sims: Tensor, scheme: MappingScheme) -> Tensor:
+    """An n x P block of aggregated cosines as s-bar values; the log-inverse range is the block's own."""
+    if scheme.kind == "log_inverse_distance":
+        # squared euclidean distance between unit vectors: 2 * (1 - cos)
+        return map_similarity(ad.scale(ad.sub(1.0, agg_sims), 2.0), scheme)
+    return map_similarity(agg_sims, scheme)
+
+
 def _backbone_layer(model: PrototypeModel, i: int, h: Tensor, use_batch_stats: bool) -> tuple[Tensor, np.ndarray]:
     """Layer ``i`` as linear -> norm -> bias -> tanh, one recorded op; returns (output, pre-norm)."""
     norm = -1 if model.config.backbone.norm_kind == "layer_norm" else 0 if use_batch_stats else model.running_stats[i]
@@ -419,16 +426,34 @@ def _consensus_k(config: ModelConfig) -> int:
     return {"max": 1, "mean": config.sub_prototypes, "topk_mean": config.agg_k}[config.aggregation]
 
 
-def _mean_consensus(features: Tensor, prototypes: np.ndarray) -> Tensor:
-    """Mean cosine of each feature row with each prototype's K constant sub-prototypes: n x P.
+class _PrototypeBank:
+    """What frozen forwards need of one prototype array: the P*K sub-prototypes as unit rows, and
+    each prototype's centre c_p, the mean of its K unit sub-prototypes (P x d). A zero-norm
+    sub-prototype is a DegenerateInputError naming its row."""
 
-    The mean of K cosines is the unit feature row dotted with c_p, the mean of
-    the K unit sub-prototypes, so this is one n x P product instead of
-    n x (P*K). A c_p of zero norm (antipodal sub-prototypes, say) gives 0.
+    def __init__(self, prototypes: np.ndarray):
+        P, K, d = prototypes.shape
+        self.unit, _ = ad._unit(prototypes.reshape(P * K, d), "b")
+        self.centres = self.unit.reshape(P, K, d).mean(axis=1)
+
+
+@contextmanager
+def frozen_prototypes(*models: PrototypeModel):
+    """Pin one bank of the first model's prototypes on every model for the span of the block.
+
+    Their frozen forwards then take the prototype constants from it instead of
+    recomputing them. The models must hold those prototype values unchanged
+    while pinned. The bank is built before anything is pinned and unpinned on
+    exit, also when the block raises.
     """
-    P, K, d = prototypes.shape
-    centres = ad.unit_rows(prototypes.reshape(P * K, d)).data.reshape(P, K, d).mean(axis=1)
-    return ad.matmul(ad.unit_rows(features), centres.T)
+    bank = _PrototypeBank(models[0].prototypes.data)
+    for m in models:
+        m._bank = bank
+    try:
+        yield
+    finally:
+        for m in models:
+            m._bank = None
 
 
 def model_forward(model: PrototypeModel, x: Tensor | np.ndarray, use_batch_stats: bool = True) -> BatchOutputs:
@@ -439,11 +464,13 @@ def model_forward(model: PrototypeModel, x: Tensor | np.ndarray, use_batch_stats
     mapped scores are computed only when ``mapped_sims`` is first read.
     batch_norm backbones use current-batch statistics unless
     ``use_batch_stats`` is off, which switches to stored running statistics.
+    With frozen prototypes, the prototype constants come from the bank that
+    ``frozen_prototypes`` pinned, or from one built for this call.
     """
     x = ad.as_tensor(x)
-    if x.data.ndim != 2 or x.shape[1] != model.config.backbone.input_dim:
+    if x.data.ndim != 2 or x.shape[1] != model.config.backbone.input_dim or x.shape[0] == 0:
         raise ShapeError(
-            f"expected n x {model.config.backbone.input_dim} input, got {x.shape}"
+            f"expected n x {model.config.backbone.input_dim} input with n >= 1, got {x.shape}"
         )
     if not np.isfinite(x.data).all():
         raise DomainError("input contains non-finite values")
@@ -451,11 +478,17 @@ def model_forward(model: PrototypeModel, x: Tensor | np.ndarray, use_batch_stats
     n = x.shape[0]
     P, K, d = model.prototypes.shape
     k = _consensus_k(model.config)
-    if k == K and not model.prototypes.requires_grad:
-        agg_sims = _mean_consensus(features, model.prototypes.data)
-    else:
+    if model.prototypes.requires_grad:
         raw_sims = ad.cosine_similarity(features, ad.reshape(model.prototypes, (P * K, d)))
         agg_sims = ad.topk_mean(ad.reshape(raw_sims, (n, P, K)), k)
+    else:
+        bank = model._bank or _PrototypeBank(model.prototypes.data)
+        if k == K:
+            # the mean of K cosines is the unit feature row dotted with c_p: one n x P product,
+            # and a c_p of zero norm (antipodal sub-prototypes, say) gives 0
+            agg_sims = ad.matmul(ad.unit_rows(features), bank.centres.T)
+        else:
+            agg_sims = ad.topk_mean(ad.reshape(ad._cosine(features, bank.unit), (n, P, K)), k)
     logits = ad.matmul(agg_sims, ad.transpose(model.head))
     probs = ad.softmax(logits)
     pseudo_labels = np.argmax(probs.data, axis=1)

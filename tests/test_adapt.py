@@ -26,7 +26,8 @@ from prototta.adapt import (
     tent_loss,
 )
 from prototta.autodiff import Tensor
-from prototta.errors import ConfigError, ContractError, DomainError, EmptyReliableSetError
+from prototta.bench import method_presets
+from prototta.errors import ConfigError, ContractError, DomainError, EmptyReliableSetError, ShapeError
 from prototta.model import model_forward
 
 
@@ -365,6 +366,15 @@ class TestRunStream:
         # the updates of the two batches before the failing one stay
         for name in ("backbone.0.norm.gamma", "backbone.0.norm.beta"):
             assert not np.array_equal(model.params[name].data, tiny_model.params[name].data)
+
+    @pytest.mark.parametrize("method", ["unadapted", "tent", "prototta", "prototta_plus"])
+    def test_a_batch_without_rows_is_a_shape_error(self, tiny_model, tiny_dataset, method):
+        # not an update of loss nan (tent) nor a bare numpy error from mapping an empty block
+        model = tiny_model.copy()
+        x, y = tiny_dataset.test_x, tiny_dataset.test_y
+        with pytest.raises(ShapeError, match="n >= 1"):
+            run_stream(model, [(x[:0], y[:0])], method_presets()[method])
+        assert all(np.array_equal(t.data, tiny_model.params[n].data) for n, t in model.params.items())
 
     def test_consensus_stream_keeps_caller_config_and_returns_state(self, tiny_model, tiny_dataset, rng):
         x, y = self._batches(tiny_dataset, rng)

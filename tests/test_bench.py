@@ -338,6 +338,26 @@ class TestRunBenchmark:
         assert len(expected) == 8 and calls == expected
         assert [(c.corruption, c.method, c.seed) for c in result.cells] == [call[:3] for call in expected]
 
+    def test_a_cell_maps_only_the_batches_it_records(self, plan_kwargs, tiny_model, tiny_dataset, monkeypatch):
+        from prototta import model as pmodel
+
+        calls = []
+        mapping = pmodel.map_similarity
+
+        def counting(raw, scheme):
+            calls.append(raw.shape)
+            return mapping(raw, scheme)
+
+        monkeypatch.setattr(pmodel, "map_similarity", counting)
+        plan = BenchmarkPlan(**{**plan_kwargs, "num_batches": 16, "record_batches": 2})
+        assert len(tiny_dataset.test_x) == 16 * STREAM_BATCH_SIZE
+        cell = _run_cell(
+            tiny_model, tiny_dataset, CorruptionSpec("gaussian_noise", 5), "unadapted",
+            method_presets()["unadapted"], 0, plan, keep_records=True,
+        )
+        assert len(cell.batches) == 16 and len(cell.records) == 2 * STREAM_BATCH_SIZE
+        assert calls == [(STREAM_BATCH_SIZE, tiny_model.config.num_prototypes)] * 2
+
     def test_summary_tables_are_seed_statistics_of_the_cells(self, plan_kwargs):
         # seeds out of plan order: every row is over the plan's seeds, and speeds pair cells of one seed
         plan = BenchmarkPlan(**{**plan_kwargs, "seeds": (1, 0)})
@@ -631,6 +651,16 @@ class TestBoards:
             (record.adapted_activations if key == "raw_similarity" else record.mapped_activations)[7] = value
         with pytest.raises(FormatError, match=f"board of sample {record.sample_id}: non-finite"):
             render_boards([record], model, k=len(model.class_of), method="m")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_contribution_outside_the_top_k_refuses_the_board(self, tiny_model, tiny_dataset, rng, value):
+        record = stream_records(tiny_model, tiny_dataset, rng)[2]
+        model = tiny_model.copy()
+        low = int(np.argmin(record.adapted_activations))
+        assert record.adapted_activations[low] < 0  # so an infinite |head weight| gives it -inf
+        model.head.data[record.adapted_prediction, low] = value
+        with pytest.raises(FormatError, match=f"board of sample {record.sample_id}: non-finite"):
+            render_boards([record], model, k=1, method="m")
 
     def test_non_finite_head_writes_no_board(self, tiny_model, tiny_dataset, rng, tmp_path):
         records = stream_records(tiny_model, tiny_dataset, rng)[:4]

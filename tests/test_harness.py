@@ -9,7 +9,7 @@ from conftest import finite_difference_grad
 from prototta import autodiff as ad
 from prototta.autodiff import Tensor
 from prototta.cli import main
-from prototta.errors import ConfigError, FormatError
+from prototta.errors import ConfigError, FormatError, InsufficientDataError
 from prototta.harness import (
     CORRUPTION_KINDS,
     SEVERITY_TABLES,
@@ -152,6 +152,10 @@ class TestSourceTraining:
         # session fixture trains 3 epochs; verify the reported accuracy matches
         accuracy = evaluate(tiny_model, tiny_dataset.test_x, tiny_dataset.test_y)
         assert accuracy > 0.9
+
+    def test_evaluating_no_samples_is_refused(self, tiny_model, tiny_dataset):
+        with pytest.raises(InsufficientDataError, match="at least one sample"):
+            evaluate(tiny_model, tiny_dataset.test_x[:0], tiny_dataset.test_y[:0])
 
     def test_zero_epochs_returns_initial_model(self, tiny_dataset):
         model, stats = train_source_model(tiny_dataset, epochs=0, seed=0)

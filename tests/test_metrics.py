@@ -22,6 +22,7 @@ from prototta.harness import CorruptionSpec, corrupt
 from prototta.metrics import (
     ActivationRecord,
     _median_throughput,
+    _top_indices,
     dump_records,
     load_records,
     load_scores,
@@ -365,6 +366,24 @@ def top_board(contributions, class_of, ground_truth, k):
     top = np.argsort(-contributions, kind="stable")[:k]
     protos = [{"contribution": float(contributions[p]), "owning_class": int(class_of[p])} for p in top]
     return {"ground_truth": ground_truth, "prototypes": protos}
+
+
+class TestTopIndices:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_argmax_rounds_are_the_stable_descending_sort(self, data):
+        n, P = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 12))
+        # few distinct values, signed zeros among them, so most rows hold ties
+        values = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 2.0, 1e300, -1e300])
+        scores = np.array(data.draw(st.lists(values, min_size=n * P, max_size=n * P))).reshape(n, P)
+        k = data.draw(st.integers(1, P))
+        before = scores.copy()
+        top = _top_indices(scores, k)
+        assert np.array_equal(top, np.argsort(-scores, axis=-1, kind="stable")[:, :k])
+        assert np.array_equal(scores, before)
+
+    def test_nan_counts_as_largest(self):
+        assert _top_indices(np.array([[1.0, np.nan, 3.0, np.nan]]), 3).tolist() == [[1, 3, 2]]
 
 
 class TestSamplePcaW:

@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 
 from conftest import finite_difference_grad
 from prototta import autodiff as ad
-from prototta.adapt import TTAConfig, adapt_batch, init_optimizer
+from prototta.adapt import TTAConfig, adapt_batch, init_optimizer, iter_batches, run_stream
 from prototta.autodiff import Tensor
 from prototta.cli import main
-from prototta.errors import ConfigError, DegenerateInputError, DomainError, FormatError
+from prototta.bench import method_presets
+from prototta.errors import ConfigError, DegenerateInputError, DomainError, FormatError, ShapeError
 from prototta.harness import evaluate, train_source_model
 from prototta.model import (
     EPS_CLAMP,
@@ -25,6 +26,7 @@ from prototta.model import (
     ModelConfig,
     PrototypeModel,
     backbone_features,
+    frozen_prototypes,
     load_model,
     log_inverse_kernel,
     map_similarity,
@@ -154,6 +156,12 @@ class TestForward:
         with pytest.raises(DegenerateInputError, match="operand a"):
             model_forward(small_model, rng.normal(size=(4, 8)), use_batch_stats=False)
 
+    def test_input_without_rows_is_a_shape_error(self, small_model):
+        for trainable in (False, True):
+            small_model.prototypes.requires_grad = trainable
+            with pytest.raises(ShapeError, match=r"n >= 1, got \(0, 8\)"):
+                model_forward(small_model, np.zeros((0, 8)))
+
     def test_logits_are_aggregated_sims_through_head(self, small_model, rng):
         out = model_forward(small_model, rng.normal(size=(4, 8)), use_batch_stats=False)
         np.testing.assert_allclose(
@@ -260,6 +268,103 @@ class TestMeanConsensus:
         # sub-prototype 3 of prototype 2 is row 2 * K + 3 of the P*K sub-prototypes
         with pytest.raises(DegenerateInputError, match="zero-norm row 11 "):
             model_forward(model, rng.normal(size=(4, 8)))
+
+
+class TestPrototypeBank:
+    """Frozen forwards take the prototype constants from one bank per stream or evaluation."""
+
+    @pytest.fixture()
+    def normalisations(self, monkeypatch, tiny_model):
+        """Every row normalisation of a P*K x d sub-prototype matrix, by the shape of its input."""
+        calls = []
+        unit = ad._unit
+        P, K, d = tiny_model.prototypes.shape
+
+        def counting(x, label):
+            if x.shape == (P * K, d):
+                calls.append(label)
+            return unit(x, label)
+
+        monkeypatch.setattr("prototta.autodiff._unit", counting)
+        return calls
+
+    @pytest.mark.parametrize("aggregation", ["max", "mean", "topk_mean"])
+    def test_pinned_bank_gives_the_bits_of_a_bank_per_forward(self, tiny_model, rng, aggregation):
+        model = tiny_model.copy(replace(tiny_model.config, aggregation=aggregation, agg_k=None))
+        names = model.adaptable_param_names("all_adaptive")
+        x = rng.normal(size=(48, 32))
+        weights = rng.normal(size=(48, model.config.num_prototypes))
+
+        def forward_and_grads():
+            model.set_trainable(names)
+            tape = ad.Tape()
+            with tape:
+                out = model_forward(model, x)
+                loss = ad.add(ad.reduce_sum(ad.mul(out.mapped_sims, weights)), ad.reduce_sum(out.logits))
+            ad.backward(tape, loss)
+            grads = [model.params[n].grad for n in names]
+            model.set_trainable([])
+            return out, grads
+
+        alone, alone_grads = forward_and_grads()
+        with frozen_prototypes(model):
+            pinned, pinned_grads = forward_and_grads()
+        for name in ("agg_sims", "logits", "mapped_sims"):
+            assert np.array_equal(getattr(alone, name).data, getattr(pinned, name).data), name
+        for name, a, b in zip(names, alone_grads, pinned_grads):
+            assert np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("method", ["unadapted", "tent", "prototta", "prototta_plus"])
+    def test_one_normalisation_per_stream(self, tiny_model, tiny_dataset, normalisations, method):
+        x, y = tiny_dataset.test_x[:192], tiny_dataset.test_y[:192]
+        run_stream(tiny_model.copy(), iter_batches(x, y, 64), method_presets()[method])
+        assert normalisations == ["b"]
+
+    def test_one_normalisation_per_evaluation(self, tiny_model, tiny_dataset, normalisations):
+        assert len(tiny_dataset.test_x) > 512  # several batches
+        evaluate(tiny_model, tiny_dataset.test_x, tiny_dataset.test_y)
+        assert normalisations == ["b"]
+        model_forward(tiny_model, tiny_dataset.test_x[:8])  # no bank pinned: one for the call
+        assert normalisations == ["b", "b"]
+
+    @pytest.mark.parametrize("method", ["unadapted", "tent", "prototta"])
+    def test_zero_norm_sub_prototype_is_degenerate_in_streams_and_evaluation(self, tiny_model, tiny_dataset, method):
+        model = tiny_model.copy()
+        model.prototypes.data[2, 3] = 0.0
+        x, y = tiny_dataset.test_x[:64], tiny_dataset.test_y[:64]
+        with pytest.raises(DegenerateInputError, match="zero-norm row 11 "):
+            run_stream(model, [(x, y)], method_presets()[method])
+        with pytest.raises(DegenerateInputError, match="zero-norm row 11 "):
+            evaluate(model, x, y)
+        assert model._bank is None
+        assert all(not t.requires_grad and t.grad is None for t in model.params.values())
+
+    @pytest.mark.parametrize("method", ["unadapted", "tent", "prototta"])
+    def test_a_stream_that_raises_leaves_no_bank_pinned(self, tiny_model, tiny_dataset, monkeypatch, method):
+        pinned = []
+
+        def recording(*models):
+            pinned.extend(models)
+            return frozen_prototypes(*models)
+
+        monkeypatch.setattr("prototta.adapt.frozen_prototypes", recording)
+        x = tiny_dataset.test_x[:128].copy()
+        x[70, 3] = np.nan  # in the second batch
+        with pytest.raises(DomainError):
+            run_stream(tiny_model.copy(), iter_batches(x, None, 64), method_presets()[method])
+        assert len(pinned) == (1 if method == "unadapted" else 2)
+        assert all(m._bank is None for m in pinned)
+
+    def test_an_in_place_prototype_write_reaches_the_next_stream(self, tiny_model, tiny_dataset):
+        model = tiny_model.copy()
+        x, y = tiny_dataset.test_x[:64], tiny_dataset.test_y[:64]
+        tent = method_presets()["tent"]
+        first = run_stream(model, [(x, y)], tent).sample_blocks[0].clean_activations
+        model.prototypes.data[0] *= -1.0
+        expected = model_forward(model, x, use_batch_stats=False).agg_sims.data
+        second = run_stream(model, [(x, y)], tent).sample_blocks[0].clean_activations
+        assert np.array_equal(second, expected)
+        assert not np.array_equal(second[:, 0], first[:, 0])
 
 
 class TestAdaptableSets:
