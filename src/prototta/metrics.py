@@ -8,7 +8,9 @@ statistics use population standard deviation (ddof=0) throughout.
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,17 +46,43 @@ class ActivationRecord:
     mapped_activations: np.ndarray | None = None  # adapted s-bar values, length P
 
     def to_json(self) -> str:
-        obj = {
-            "sample_id": self.sample_id,
-            "clean_activations": self.clean_activations.tolist(),
-            "adapted_activations": self.adapted_activations.tolist(),
-            "clean_prediction": self.clean_prediction,
-            "adapted_prediction": self.adapted_prediction,
-            "ground_truth": self.ground_truth,
-        }
+        """The record's line: what ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` gives for its
+        dict of ints and float64 activation lists, filled into a fixed layout instead of built as a dict.
+
+        Floats are written by ``float.__repr__``, as the encoder writes them. Clean and adapted
+        activations that are bitwise equal (so ``-0.0`` and ``0.0`` differ) are formatted once. An id,
+        prediction or label that is not an int, or a non-finite activation, which JSON cannot hold,
+        is a DomainError naming the sample and the field.
+        """
+        for key in _RECORD_INTS:
+            if type(getattr(self, key)) is not int:
+                raise DomainError(f"record {self.sample_id!r}: {key} must be int, got {getattr(self, key)!r}")
+        clean = np.asarray(self.clean_activations, dtype=np.float64)
+        adapted = np.asarray(self.adapted_activations, dtype=np.float64)
+        clean_text = self._floats_text("clean_activations", clean)
+        if adapted.shape == clean.shape and adapted.tobytes() == clean.tobytes():
+            adapted_text = clean_text
+        else:
+            adapted_text = self._floats_text("adapted_activations", adapted)
+        mapped_text = ""
         if self.mapped_activations is not None:
-            obj["mapped_activations"] = self.mapped_activations.tolist()
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+            mapped_text = f'"mapped_activations":{self._floats_text("mapped_activations", self.mapped_activations)},'
+        return _RECORD_TEXT % (
+            adapted_text,
+            self.adapted_prediction,
+            clean_text,
+            self.clean_prediction,
+            self.ground_truth,
+            mapped_text,
+            self.sample_id,
+        )
+
+    def _floats_text(self, key: str, values) -> str:
+        # tolist gives Python floats, whose list repr is their JSON array with a space after each comma
+        text = repr(np.asarray(values, dtype=np.float64).tolist()).replace(" ", "")
+        if "n" in text:  # float.__repr__ writes an n only in nan and inf
+            raise DomainError(f"record {self.sample_id}: {key} holds a non-finite value")
+        return text
 
     @classmethod
     def from_json(cls, line: str) -> "ActivationRecord":
@@ -64,19 +92,18 @@ class ActivationRecord:
         may be left out, non-empty finite number lists of one length; anything
         else is a FormatError."""
         try:
-            obj = json.loads(line)
-            check_type(dict, "record", obj)
-            for key in (*_RECORD_INTS, "clean_activations", "adapted_activations"):
-                if key not in obj:
-                    raise ConfigError(f"missing field {key!r}")
-            for key in _RECORD_INTS:
-                check_index(key, obj[key])
-            arrays = {key: _activations(key, obj[key]) for key in _RECORD_ARRAYS if key in obj}
-            if len({len(a) for a in arrays.values()}) != 1:
-                raise ConfigError(f"activation lists differ in length: {[len(a) for a in arrays.values()]}")
-        except (ValueError, ConfigError) as exc:
+            return _parse_records([line])[0]
+        except _BadLine as exc:
             raise FormatError(f"bad activation record: {exc}") from None
-        return cls(**{key: obj[key] for key in _RECORD_INTS}, **arrays)
+
+
+# a records line: the keys in sorted order, and before "sample_id" the mapped activations' member or nothing
+_RECORD_TEXT = (
+    '{"adapted_activations":%s,"adapted_prediction":%d,"clean_activations":%s,"clean_prediction":%d,'
+    '"ground_truth":%d,%s"sample_id":%d}'
+)
+_REQUIRED_FIELDS = (*_RECORD_INTS, "clean_activations", "adapted_activations")
+_REQUIRED_SET = frozenset(_REQUIRED_FIELDS)
 
 
 def check_index(key: str, value) -> None:
@@ -87,8 +114,8 @@ def check_index(key: str, value) -> None:
         raise ConfigError(f"{key} must be non-negative{unlabeled}, got {value}")
 
 
-def _activations(key: str, value) -> np.ndarray:
-    """A non-empty list of finite JSON numbers (no bools) as a float64 vector."""
+def _check_activations(key: str, value) -> None:
+    """A ConfigError unless ``value`` is a non-empty list of JSON numbers (no bools) that are finite as float64."""
     check_type(list, key, value)
     if not value or not set(map(type, value)) <= {int, float}:
         raise ConfigError(f"{key} must be a non-empty list of numbers")
@@ -98,28 +125,123 @@ def _activations(key: str, value) -> np.ndarray:
         raise ConfigError(f"{key} holds a number too large for a float") from None
     if not np.isfinite(arr).all():
         raise ConfigError(f"{key} must be finite")
-    return arr
+
+
+def _check_fields(obj: dict) -> None:
+    for key in _REQUIRED_FIELDS:
+        if key not in obj:
+            raise ConfigError(f"missing field {key!r}")
+
+
+def _check_lengths(obj: dict) -> None:
+    lengths = [len(obj[key]) for key in _RECORD_ARRAYS if key in obj]
+    if len(set(lengths)) != 1:
+        raise ConfigError(f"activation lists differ in length: {lengths}")
+
+
+class _BadLine(Exception):
+    """A bad records line, by its index among the lines parsed, with its first failing check as the message."""
+
+    def __init__(self, index: int, problem: str):
+        super().__init__(problem)
+        self.index = index
+
+
+def _first_failure(check, values) -> _BadLine | None:
+    """The first of ``values`` that ``check`` raises a ConfigError for, or None."""
+    for i, value in enumerate(values):
+        try:
+            check(value)
+        except ConfigError as exc:
+            return _BadLine(i, str(exc))
+    return None
+
+
+def _activation_column(key: str, values: list) -> tuple[_BadLine | None, list[np.ndarray]]:
+    """``values`` as float64 rows of one array, checked as ``_check_activations`` checks each (one type
+    check, ``np.array`` and ``np.isfinite`` for them all), or the first value it refuses."""
+    if all(type(v) is list and v for v in values):
+        flat = list(chain.from_iterable(values))
+        if set(map(type, flat)) <= {int, float}:
+            with suppress(OverflowError):
+                array = np.array(flat, dtype=np.float64)
+                if np.isfinite(array).all():
+                    ends = accumulate(map(len, values))
+                    return None, [array[end - len(v) : end] for v, end in zip(values, ends)]
+    return _first_failure(lambda value: _check_activations(key, value), values), []
+
+
+def _parse_records(lines: Sequence[str]) -> list[ActivationRecord]:
+    """The records of JSON ``lines``, checked as ``ActivationRecord.from_json`` says, each check once per column.
+
+    A column that fails a check is searched for its first bad line. Each check sees only the lines before
+    the first bad line found so far, and the checks run in the order one line's would, so the ``_BadLine``
+    raised is the first bad line with its first failing check.
+    """
+    objs, bad = [], None
+    for i, line in enumerate(lines):
+        try:
+            objs.append(json.loads(line))
+        except ValueError as exc:
+            bad = _BadLine(i, str(exc))
+            break
+
+    def good() -> list:
+        return objs[: bad.index] if bad else objs
+
+    if set(map(type, good())) - {dict}:
+        bad = _first_failure(lambda obj: check_type(dict, "record", obj), good()) or bad
+    if not all(obj.keys() >= _REQUIRED_SET for obj in good()):
+        bad = _first_failure(_check_fields, good()) or bad
+    for key in _RECORD_INTS:
+        values = [obj[key] for obj in good()]
+        if set(map(type, values)) - {int} or min(values, default=0) < (-1 if key == "ground_truth" else 0):
+            bad = _first_failure(lambda value: check_index(key, value), values) or bad
+    rows = {}
+    for key in _RECORD_ARRAYS:
+        numbers = [i for i, obj in enumerate(good()) if key in obj]
+        found, column = _activation_column(key, [objs[i][key] for i in numbers])
+        if found:
+            bad = _BadLine(numbers[found.index], str(found))
+        rows[key] = dict(zip(numbers, column))
+    # a line without mapped activations counts its clean length for them
+    lengths = [[len(obj.get(key, obj["clean_activations"])) for obj in good()] for key in _RECORD_ARRAYS]
+    if not lengths[0] == lengths[1] == lengths[2]:
+        bad = _first_failure(_check_lengths, good()) or bad
+    if bad:
+        raise bad
+    clean, adapted, mapped = (rows[key] for key in _RECORD_ARRAYS)
+    return [
+        ActivationRecord(
+            obj["sample_id"],
+            clean[i],
+            adapted[i],
+            obj["clean_prediction"],
+            obj["adapted_prediction"],
+            obj["ground_truth"],
+            mapped.get(i),
+        )
+        for i, obj in enumerate(objs)
+    ]
 
 
 def dump_records(records: Iterable[ActivationRecord], path) -> None:
-    write_file(path, "".join(rec.to_json() + "\n" for rec in records))
+    """Write each record's ``to_json`` line. Every line is made, and so checked, before ``path`` is opened."""
+    write_file(path, "".join([f"{rec.to_json()}\n" for rec in records]))
 
 
 def load_records(path) -> list[ActivationRecord]:
-    """Records from a ``.jsonl`` file; a bad line is a FormatError naming ``path:line``."""
-    out = []
+    """Records from a ``.jsonl`` file, checked as ``ActivationRecord.from_json`` says once every line is read;
+    blank lines are passed over, and a bad line is a FormatError naming ``path:line``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if line:
-                    try:
-                        out.append(ActivationRecord.from_json(line))
-                    except FormatError as exc:
-                        raise FormatError(f"{path}:{lineno}: {exc}") from None
+            numbered = [(n, line) for n, line in enumerate(map(str.strip, fh), start=1) if line]
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
-    return out
+    try:
+        return _parse_records([line for _, line in numbered])
+    except _BadLine as exc:
+        raise FormatError(f"{path}:{numbered[exc.index][0]}: bad activation record: {exc}") from None
 
 
 def mean_std(values) -> tuple[float, float]:

@@ -45,9 +45,14 @@ def canonical_dumps(obj, default=None) -> str:
 
 def check_type(kind: type, label: str, value) -> None:
     """ConfigError unless ``value`` is a ``kind``; a bool counts only as a
-    bool, and a ``Real`` must be finite."""
+    bool, and a ``Real`` must be finite, as a float (an int too large for one is not)."""
     ok = isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
-    if not ok or (kind is Real and not math.isfinite(value)):
+    if ok and kind is Real:
+        try:
+            ok = math.isfinite(value)
+        except OverflowError:
+            ok = False
+    if not ok:
         raise ConfigError(f"{label} must be {'finite real' if kind is Real else kind.__name__}, got {value!r}")
 
 

@@ -99,6 +99,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             TTAConfig(**kwargs)
 
+    def test_integer_too_large_for_a_float_rejected(self):
+        # math.isfinite raises OverflowError on such an int; it is refused as any other non-finite real
+        with pytest.raises(ConfigError, match="lr must be finite real, got 1000"):
+            TTAConfig.from_json('{"lr": 1%s}' % ("0" * 400))
+
     def test_entropy_cap_default_is_half_max(self):
         assert TTAConfig().resolved_entropy_cap(5) == pytest.approx(0.5 * math.log(5))
         assert TTAConfig(entropy_cap=0.2).resolved_entropy_cap(5) == 0.2

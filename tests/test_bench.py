@@ -950,6 +950,22 @@ class TestCli:
         assert main(["bench", "--plan", str(plan_path)]) == 2
         assert f"{plan_path}: not UTF-8 text" in capsys.readouterr().err
 
+    def test_plan_real_too_large_for_a_float_exits_2(self, saved_files, tmp_path, capsys):
+        plan = {
+            "model_path": str(saved_files["model"]),
+            "dataset_path": str(saved_files["dataset"]),
+            "output_dir": str(tmp_path / "reports"),
+            "corruptions": ["gaussian_noise:5"],
+            "seeds": [0],
+            "num_batches": 1,
+            "methods": [["x", {"method": "tent", "lr": 10**400}]],
+        }
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        assert main(["bench", "--plan", str(plan_path)]) == 2
+        assert "lr must be finite real" in capsys.readouterr().err
+        assert not (tmp_path / "reports").exists()
+
     def test_train_takes_task_shape_from_dataset(self, tmp_path):
         data = tmp_path / "data.pttd"
         model = tmp_path / "model.ptta"
@@ -1538,6 +1554,14 @@ class TestCli:
         assert main(["correlate", "--boards", str(boards), "--scores", str(scores)]) == 2
         err = capsys.readouterr().err
         assert str(bad) in err and "malformed board" in err
+
+    def test_board_contribution_too_large_for_a_float_exits_2(self, correlate_inputs, capsys):
+        boards, scores, _ = correlate_inputs
+        bad = boards / "zz_bad.json"
+        prototype = {"contribution": 10**400, "owning_class": 0}
+        bad.write_text(json.dumps({"sample_id": 1, "method": "x", "ground_truth": 0, "prototypes": [prototype]}))
+        assert main(["correlate", "--boards", str(boards), "--scores", str(scores)]) == 2
+        assert f"{bad}: malformed board: contribution must be finite real" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "row, problem",

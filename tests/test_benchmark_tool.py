@@ -18,7 +18,7 @@ import pytest
 RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
 
-@pytest.mark.parametrize("workload", ["adapt", "train"])
+@pytest.mark.parametrize("workload", ["adapt", "train", "report"])
 def test_one_traced_run_is_correct(workload):
     cmd = [sys.executable, str(RUN), "--workload", workload, "--seed", "1", "--seconds", "0", "--trace", "1"]
     proc = subprocess.run(cmd, cwd=RUN.parent.parent, capture_output=True, text=True, timeout=300)

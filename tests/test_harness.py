@@ -250,6 +250,16 @@ class TestDatasetPersistence:
         assert main(["train", "--data", str(path), "--out", str(tmp_path / "model.ptta"), "--epochs", "0"]) == 2
         assert str(path) in capsys.readouterr().err
 
+    def test_spread_too_large_for_a_float_is_format_error(self, tiny_dataset, tmp_path, rewrite_header, capsys):
+        path = tmp_path / "data.pttd"
+        save_dataset(tiny_dataset, path)
+        rewrite_header(path, b"PTTD1", lambda h: {**h, "spec": {**h["spec"], "cluster_spread": 10**400}})
+        with pytest.raises(FormatError, match="cluster_spread must be finite real"):
+            load_dataset(path)
+        assert main(["train", "--data", str(path), "--out", str(tmp_path / "model.ptta"), "--epochs", "0"]) == 2
+        assert f"{path}: malformed header: cluster_spread must be finite real" in capsys.readouterr().err
+        assert not (tmp_path / "model.ptta").exists()
+
     def test_bad_magic_rejected(self, tiny_dataset, tmp_path):
         path = tmp_path / "data.pttd"
         save_dataset(tiny_dataset, path)

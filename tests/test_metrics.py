@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import re
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 from prototta.adapt import AdaptationReport, StepRecord, iter_batches, run_stream
 from prototta.bench import board_sample_pca_w, method_presets
 from prototta.errors import (
+    ConfigError,
     DegenerateInputError,
     DomainError,
     FormatError,
@@ -19,10 +23,12 @@ from prototta.errors import (
     ShapeError,
 )
 from prototta.harness import CorruptionSpec, corrupt
+from prototta.model import check_type
 from prototta.metrics import (
     ActivationRecord,
     _median_throughput,
     _top_indices,
+    check_index,
     dump_records,
     load_records,
     load_scores,
@@ -194,6 +200,186 @@ class TestActivationRecords:
         rec.mapped_activations = None
         again = ActivationRecord.from_json(rec.to_json())
         assert again.mapped_activations is None
+
+
+
+# integral floats, signed zeros, subnormals, and the values around 1e16 and 1e-4 where repr switches to an exponent
+RECORD_EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 3.0, -7.0, 1e15, 9999999999999998.0, 1e16, -1.5e16,
+     1.7976931348623157e308, 1e-4, 9.99e-05, -1e-05, 0.1]
+)
+RECORD_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | RECORD_EDGE_FLOATS
+
+
+@st.composite
+def record_lists(draw):
+    """Records of any finite activations, each with its own length. A record's adapted row is drawn, a bitwise
+    copy of its clean row, or that copy with every zero's sign flipped; its mapped row is left out of all,
+    none or some of the records."""
+    mapped_on = draw(st.sampled_from(["all", "none", "some"]))
+    records = []
+    for _ in range(draw(st.integers(0, 5))):
+        P = draw(st.integers(1, 6))
+        row = st.lists(RECORD_FLOATS, min_size=P, max_size=P).map(np.array)
+        clean = draw(row)
+        kind = draw(st.sampled_from(["drawn", "same bits", "signed zeros"]))
+        if kind == "drawn":
+            adapted = draw(row)
+        else:
+            adapted = clean.copy()
+            if kind == "signed zeros":
+                clean[draw(st.integers(0, P - 1))] = draw(st.sampled_from([0.0, -0.0]))
+                adapted = np.where(clean == 0, -clean, clean)
+        mapped = draw(row) if mapped_on == "all" or (mapped_on == "some" and draw(st.booleans())) else None
+        ints = st.integers(0, 2**70)
+        records.append(
+            ActivationRecord(draw(ints), clean, adapted, draw(ints), draw(ints), draw(st.integers(-1, 2**70)), mapped)
+        )
+    return records
+
+
+def record_dict(record):
+    """The record as a dict of ints and lists, which ``json.dumps`` writes."""
+    keys = ("sample_id", "clean_prediction", "adapted_prediction", "ground_truth")
+    obj = {key: getattr(record, key) for key in keys}
+    for key in ("clean_activations", "adapted_activations", "mapped_activations"):
+        if getattr(record, key) is not None:
+            obj[key] = getattr(record, key).tolist()
+    return obj
+
+
+def reference_activations(key, value):
+    """One activation list checked on its own: the per-line reader the records reader must agree with."""
+    check_type(list, key, value)
+    if not value or not set(map(type, value)) <= {int, float}:
+        raise ConfigError(f"{key} must be a non-empty list of numbers")
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except OverflowError:
+        raise ConfigError(f"{key} holds a number too large for a float") from None
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{key} must be finite")
+    return arr
+
+
+def reference_problem(line):
+    """The first failing check of one records line, checked on its own, or None for a good line."""
+    try:
+        obj = json.loads(line)
+        check_type(dict, "record", obj)
+        for key in ("sample_id", "clean_prediction", "adapted_prediction", "ground_truth"):
+            if key not in obj:
+                raise ConfigError(f"missing field {key!r}")
+        for key in ("clean_activations", "adapted_activations"):
+            if key not in obj:
+                raise ConfigError(f"missing field {key!r}")
+        for key in ("sample_id", "clean_prediction", "adapted_prediction", "ground_truth"):
+            check_index(key, obj[key])
+        arrays = [
+            reference_activations(key, obj[key])
+            for key in ("clean_activations", "adapted_activations", "mapped_activations")
+            if key in obj
+        ]
+        if len({len(a) for a in arrays}) != 1:
+            raise ConfigError(f"activation lists differ in length: {[len(a) for a in arrays]}")
+    except (ValueError, ConfigError) as exc:
+        return f"bad activation record: {exc}"
+    return None
+
+
+# edits that break a records line, each on its own or several on one line
+LINE_EDITS = {
+    "truncated": lambda line: line[: len(line) // 2],
+    "list": lambda line: "[1, 2]",
+    "number": lambda line: "3",
+    "nan-text": lambda line: line.replace('"ground_truth":', '"ground_truth":NaN,"x":', 1),
+}
+FIELD_EDITS = [
+    *[(key, None) for key in ("sample_id", "clean_prediction", "adapted_prediction", "ground_truth")],
+    *[(key, None) for key in ("clean_activations", "adapted_activations", "mapped_activations")],
+    ("sample_id", 1.5), ("sample_id", True), ("sample_id", -1), ("sample_id", "3"),
+    ("clean_prediction", -1), ("adapted_prediction", 2.0), ("ground_truth", -2), ("ground_truth", -1),
+    ("ground_truth", 10**30), ("clean_activations", []), ("clean_activations", "x"), ("clean_activations", {}),
+    ("clean_activations", [0.5, True]), ("adapted_activations", ["0.5"]), ("adapted_activations", [[0.5]]),
+    ("adapted_activations", [float("nan")]), ("mapped_activations", [float("inf"), 1.0]),
+    ("mapped_activations", [10**400]), ("clean_activations", [10**400, float("nan")]),
+    ("mapped_activations", [None]), ("adapted_activations", [3, 4]),
+]
+
+
+class TestRecordsText:
+    @given(records=record_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_line_is_the_compact_encoding_and_reads_back_bit_for_bit(self, records, tmp_path_factory):
+        want = [json.dumps(record_dict(r), sort_keys=True, separators=(",", ":")) for r in records]
+        assert [r.to_json() for r in records] == want
+        path = tmp_path_factory.mktemp("records") / "records.jsonl"
+        dump_records(records, path)
+        assert path.read_text(encoding="utf-8") == "".join(line + "\n" for line in want)
+        loaded = load_records(path)
+        assert len(loaded) == len(records)
+        for a, b in zip(records, loaded):
+            assert record_dict(a) == record_dict(b)
+            for key in ("clean_activations", "adapted_activations", "mapped_activations"):
+                if getattr(a, key) is None:
+                    assert getattr(b, key) is None
+                else:
+                    # bytes, so that -0.0 and 0.0 differ
+                    assert getattr(b, key).dtype == np.float64
+                    assert getattr(b, key).tobytes() == getattr(a, key).tobytes()
+
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_reader_reports_what_the_per_line_reference_reports(self, data, tmp_path_factory):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        records = make_records(rng, n=data.draw(st.integers(1, 6)), num_protos=data.draw(st.integers(1, 4)))
+        lines = []
+        for record in records:
+            if data.draw(st.booleans()):
+                record.mapped_activations = None
+            obj = json.loads(record.to_json())
+            for key, value in data.draw(st.lists(st.sampled_from(FIELD_EDITS), max_size=3)):
+                if value is None:
+                    obj.pop(key, None)
+                else:
+                    obj[key] = value
+            line = json.dumps(obj)
+            if data.draw(st.integers(0, 9)) == 0:
+                line = LINE_EDITS[data.draw(st.sampled_from(sorted(LINE_EDITS)))](line)
+            lines.append(line)
+            if data.draw(st.integers(0, 5)) == 0:
+                lines.append(data.draw(st.sampled_from(["", "  ", "\t"])))
+        path = tmp_path_factory.mktemp("records") / "records.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        # the reader strips each line and passes over blank ones
+        problems = [(n, reference_problem(line.strip())) for n, line in enumerate(lines, start=1) if line.strip()]
+        problems = [(n, problem) for n, problem in problems if problem]
+        if problems:
+            n, problem = problems[0]
+            with pytest.raises(FormatError) as info:
+                load_records(path)
+            assert str(info.value) == f"{path}:{n}: {problem}"
+        else:
+            assert len(load_records(path)) == len(records)
+
+    @pytest.mark.parametrize("key", ["clean_activations", "adapted_activations", "mapped_activations"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_activation_refused_before_the_file_is_touched(self, rng, tmp_path, key, value):
+        records = make_records(rng, n=3)
+        getattr(records[1], key)[2] = value
+        path = tmp_path / "records.jsonl"
+        path.write_text("earlier\n")
+        with pytest.raises(DomainError, match=f"^record 1: {key} holds a non-finite value$"):
+            dump_records(records, path)
+        assert path.read_text() == "earlier\n"
+
+    @pytest.mark.parametrize("value", [1.5, True, np.int64(2), None], ids=["float", "bool", "numpy-int", "none"])
+    def test_id_that_is_not_an_int_refused(self, rng, tmp_path, value):
+        records = make_records(rng, n=2)
+        records[1].ground_truth = value
+        with pytest.raises(DomainError, match=f"^record 1: ground_truth must be int, got {re.escape(repr(value))}$"):
+            dump_records(records, tmp_path / "records.jsonl")
+        assert not (tmp_path / "records.jsonl").exists()
 
 
 class TestPac:
