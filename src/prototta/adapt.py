@@ -127,7 +127,12 @@ class StepRecord:
 
 @dataclass
 class SampleBlock:
-    """One batch's per-sample outputs; row i belongs to the batch's i-th sample."""
+    """One batch's per-sample outputs; row i belongs to the batch's i-th sample.
+
+    A block owns its arrays: it shares no memory with another block or with the
+    forward that made them. In a block of a stream that does not adapt, the clean
+    and adapted fields are the same arrays, as they come from one forward.
+    """
 
     clean_activations: np.ndarray  # n x P aggregated similarities of the clean reference
     adapted_activations: np.ndarray  # n x P of the adapting model, before its update
@@ -392,7 +397,8 @@ def run_stream(
 
     A frozen copy of the incoming model provides the clean reference
     predictions and activations (computed outside the timed region); an
-    unadapted model never changes, so its own outputs are the reference.
+    unadapted model never changes, so its own outputs are the reference, and
+    its sample blocks hold one copy of them as both clean and adapted fields.
     The prototype constants of every frozen forward are computed once, at
     the start of the stream, and shared by the adapting model and its clean
     copy (``model.frozen_prototypes``). A sample block maps its activations
@@ -430,13 +436,18 @@ def run_stream(
                     record.clean_agreement = 1.0
                 report.records.append(record)
                 if collect_samples:
-                    # one copy of each output per batch, so the blocks share no memory
+                    # a copy of each output, so no block shares memory with another or with the forward;
+                    # an unadapted batch's clean and adapted outputs are one forward, so it is copied once
+                    sims, preds = outputs.agg_sims.data.copy(), outputs.pseudo_labels.copy()
+                    clean_sims, clean_preds = (
+                        (clean_out.agg_sims.data.copy(), clean_out.pseudo_labels.copy()) if adapting else (sims, preds)
+                    )
                     report.sample_blocks.append(
                         SampleBlock(
-                            clean_out.agg_sims.data.copy(),
-                            outputs.agg_sims.data.copy(),
-                            clean_out.pseudo_labels.copy(),
-                            outputs.pseudo_labels.copy(),
+                            clean_sims,
+                            sims,
+                            clean_preds,
+                            preds,
                             np.full(len(x), -1, dtype=np.int64) if y is None else np.array(y, dtype=np.int64),
                             work.config.mapping,
                         )

@@ -31,6 +31,7 @@ from .harness import (
     CORRUPTION_KINDS,
     CorruptionSpec,
     Dataset,
+    check_model_fits,
     corrupt,
     load_dataset,
 )
@@ -325,6 +326,9 @@ def _load_plan_inputs(
         model = load_model(plan.model_path) if model is None else model
         dataset = load_dataset(plan.dataset_path) if dataset is None else dataset
     _check_k(model, PCA_W_K)
+    check_model_fits(model.config, dataset.spec)
+    if len(dataset.test_x) == 0:
+        raise ConfigError("the dataset has no test rows to benchmark on")
     return model, dataset
 
 
@@ -480,6 +484,11 @@ def render_boards(records: Sequence[ActivationRecord], model: PrototypeModel, k:
         if not 0 <= record.adapted_prediction < C:
             raise FormatError(
                 f"record {record.sample_id}: predicted class {record.adapted_prediction}"
+                f" is out of range for the model's {C} classes"
+            )
+        if not -1 <= record.ground_truth < C:
+            raise FormatError(
+                f"record {record.sample_id}: ground truth {record.ground_truth}"
                 f" is out of range for the model's {C} classes"
             )
     if not records:

@@ -104,7 +104,7 @@ def corrupt(x: np.ndarray, spec: CorruptionSpec, seed: int = 0) -> np.ndarray:
     if spec.kind == "gaussian_noise":
         return x + rng.normal(0.0, p, size=x.shape)
     if spec.kind == "impulse_noise":
-        peak = np.abs(x).max()
+        peak = np.abs(x).max(initial=0.0)
         mask = rng.random(x.shape) < p
         spikes = peak * (2.0 * rng.integers(0, 2, size=x.shape) - 1.0)
         return np.where(mask, spikes, x)
@@ -206,6 +206,8 @@ def load_dataset(path) -> Dataset:
         centers = (spec.num_classes, spec.clusters_per_class, spec.input_dim)
         if tx[1:] != centers[2:] or ex[1:] != centers[2:] or cs != centers:
             raise FormatError(f"{path}: need x {centers[2]} wide and centers {centers}, got {tx}, {ex} and {cs}")
+        if tx[0] < 1 or ex[0] < 1:
+            raise FormatError(f"{path}: need at least one train and one test row, got {tx[0]} and {ex[0]}")
         blocks = _read_blocks(body, [tx, (tx[0],), ex, (ex[0],), cs], path)
         for y in blocks[1], blocks[3]:
             if not ((y == np.floor(y)) & (y >= 0) & (y < spec.num_classes)).all():
@@ -274,6 +276,14 @@ def _prototype_pull(model: PrototypeModel, features: Tensor, labels: np.ndarray)
     return ad.reduce_mean(ad.mul(diff, diff))
 
 
+def check_model_fits(config: ModelConfig, spec: SyntheticTaskSpec) -> None:
+    """A ConfigError unless the model takes the dataset's input width and has its class count."""
+    if config.backbone.input_dim != spec.input_dim:
+        raise ConfigError(f"model input_dim {config.backbone.input_dim} != dataset {spec.input_dim}")
+    if config.num_classes != spec.num_classes:
+        raise ConfigError(f"model num_classes {config.num_classes} != dataset {spec.num_classes}")
+
+
 def train_source_model(
     dataset: Dataset,
     config: ModelConfig | None = None,
@@ -295,14 +305,7 @@ def train_source_model(
         raise ConfigError(f"need epochs >= 0 and seed >= 0, got epochs {epochs}, seed {seed}")
     if config is None:
         config = ModelConfig(BackboneConfig(input_dim=dataset.spec.input_dim), num_classes=dataset.spec.num_classes)
-    if config.backbone.input_dim != dataset.spec.input_dim:
-        raise ConfigError(
-            f"model input_dim {config.backbone.input_dim} != dataset {dataset.spec.input_dim}"
-        )
-    if config.num_classes != dataset.spec.num_classes:
-        raise ConfigError(
-            f"model num_classes {config.num_classes} != dataset {dataset.spec.num_classes}"
-        )
+    check_model_fits(config, dataset.spec)
     model = PrototypeModel(config, seed=seed)
     names = model.param_names()
     model.set_trainable(names)

@@ -13,9 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prototta.adapt import (
+    SampleBlock,
     TTAConfig,
     adapt_batch,
     binary_entropy,
+    block_records,
     geometric_filter,
     hybrid_loss,
     init_optimizer,
@@ -28,6 +30,7 @@ from prototta.adapt import (
 from prototta.autodiff import Tensor
 from prototta.bench import method_presets
 from prototta.errors import ConfigError, ContractError, DomainError, EmptyReliableSetError, ShapeError
+from prototta.metrics import dump_records
 from prototta.model import model_forward
 
 
@@ -453,8 +456,10 @@ class TestRunStream:
         assert [r.clean_agreement for r in report.records] == [1.0, 1.0, 1.0]
         for i, r in enumerate(report.sample_records):
             out = calls[i // 64]
-            assert np.array_equal(r.clean_activations, r.adapted_activations)
-            assert not np.shares_memory(r.clean_activations, r.adapted_activations)
+            block = report.sample_blocks[i // 64]
+            assert block.clean_activations is block.adapted_activations
+            assert block.clean_predictions is block.adapted_predictions
+            assert r.clean_activations.base is r.adapted_activations.base is block.adapted_activations
             assert np.array_equal(r.adapted_activations, out.agg_sims.data[i % 64])
             assert np.array_equal(r.mapped_activations, out.mapped_sims.data[i % 64])
             assert r.clean_prediction == r.adapted_prediction == out.pseudo_labels[i % 64]
@@ -482,13 +487,60 @@ class TestRunStream:
                 assert r.clean_activations.base is block.clean_activations
                 assert r.adapted_activations.base is block.adapted_activations
                 assert r.mapped_activations.base is block.mapped_activations
-                assert not np.shares_memory(r.clean_activations, r.adapted_activations)
+                if method == "prototta":
+                    assert not np.shares_memory(r.clean_activations, r.adapted_activations)
                 assert (r.clean_prediction, r.adapted_prediction, r.ground_truth) == (
                     block.clean_predictions[j], block.adapted_predictions[j], block.labels[j]
                 )
             for block in report.sample_blocks:
-                assert not np.shares_memory(block.clean_activations, block.adapted_activations)
-                assert not np.shares_memory(block.clean_predictions, block.adapted_predictions)
+                if method == "unadapted":  # one forward, so one copy of each output
+                    assert block.clean_activations is block.adapted_activations
+                    assert block.clean_predictions is block.adapted_predictions
+                else:
+                    assert not np.shares_memory(block.clean_activations, block.adapted_activations)
+                    assert not np.shares_memory(block.clean_predictions, block.adapted_predictions)
+
+    @staticmethod
+    def _block_arrays(report, calls):
+        """Every distinct array of the report's blocks, and every forward output array."""
+        arrays = {
+            id(a): a
+            for b in report.sample_blocks
+            for a in (b.clean_activations, b.adapted_activations, b.clean_predictions, b.adapted_predictions, b.labels)
+        }
+        return list(arrays.values()), [a for out in calls for a in (out.agg_sims.data, out.pseudo_labels)]
+
+    def test_an_unadapted_block_holds_one_array_per_output(self, tiny_model, tiny_dataset, rng, monkeypatch):
+        report, calls, _ = self._recorded_stream("unadapted", tiny_model, tiny_dataset, rng, monkeypatch)
+        for block in report.sample_blocks:
+            assert block.clean_activations is block.adapted_activations
+            assert block.clean_predictions is block.adapted_predictions
+        owned, forward = self._block_arrays(report, calls)
+        assert len(owned) == 3 * len(report.sample_blocks)  # activations, predictions, labels
+        for i, a in enumerate(owned):
+            assert not any(np.shares_memory(a, b) for b in owned[i + 1 :] + forward)
+
+    @pytest.mark.parametrize("method", ["tent", "prototta", "prototta_plus"])
+    def test_adapting_blocks_share_no_memory(self, method, tiny_model, tiny_dataset, rng, monkeypatch):
+        report, calls, _ = self._recorded_stream(method, tiny_model, tiny_dataset, rng, monkeypatch)
+        owned, forward = self._block_arrays(report, calls)
+        assert len(owned) == 5 * len(report.sample_blocks) == 15
+        for i, a in enumerate(owned):
+            assert not any(np.shares_memory(a, b) for b in owned[i + 1 :] + forward)
+
+    def test_an_unadapted_block_dumps_the_bytes_of_two_copies(self, tiny_model, tiny_dataset, rng, tmp_path):
+        x, y = self._batches(tiny_dataset, rng, count=2)
+        blocks = run_stream(tiny_model.copy(), iter_batches(x, y, 64), TTAConfig(method="unadapted")).sample_blocks
+        copies = [
+            SampleBlock(
+                b.clean_activations.copy(), b.adapted_activations, b.clean_predictions.copy(), b.adapted_predictions,
+                b.labels, b.mapping,
+            )
+            for b in blocks
+        ]
+        dump_records(block_records(blocks), tmp_path / "aliased.jsonl")
+        dump_records(block_records(copies), tmp_path / "copies.jsonl")
+        assert (tmp_path / "aliased.jsonl").read_bytes() == (tmp_path / "copies.jsonl").read_bytes()
 
     def test_unlabelled_stream_records_minus_one_and_nan_accuracy(self, tiny_model, tiny_dataset, rng):
         x, _ = self._batches(tiny_dataset, rng, count=2)

@@ -34,7 +34,15 @@ from prototta.bench import (
 )
 from prototta.cli import main
 from prototta.errors import ConfigError, DegenerateInputError, FormatError, InsufficientDataError
-from prototta.harness import CorruptionSpec, corrupt, evaluate, load_dataset, save_dataset
+from prototta.harness import (
+    CorruptionSpec,
+    SyntheticTaskSpec,
+    corrupt,
+    evaluate,
+    generate_dataset,
+    load_dataset,
+    save_dataset,
+)
 from prototta.metrics import (
     PCA_W_K,
     ActivationRecord,
@@ -170,6 +178,13 @@ class TestPlan:
 
 
 class TestRunBenchmark:
+    def test_a_dataset_without_test_rows_is_refused_before_any_cell(self, plan_kwargs, tiny_model, tiny_dataset, monkeypatch):
+        empty = replace(tiny_dataset, test_x=tiny_dataset.test_x[:0], test_y=tiny_dataset.test_y[:0])
+        monkeypatch.setattr("prototta.bench._run_cell", lambda *args, **kwargs: pytest.fail("a cell ran"))
+        with pytest.raises(ConfigError, match="no test rows"):
+            run_benchmark(BenchmarkPlan(**plan_kwargs), tiny_model, empty)
+        assert not Path(plan_kwargs["output_dir"]).exists()
+
     def test_emits_all_report_files(self, plan_kwargs):
         result = run_benchmark(BenchmarkPlan(**plan_kwargs))
         out = Path(plan_kwargs["output_dir"])
@@ -504,7 +519,7 @@ METHOD_NAMES = st.sampled_from(['q"uote', "back\\slash", "ctrl\x00\x01\x1f\n\t\x
 
 
 def records_strategy(num_prototypes, num_classes):
-    """Records with any finite activations (edge floats among them), ids, labels and predictions."""
+    """Records with any finite activations (edge floats among them) and ids, and the model's labels and predictions."""
     floats = st.floats(allow_nan=False, allow_infinity=False) | EDGE_FLOATS
     ints = st.integers(0, 2**40)
     activations = st.lists(floats, min_size=num_prototypes, max_size=num_prototypes).map(np.array)
@@ -515,13 +530,22 @@ def records_strategy(num_prototypes, num_classes):
         adapted_activations=activations,
         clean_prediction=st.just(0),
         adapted_prediction=st.integers(0, num_classes - 1),
-        ground_truth=st.integers(-1, 2**40),
+        ground_truth=st.integers(-1, num_classes - 1),
         mapped_activations=activations,
     )
     return st.lists(record, min_size=1, max_size=3)
 
 
 class TestBoards:
+    def test_a_label_the_model_cannot_have_is_refused(self, tiny_model, tiny_dataset, rng):
+        records = stream_records(tiny_model, tiny_dataset, rng)[:2]
+        unlabeled = replace(records[0], ground_truth=-1)
+        assert json.loads(render_boards([unlabeled], tiny_model, k=PCA_W_K, method="m")[0])["ground_truth"] == -1
+        for label in (-2, tiny_model.head.shape[0], 7):
+            bad = replace(records[1], ground_truth=label)
+            with pytest.raises(FormatError, match=rf"record {bad.sample_id}: ground truth {label} is out of range"):
+                render_boards([records[0], bad], tiny_model, k=PCA_W_K, method="m")
+
     def test_board_schema_and_sorting(self, tiny_model, tiny_dataset, rng, tmp_path):
         records = stream_records(tiny_model, tiny_dataset, rng)
         paths = export_boards(records[:10], tiny_model, k=5, method="prototta", out_dir=tmp_path)
@@ -1028,6 +1052,52 @@ class TestCli:
         assert code == 2
         assert "corruptions must be unique" in capsys.readouterr().err
         assert not (tmp_path / "reports").exists()
+
+    @pytest.mark.parametrize("verb", [["bench", "--methods", "unadapted", "tent"], ["ablate", "--axis", "filter"]])
+    @pytest.mark.parametrize(
+        "spec, message",
+        [({"input_dim": 16}, "model input_dim 32 != dataset 16"), ({"num_classes": 7}, "model num_classes 5 != dataset 7")],
+        ids=["width", "classes"],
+    )
+    def test_a_dataset_the_model_does_not_fit_exits_2_before_any_cell(
+        self, saved_files, tmp_path, capsys, monkeypatch, verb, spec, message
+    ):
+        data = tmp_path / "other.pttd"
+        save_dataset(generate_dataset(SyntheticTaskSpec(samples_per_split=(10, 256), **spec)), data)
+        monkeypatch.setattr("prototta.bench._run_cell", lambda *args, **kwargs: pytest.fail("a cell ran"))
+        code = main(
+            [
+                *verb,
+                "--model", str(saved_files["model"]),
+                "--data", str(data),
+                "--out-dir", str(tmp_path / "reports"),
+                "--corruptions", "gaussian_noise:5",
+                "--seeds", "0",
+                "--num-batches", "1",
+            ]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "reports").exists()
+
+    def test_a_dataset_without_test_rows_exits_2(self, saved_files, tiny_dataset, tmp_path, capsys):
+        data = tmp_path / "empty.pttd"
+        save_dataset(replace(tiny_dataset, test_x=tiny_dataset.test_x[:0], test_y=tiny_dataset.test_y[:0]), data)
+        for corruption in ("impulse_noise:5", "gaussian_noise:5"):
+            out = tmp_path / corruption.replace(":", "_")
+            argv = ["--model", str(saved_files["model"]), "--data", str(data), "--out-dir", str(out)]
+            assert main(["bench", *argv, "--corruptions", corruption, "--methods", "unadapted", "--seeds", "0"]) == 2
+            assert f"{data}: need at least one train and one test row, got" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_boards_of_a_label_the_model_cannot_have_exit_2(self, saved_files, tiny_model, tiny_dataset, rng, tmp_path, capsys):
+        records = stream_records(tiny_model, tiny_dataset, rng)[:2]
+        path, out = tmp_path / "records.jsonl", tmp_path / "boards"
+        dump_records([records[0], replace(records[1], ground_truth=7)], path)
+        argv = ["boards", "--records", str(path), "--model", str(saved_files["model"]), "--method", "m", "--out", str(out)]
+        assert main(argv) == 2
+        assert f"record {records[1].sample_id}: ground truth 7 is out of range for the model's 5 classes" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_thread_setting_is_ignored(self, saved_files, tmp_path, monkeypatch):
         monkeypatch.setenv("PTTA_THREADS", "two")

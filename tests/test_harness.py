@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -102,6 +105,16 @@ class TestCorruptOperators:
         x = np.arange(8.0)[None, :]
         out = corrupt(x, CorruptionSpec("block_pixelate", 5), seed=0)
         np.testing.assert_allclose(out[0], [3.5] * 8)  # one block of 8
+
+    def test_no_rows_give_no_rows_for_every_kind(self):
+        for kind in CORRUPTION_KINDS:
+            out = corrupt(np.zeros((0, 16)), CorruptionSpec(kind, 5), seed=0)
+            assert out.shape == (0, 16), kind
+
+    def test_impulse_peak_is_the_largest_magnitude(self):
+        x = np.array([[-3.0, 0.5], [1.0, -0.25]])
+        out = corrupt(np.repeat(x, 500, axis=0), CorruptionSpec("impulse_noise", 5), seed=0)
+        assert set(np.abs(out[out != np.repeat(x, 500, axis=0)]).tolist()) == {3.0}
 
 
 class TestDatasetGeneration:
@@ -259,6 +272,18 @@ class TestDatasetPersistence:
         assert main(["train", "--data", str(path), "--out", str(tmp_path / "model.ptta"), "--epochs", "0"]) == 2
         assert f"{path}: malformed header: cluster_spread must be finite real" in capsys.readouterr().err
         assert not (tmp_path / "model.ptta").exists()
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_a_split_without_rows_is_format_error(self, tiny_dataset, tmp_path, capsys, split):
+        path = tmp_path / "data.pttd"
+        rows = {f"{split}_x": getattr(tiny_dataset, f"{split}_x")[:0], f"{split}_y": getattr(tiny_dataset, f"{split}_y")[:0]}
+        save_dataset(replace(tiny_dataset, **rows), path)
+        with pytest.raises(FormatError, match=f"{re.escape(str(path))}: need at least one train and one test row"):
+            load_dataset(path)
+        model = tmp_path / "model.ptta"
+        assert main(["train", "--data", str(path), "--out", str(model), "--epochs", "1"]) == 2
+        assert str(path) in capsys.readouterr().err
+        assert not model.exists()
 
     def test_bad_magic_rejected(self, tiny_dataset, tmp_path):
         path = tmp_path / "data.pttd"
