@@ -324,18 +324,19 @@ def adapt_batch(
     """Predict on one batch and, if the method and filter allow, update once.
 
     Returns the pre-update outputs; the parameter update (at most one Adam
-    step) happens after predictions are taken. method=unadapted and an
-    empty reliable set both leave every parameter bit-identical.
+    step) happens after predictions are taken. A step is skipped when it has
+    no loss: method=unadapted, or an empty reliable set. A skipped step leaves
+    every parameter bit-identical. An unadapted step is its own clean
+    reference, so its ``clean_agreement`` is 1 unless ``clean_predictions``
+    names another.
     """
     x, y = batch
-    n = len(x)
-    adapting = cfg.method != "unadapted"
     start = time.perf_counter()
-    loss_value: float | None = None
-    selected = 0
-    skipped = not adapting
-    if not adapting:
+    loss, selected = None, 0
+    if cfg.method == "unadapted":
         outputs = model_forward(model, x, use_batch_stats=False)
+        if clean_predictions is None:
+            clean_predictions = outputs.pseudo_labels
     else:
         if state is None:
             raise ContractError("adaptation requires optimizer state")
@@ -344,37 +345,27 @@ def adapt_batch(
         with tape:
             outputs = model_forward(model, x, use_batch_stats=True)
             if cfg.method == "tent":
-                loss = tent_loss(outputs)
-                selected = n
+                loss, selected = tent_loss(outputs), len(x)
             else:
                 rel = geometric_filter(outputs, cfg, model.class_of)
                 selected = len(rel)
-                if selected == 0:
-                    loss = None
-                else:
+                if selected:
                     loss_fn = hybrid_loss if cfg.method == "prototta_plus" else prototta_loss
                     loss = loss_fn(outputs, rel, model.head, cfg)
-        if loss is None:
-            skipped = True
-        else:
+        if loss is not None:
             ad.backward(tape, loss)
             adam_step(params, [p.grad for p in params], state, cfg)
-            loss_value = loss.item()
         tape.clear()
     duration = time.perf_counter() - start
     preds = outputs.pseudo_labels
-    accuracy = float(np.mean(preds == y)) if y is not None else float("nan")
-    agreement = (
-        float(np.mean(preds == clean_predictions)) if clean_predictions is not None else float("nan")
-    )
     record = StepRecord(
         index=index,
-        size=n,
-        loss=loss_value,
+        size=len(x),
+        loss=None if loss is None else loss.item(),
         selected=selected,
-        skipped=skipped,
-        accuracy=accuracy,
-        clean_agreement=agreement,
+        skipped=loss is None,
+        accuracy=float(np.mean(preds == y)) if y is not None else float("nan"),
+        clean_agreement=float(np.mean(preds == clean_predictions)) if clean_predictions is not None else float("nan"),
         duration_s=duration,
     )
     return outputs, record
@@ -395,10 +386,12 @@ def run_stream(
 ) -> AdaptationReport:
     """Drive adaptation across a batch stream and collect the full report.
 
-    A frozen copy of the incoming model provides the clean reference
-    predictions and activations (computed outside the timed region); an
-    unadapted model never changes, so its own outputs are the reference, and
-    its sample blocks hold one copy of them as both clean and adapted fields.
+    Every batch takes one path: the clean reference, one ``adapt_batch`` step,
+    its record and its sample block. A frozen copy of the incoming model
+    provides the clean reference predictions and activations (computed
+    outside the timed region). An unadapted model never changes, so it runs
+    no clean forward: each step is its own reference, and its sample block
+    holds one copy of its outputs as both clean and adapted fields.
     The prototype constants of every frozen forward are computed once, at
     the start of the stream, and shared by the adapting model and its clean
     copy (``model.frozen_prototypes``). A sample block maps its activations
@@ -409,7 +402,8 @@ def run_stream(
     is then frozen again (``requires_grad`` off, no gradient), no prototype
     constants stay pinned, and a model adapted in place keeps the updates of
     the batches before the failing one; under a consensus override the stream
-    adapts a copy, and the caller's model is left as it was.
+    adapts a copy, and the caller's model is left as it was. An unadapted
+    stream leaves ``requires_grad`` and gradients as it found them.
     """
     work = _apply_consensus(model, cfg)
     adapting = cfg.method != "unadapted"
@@ -418,39 +412,26 @@ def run_stream(
     head_before = work.head.data.copy()
     report = AdaptationReport(method=cfg.method)
     with frozen_prototypes(*([work, clean] if adapting else [work])):
+        state = None
         if adapting:
             work.set_trainable(work.adaptable_param_names(cfg.param_mode))
             state = init_optimizer([p for _, p in work.adaptable_params(cfg.param_mode)])
-        else:
-            state = None
         try:
             for index, (x, y) in enumerate(batches):
-                if adapting:
-                    clean_out = model_forward(clean, x, use_batch_stats=False)
-                    outputs, record = adapt_batch(
-                        work, (x, y), cfg, state, index=index, clean_predictions=clean_out.pseudo_labels
-                    )
-                else:
-                    outputs, record = adapt_batch(work, (x, y), cfg, state, index=index)
-                    clean_out = outputs
-                    record.clean_agreement = 1.0
+                clean_out = model_forward(clean, x, use_batch_stats=False) if adapting else None
+                reference = clean_out.pseudo_labels if adapting else None
+                outputs, record = adapt_batch(work, (x, y), cfg, state, index=index, clean_predictions=reference)
                 report.records.append(record)
                 if collect_samples:
                     # a copy of each output, so no block shares memory with another or with the forward;
-                    # an unadapted batch's clean and adapted outputs are one forward, so it is copied once
+                    # without a clean forward, the clean fields are the adapted arrays
                     sims, preds = outputs.agg_sims.data.copy(), outputs.pseudo_labels.copy()
                     clean_sims, clean_preds = (
                         (clean_out.agg_sims.data.copy(), clean_out.pseudo_labels.copy()) if adapting else (sims, preds)
                     )
+                    labels = np.full(len(x), -1, dtype=np.int64) if y is None else np.array(y, dtype=np.int64)
                     report.sample_blocks.append(
-                        SampleBlock(
-                            clean_sims,
-                            sims,
-                            clean_preds,
-                            preds,
-                            np.full(len(x), -1, dtype=np.int64) if y is None else np.array(y, dtype=np.int64),
-                            work.config.mapping,
-                        )
+                        SampleBlock(clean_sims, sims, clean_preds, preds, labels, work.config.mapping)
                     )
         finally:
             if adapting:

@@ -154,6 +154,9 @@ class BenchmarkPlan(JsonConfig):
                 for c in self.corruptions
             ),
         )
+        for key in ("model_path", "dataset_path", "output_dir"):
+            if "\x00" in getattr(self, key):
+                raise ConfigError(f"{key} must not contain NUL, got {getattr(self, key)!r}")
         object.__setattr__(self, "seeds", tuple(self.seeds))
         for seed in self.seeds:
             check_type(int, "seed", seed)
@@ -218,9 +221,19 @@ def _run_cell(
     work = model.copy()
     report = run_stream(work, iter_batches(stream_x, stream_y, STREAM_BATCH_SIZE), cfg)
     # only the arrays the metrics read are joined: a block maps its activations only when they are read
-    clean, adapted, clean_pred, adapted_pred, labels = (
-        np.concatenate([getattr(b, key) for b in report.sample_blocks])
-        for key in ("clean_activations", "adapted_activations", "clean_predictions", "adapted_predictions", "labels")
+    joined: dict[tuple[int, ...], np.ndarray] = {}
+
+    def join(key: str) -> np.ndarray:
+        """The blocks' ``key`` arrays end to end, joined once for every field that holds the same arrays
+        (an unadapted stream's clean and adapted fields)."""
+        arrays = [getattr(b, key) for b in report.sample_blocks]
+        ids = tuple(map(id, arrays))
+        if ids not in joined:
+            joined[ids] = np.concatenate(arrays)
+        return joined[ids]
+
+    clean, adapted, clean_pred, adapted_pred, labels = map(
+        join, ("clean_activations", "adapted_activations", "clean_predictions", "adapted_predictions", "labels")
     )
     cell = CellResult(
         method=name,

@@ -1,7 +1,9 @@
 """Command-line interface: data generation, source training, benchmarks, reports.
 
-Exit codes: 0 on success; 2 for invalid configuration, malformed files, or
-missing inputs; 3 for runtime failures inside an otherwise valid run.
+Exit codes: 0 on success; 2 for invalid configuration, malformed files,
+missing inputs, or any other path the operating system refuses (an
+``OSError``, such as a file name too long); 3 for runtime failures inside an
+otherwise valid run.
 """
 
 from __future__ import annotations
@@ -201,11 +203,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, FormatError) as exc:
+    except (ConfigError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"error: missing file: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON: {exc}", file=sys.stderr)

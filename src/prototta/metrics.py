@@ -84,18 +84,6 @@ class ActivationRecord:
             raise DomainError(f"record {self.sample_id}: {key} holds a non-finite value")
         return text
 
-    @classmethod
-    def from_json(cls, line: str) -> "ActivationRecord":
-        """Parse one records line strictly: the ids, predictions and label are
-        non-negative ints (not bools or floats), but for the label -1 of an
-        unlabeled sample, and the activations, of which ``mapped_activations``
-        may be left out, non-empty finite number lists of one length; anything
-        else is a FormatError."""
-        try:
-            return _parse_records([line])[0]
-        except _BadLine as exc:
-            raise FormatError(f"bad activation record: {exc}") from None
-
 
 # a records line: the keys in sorted order, and before "sample_id" the mapped activations' member or nothing
 _RECORD_TEXT = (
@@ -172,7 +160,9 @@ def _activation_column(key: str, values: list) -> tuple[_BadLine | None, list[np
 
 
 def _parse_records(lines: Sequence[str]) -> list[ActivationRecord]:
-    """The records of JSON ``lines``, checked as ``ActivationRecord.from_json`` says, each check once per column.
+    """The records of JSON ``lines``, checked strictly, each check once per column: the ids, predictions and
+    label are non-negative ints (not bools or floats), but for the label -1 of an unlabeled sample, and the
+    activations, of which ``mapped_activations`` may be left out, non-empty finite number lists of one length.
 
     A column that fails a check is searched for its first bad line. Each check sees only the lines before
     the first bad line found so far, and the checks run in the order one line's would, so the ``_BadLine``
@@ -231,7 +221,7 @@ def dump_records(records: Iterable[ActivationRecord], path) -> None:
 
 
 def load_records(path) -> list[ActivationRecord]:
-    """Records from a ``.jsonl`` file, checked as ``ActivationRecord.from_json`` says once every line is read;
+    """Records from a ``.jsonl`` file, checked as ``_parse_records`` says once every line is read;
     blank lines are passed over, and a bad line is a FormatError naming ``path:line``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:

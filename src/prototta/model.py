@@ -248,10 +248,6 @@ class PrototypeModel:
     def head(self) -> Tensor:
         return self.params["head.weight"]
 
-    @property
-    def num_classes(self) -> int:
-        return self.config.num_classes
-
     def param_names(self) -> list[str]:
         return list(self.params)
 

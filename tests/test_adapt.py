@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from prototta.adapt import (
     SampleBlock,
+    _apply_consensus,
     TTAConfig,
     adapt_batch,
     binary_entropy,
@@ -145,7 +146,7 @@ class TestGeometricFilter:
         out = forward_eval(tiny_model, batch[0])
         cfg = TTAConfig(tau_sim=0.8, use_entropy_constraint=True)
         rel = geometric_filter(out, cfg, tiny_model.class_of)
-        cap = cfg.resolved_entropy_cap(tiny_model.num_classes)
+        cap = cfg.resolved_entropy_cap(tiny_model.config.num_classes)
         for i in rel.indices:
             assert out.mapped_sims.data[i].max() > cfg.tau_sim
             assert shannon_entropy_rows(out.probs.data[i : i + 1])[0] < cap
@@ -340,6 +341,33 @@ class TestAdaptBatch:
             assert same != (name in norm_names), name
 
 
+def plain_stream(model, batches, cfg):
+    """``run_stream``'s results as a plain loop: per batch, a clean copy's forward and then ``adapt_batch``.
+
+    Returns the step records, each batch's (clean activations, adapted activations, clean predictions,
+    adapted predictions, labels) and the adapted model. The prototype constants are computed per forward.
+    """
+    work = _apply_consensus(model, cfg)
+    clean = work.copy()
+    state = None
+    if cfg.method != "unadapted":
+        work.set_trainable(work.adaptable_param_names(cfg.param_mode))
+        state = init_optimizer([p for _, p in work.adaptable_params(cfg.param_mode)])
+    records, blocks = [], []
+    for index, (x, y) in enumerate(batches):
+        ref = model_forward(clean, x, use_batch_stats=False)
+        out, record = adapt_batch(work, (x, y), cfg, state, index=index, clean_predictions=ref.pseudo_labels)
+        records.append(record)
+        labels = np.full(len(x), -1, dtype=np.int64) if y is None else np.array(y, dtype=np.int64)
+        blocks.append((ref.agg_sims.data, out.agg_sims.data, ref.pseudo_labels, out.pseudo_labels, labels))
+    work.set_trainable([])
+    return records, blocks, work
+
+
+def same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestRunStream:
     def _batches(self, dataset, rng, count=3, size=64, noise=0.3):
         idx = rng.permutation(len(dataset.test_x))[: count * size]
@@ -383,6 +411,46 @@ class TestRunStream:
         with pytest.raises(ShapeError, match="n >= 1"):
             run_stream(model, [(x[:0], y[:0])], method_presets()[method])
         assert all(np.array_equal(t.data, tiny_model.params[n].data) for n, t in model.params.items())
+
+    @pytest.mark.parametrize("method", ["prototta", "prototta_plus"])
+    def test_a_stream_whose_every_batch_is_filtered_out(self, tiny_model, tiny_dataset, rng, method):
+        # an entropy cap below any achievable value empties every reliable set
+        cfg = replace(method_presets()[method], entropy_cap=1e-12)
+        assert cfg.consensus == "mean" != tiny_model.config.aggregation  # the stream adapts a copy
+        x, y = self._batches(tiny_dataset, rng)
+        model = tiny_model.copy()
+        before = model.state_snapshot()
+        report = run_stream(model, iter_batches(x, y, 64), cfg)
+        assert [(r.skipped, r.selected, r.loss) for r in report.records] == [(True, 0, None)] * 3
+        assert [len(b.labels) for b in report.sample_blocks] == [64] * 3
+        assert np.array_equal(np.concatenate([b.labels for b in report.sample_blocks]), y)
+        after = model.state_snapshot()
+        assert before.keys() == after.keys() and all(same_bits(before[k], after[k]) for k in before)
+
+    @pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "unlabeled"])
+    @pytest.mark.parametrize("method", ["unadapted", "tent", "prototta", "prototta_plus"])
+    def test_stream_equals_a_plain_loop_bit_for_bit(self, tiny_model, tiny_dataset, rng, method, labeled):
+        x, y = self._batches(tiny_dataset, rng)
+        y = y if labeled else None
+        cfg = method_presets()[method]
+        model = tiny_model.copy()
+        report = run_stream(model, iter_batches(x, y, 64), cfg)
+        records, blocks, plain = plain_stream(tiny_model.copy(), iter_batches(x, y, 64), cfg)
+
+        def fields(r):  # every field but the duration, as text so that NaN equals NaN
+            return repr(replace(r, duration_s=0.0))
+
+        assert [fields(r) for r in report.records] == [fields(r) for r in records]
+        if method != "unadapted":
+            assert sum(not r.skipped for r in records) > 0
+        got = [
+            (b.clean_activations, b.adapted_activations, b.clean_predictions, b.adapted_predictions, b.labels)
+            for b in report.sample_blocks
+        ]
+        assert len(got) == len(blocks) == 3
+        assert all(same_bits(a, b) for mine, theirs in zip(got, blocks) for a, b in zip(mine, theirs))
+        assert model.param_names() == plain.param_names()
+        assert all(same_bits(model.params[n].data, plain.params[n].data) for n in model.param_names())
 
     def test_consensus_stream_keeps_caller_config_and_returns_state(self, tiny_model, tiny_dataset, rng):
         x, y = self._batches(tiny_dataset, rng)

@@ -49,8 +49,10 @@ from prototta.metrics import (
     dump_records,
     load_records,
     mean_std,
+    pac,
     pca_w,
     pearson,
+    prediction_stability,
     relative_speed,
 )
 from prototta.model import (
@@ -372,6 +374,33 @@ class TestRunBenchmark:
         )
         assert len(cell.batches) == 16 and len(cell.records) == 2 * STREAM_BATCH_SIZE
         assert calls == [(STREAM_BATCH_SIZE, tiny_model.config.num_prototypes)] * 2
+
+    def test_an_unadapted_cell_joins_each_output_once(self, plan_kwargs, tiny_model, tiny_dataset, monkeypatch):
+        seen = {}
+
+        def recording(metric):
+            def recorded(clean, adapted):
+                seen[metric.__name__] = clean, adapted
+                return metric(clean, adapted)
+
+            return recorded
+
+        monkeypatch.setattr("prototta.bench.pac", recording(pac))
+        monkeypatch.setattr("prototta.bench.prediction_stability", recording(prediction_stability))
+        plan = BenchmarkPlan(**plan_kwargs)
+        for method in ("unadapted", "prototta"):
+            cell = _run_cell(
+                tiny_model, tiny_dataset, CorruptionSpec("gaussian_noise", 5), method,
+                method_presets()[method], 0, plan, keep_records=False,
+            )
+            assert sorted(seen) == ["pac", "prediction_stability"]
+            assert all((clean is adapted) == (method == "unadapted") for clean, adapted in seen.values())
+            # the values of two separately joined arrays
+            (clean, adapted), (clean_pred, adapted_pred) = seen.pop("pac"), seen.pop("prediction_stability")
+            assert cell.pac_mean == pac(clean.copy(), adapted.copy()).mean
+            assert cell.stability == prediction_stability(clean_pred.copy(), adapted_pred.copy())
+            assert len(clean_pred) == plan.num_batches * STREAM_BATCH_SIZE
+        assert cell.stability < 100.0  # the adapting cell's two arrays differ
 
     def test_summary_tables_are_seed_statistics_of_the_cells(self, plan_kwargs):
         # seeds out of plan order: every row is over the plan's seeds, and speeds pair cells of one seed
@@ -1225,6 +1254,34 @@ class TestCli:
         assert code == 2
         assert f"output {taken} is {'a' if as_dir else 'not a'} directory" in capsys.readouterr().err
         assert taken.is_dir() if as_dir else taken.read_text() == "keep"
+
+    @pytest.mark.parametrize("verb", ["gen-data", "train", "bench", "ablate", "boards", "correlate"])
+    def test_a_path_the_os_refuses_exits_2(self, saved_files, tmp_path, capsys, no_cells, verb):
+        long = tmp_path / ("c" * 300)  # one component longer than a file name may be
+        model, data = str(saved_files["model"]), str(saved_files["dataset"])
+        argv = {
+            "gen-data": ["gen-data", "--out", str(long)],
+            "train": ["train", "--data", data, "--out", str(long)],
+            "bench": ["bench", "--model", model, "--data", data, "--out-dir", str(long)],
+            "ablate": ["ablate", "--axis", "filter", "--model", model, "--data", data, "--out-dir", str(long)],
+            "boards": ["boards", "--records", str(long), "--model", model, "--out", str(tmp_path / "b"), "--method", "m"],
+            "correlate": ["correlate", "--boards", str(tmp_path), "--scores", str(long)],
+        }[verb]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(long) in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("key", ["model_path", "dataset_path", "output_dir"])
+    def test_a_plan_path_with_nul_exits_2_before_any_cell(self, plan_kwargs, tmp_path, capsys, no_cells, key):
+        plan = BenchmarkPlan(**plan_kwargs).to_dict()
+        plan[key] = "out\u0000x" if key == "output_dir" else plan[key] + "\u0000x"
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan), encoding="utf-8")
+        assert main(["bench", "--plan", str(plan_path)]) == 2
+        assert f"{key} must not contain NUL" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match=f"{key} must not contain NUL"):
+            BenchmarkPlan(**{**plan_kwargs, key: "a\0b"})
 
     def test_efficiency_path_is_checked_only_with_unadapted(self, saved_files, tmp_path, capsys, monkeypatch):
         out_dir = tmp_path / "rep"

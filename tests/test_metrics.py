@@ -101,6 +101,17 @@ def make_report(selected, sizes, durations, method="prototta"):
     return report
 
 
+def load_line(path, line):
+    """The records of a records file at ``path`` that holds the one ``line``, read through ``load_records``."""
+    path.write_text(line + "\n")
+    return load_records(path)
+
+
+def line_error(path, problem):
+    """The regex of ``load_records``' message for line 1 of ``path``, whose first failing check says ``problem``."""
+    return "^" + re.escape(f"{path}:1: bad activation record: ") + problem
+
+
 class TestActivationRecords:
     def test_jsonl_round_trip(self, rng, tmp_path):
         records = make_records(rng)
@@ -119,11 +130,12 @@ class TestActivationRecords:
                 b.ground_truth,
             )
 
-    def test_missing_field_rejected(self):
+    def test_missing_field_rejected(self, tmp_path):
+        path = tmp_path / "records.jsonl"
         with pytest.raises(FormatError):
-            ActivationRecord.from_json('{"sample_id": 1}')
+            load_line(path, '{"sample_id": 1}')
         with pytest.raises(FormatError):
-            ActivationRecord.from_json("not json")
+            load_line(path, "not json")
 
     @pytest.mark.parametrize(
         "edit, problem",
@@ -148,9 +160,8 @@ class TestActivationRecords:
             "activation-string", "activation-nested", "activation-nan", "length-mismatch", "activation-int-overflow",
         ],
     )
-    def test_ill_typed_field_rejected(self, edit, problem):
-        import json
-
+    def test_ill_typed_field_rejected(self, tmp_path, edit, problem):
+        path = tmp_path / "records.jsonl"
         good = {
             "sample_id": 3,
             "clean_activations": [0.1, 0.2],
@@ -160,14 +171,15 @@ class TestActivationRecords:
             "adapted_prediction": 1,
             "ground_truth": 1,
         }
-        ActivationRecord.from_json(json.dumps(good))
-        with pytest.raises(FormatError, match=problem):
-            ActivationRecord.from_json(json.dumps({**good, **edit}))
+        load_line(path, json.dumps(good))
+        with pytest.raises(FormatError, match=line_error(path, problem)):
+            load_line(path, json.dumps({**good, **edit}))
 
-    def test_overlong_integer_rejected(self):
+    def test_overlong_integer_rejected(self, tmp_path):
+        path = tmp_path / "records.jsonl"
         line = '{"sample_id": 1%s, "clean_activations": [0.1]}' % ("0" * 5000)
-        with pytest.raises(FormatError, match="bad activation record: Exceeds the limit"):
-            ActivationRecord.from_json(line)
+        with pytest.raises(FormatError, match=line_error(path, "Exceeds the limit")):
+            load_line(path, line)
 
     @pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "unlabeled"])
     def test_stream_records_round_trip(self, tiny_model, tiny_dataset, tmp_path, labeled):
@@ -195,10 +207,10 @@ class TestActivationRecords:
         with pytest.raises(FormatError, match="not UTF-8"):
             load_records(path)
 
-    def test_mapped_activations_optional(self, rng):
+    def test_mapped_activations_optional(self, rng, tmp_path):
         rec = make_records(rng, n=1)[0]
         rec.mapped_activations = None
-        again = ActivationRecord.from_json(rec.to_json())
+        (again,) = load_line(tmp_path / "records.jsonl", rec.to_json())
         assert again.mapped_activations is None
 
 

@@ -379,7 +379,7 @@ class TestAdaptableSets:
         assert "backbone.mix.weight" in everything
 
     def test_every_class_owns_prototypes(self, small_model):
-        counts = np.bincount(small_model.class_of, minlength=small_model.num_classes)
+        counts = np.bincount(small_model.class_of, minlength=small_model.config.num_classes)
         assert (counts >= 1).all()
         norms = np.linalg.norm(small_model.prototypes.data, axis=-1)
         assert (norms > 1e-6).all()
