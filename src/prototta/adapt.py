@@ -13,6 +13,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,6 +32,7 @@ from .model import (
     PrototypeModel,
     check_domain,
     frozen_prototypes,
+    kernel_range,
     map_activations,
     model_forward,
 )
@@ -147,9 +149,16 @@ class SampleBlock:
         batch's forward maps them; the log-inverse range is this block's own."""
         return map_activations(Tensor(self.adapted_activations), self.mapping).data
 
+    @cached_property
+    def log_inverse_range(self) -> tuple[float, float] | None:
+        """The (min, max) log-inverse kernel value of ``adapted_activations``, which every row's mapped
+        values are normalized over, taken on first read; None under another mapping, which needs no range."""
+        return kernel_range(self.adapted_activations) if self.mapping.kind == "log_inverse_distance" else None
+
 
 def block_records(blocks: Sequence[SampleBlock]) -> list[ActivationRecord]:
-    """One record per row of the blocks, numbered from 0; its arrays are row views."""
+    """One record per row of the blocks, numbered from 0; its arrays are row views, and the rows of a
+    block share its ``log_inverse_range``."""
     records: list[ActivationRecord] = []
     for b in blocks:
         base = len(records)
@@ -163,6 +172,7 @@ def block_records(blocks: Sequence[SampleBlock]) -> list[ActivationRecord]:
                 b.adapted_predictions.tolist(),
                 b.labels.tolist(),
                 b.mapped_activations,
+                repeat(b.log_inverse_range),
             )
         )
     return records

@@ -25,6 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .adapt import TARGET_SCOPES, WEIGHTINGS, StepRecord, TTAConfig, block_records, iter_batches, run_stream
+from .autodiff import Tensor
 from .errors import ConfigError, DegenerateInputError, FormatError, InsufficientDataError
 from .harness import (
     CORRUPTION_GROUPS,
@@ -54,6 +55,7 @@ from .metrics import (
     spearman,
 )
 from .model import (
+    _DOMAIN_TOL,
     AGGREGATIONS,
     PARAM_MODES,
     JsonConfig,
@@ -61,6 +63,7 @@ from .model import (
     check_output,
     check_type,
     load_model,
+    map_activations,
     prototype_contributions,
     write_file,
 )
@@ -481,19 +484,34 @@ def render_boards(records: Sequence[ActivationRecord], model: PrototypeModel, k:
     filled into a fixed layout instead of run through the pure-Python indenting
     encoder; floats are written by ``float.__repr__``, as the encoder writes them.
     The contributions of all records are one n x P product and their top-k k ``argmax`` rounds.
-    A record that no board can be built from, with a non-finite contribution to any prototype,
-    or whose board would hold a non-finite similarity (which JSON cannot), is a FormatError naming it.
+    Each entry's mapped similarity is its raw one through the model's ``map_activations``, under a
+    log-inverse mapping over the record's ``log_inverse_range``, in one call for the records that share one.
+    A record that no board can be built from (under a log-inverse mapping, one without a range of two finite
+    numbers, the first at most the second), with a non-finite contribution to any prototype, or whose board
+    would hold a non-finite similarity (which JSON cannot) or a raw similarity outside [-1, 1], is a
+    FormatError naming it.
     """
     _check_k(model, k)
     P, C = len(model.class_of), model.head.shape[0]
-    for record in records:
+    mapping = model.config.mapping
+    by_range: dict[tuple[float, float] | None, list[int]] = {}  # the records of each range, by index
+    for i, record in enumerate(records):
         if len(record.adapted_activations) != P:
             raise FormatError(
                 f"record {record.sample_id}: activation length {len(record.adapted_activations)}"
                 f" does not match the model's {P} prototypes"
             )
-        if record.mapped_activations is None:
-            raise FormatError(f"record {record.sample_id}: missing mapped activations")
+        key = None
+        if mapping.kind == "log_inverse_distance":
+            if record.log_inverse_range is None:
+                raise FormatError(
+                    f"record {record.sample_id}: missing log_inverse_range, which a {mapping.kind} model maps over"
+                )
+            key = tuple(record.log_inverse_range)
+            if key not in by_range and not (len(key) == 2 and np.isfinite(key).all() and key[0] <= key[1]):
+                raise FormatError(
+                    f"record {record.sample_id}: log_inverse_range must be two finite numbers lo <= hi, got {key}"
+                )
         if not 0 <= record.adapted_prediction < C:
             raise FormatError(
                 f"record {record.sample_id}: predicted class {record.adapted_prediction}"
@@ -504,17 +522,25 @@ def render_boards(records: Sequence[ActivationRecord], model: PrototypeModel, k:
                 f"record {record.sample_id}: ground truth {record.ground_truth}"
                 f" is out of range for the model's {C} classes"
             )
+        by_range.setdefault(key, []).append(i)
     if not records:
         return []
     raw = np.stack([r.adapted_activations for r in records], dtype=np.float64)
-    mapped = np.stack([r.mapped_activations for r in records], dtype=np.float64)
     contributions = prototype_contributions(raw, model.head.data, [r.adapted_prediction for r in records])
     top = _top_indices(contributions, k)
-    # n x k x 3: the contribution, mapped and raw similarity of each board entry, in layout order
-    values = np.stack([np.take_along_axis(a, top, axis=1) for a in (contributions, mapped, raw)], axis=-1)
-    bad = np.flatnonzero(~(np.isfinite(contributions).all(axis=1) & np.isfinite(values).all(axis=(1, 2))))
+    top_raw, top_contributions = (np.take_along_axis(a, top, axis=1) for a in (raw, contributions))
+    bad = np.flatnonzero(~(np.isfinite(contributions).all(axis=1) & np.isfinite(top_raw).all(axis=1)))
     if len(bad):
         raise FormatError(f"board of sample {records[bad[0]].sample_id}: non-finite contribution or similarity")
+    # the widest cosines every mapping's domain check takes
+    bad = np.flatnonzero((np.abs(top_raw) > 1.0 + _DOMAIN_TOL / 2).any(axis=1))
+    if len(bad):
+        raise FormatError(f"board of sample {records[bad[0]].sample_id}: raw similarity outside [-1, 1]")
+    top_mapped = np.empty_like(top_raw)
+    for key, rows in by_range.items():
+        top_mapped[rows] = map_activations(Tensor(top_raw[rows]), mapping, key).data
+    # n x k x 3: the contribution, mapped and raw similarity of each board entry, in layout order
+    values = np.stack([top_contributions, top_mapped, top_raw], axis=-1)
     name = json.dumps(method)
     # tolist gives Python ints and floats, so %r is float.__repr__
     return [
@@ -598,7 +624,11 @@ class CorrelationReport:
 
 
 def correlate_scores(boards_dir, scores_path, out_path=None) -> CorrelationReport:
-    """Join per-board interpretability ratios with external per-sample scores."""
+    """Join per-board interpretability ratios with external per-sample scores.
+
+    The rows are the pooled correlation, then one per method with at least 3 matches. A row whose ratios
+    or scores have zero variance is skipped with a warning, so every row may be; ``out_path`` then holds
+    the header alone."""
     boards_dir = Path(boards_dir)
     if not boards_dir.is_dir():
         raise ConfigError(f"boards directory not found: {boards_dir}")
@@ -634,20 +664,21 @@ def correlate_scores(boards_dir, scores_path, out_path=None) -> CorrelationRepor
         raise InsufficientDataError(f"need at least 3 matched samples, got {len(pooled)}")
     rows: list[list] = []
 
-    def corr_row(scope: str, pairs: list[tuple[float, float]]) -> list:
+    def add_row(scope: str, label: str, pairs: list[tuple[float, float]]) -> None:
+        """Append the row of ``pairs``, or where either side has zero variance, warn under ``label`` and skip it."""
         xs = [a for a, _ in pairs]
         ys = [b for _, b in pairs]
-        return [scope, len(pairs), pearson(xs, ys), spearman(xs, ys)]
+        try:
+            rows.append([scope, len(pairs), pearson(xs, ys), spearman(xs, ys)])
+        except DegenerateInputError as exc:
+            warnings.append(f"{label}: {exc}, skipped")
 
-    rows.append(corr_row("pooled", pooled))
+    add_row("pooled", "pooled", pooled)
     for name in sorted(per_method):
         if len(per_method[name]) < 3:
             warnings.append(f"method {name}: only {len(per_method[name])} matches, skipped")
             continue
-        try:
-            rows.append(corr_row(name, per_method[name]))
-        except DegenerateInputError as exc:
-            warnings.append(f"method {name}: {exc}, skipped")
+        add_row(name, f"method {name}", per_method[name])
     if out_path is not None:
         out_path = Path(out_path)
         out_path.parent.mkdir(parents=True, exist_ok=True)

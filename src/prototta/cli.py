@@ -170,7 +170,7 @@ def _cmd_boards(args: argparse.Namespace) -> int:
             raise ConfigError(f"{label} file not found: {path}")
     model = load_model(args.model)
     _check_k(model, PCA_W_K)
-    records = load_records(args.records)
+    records = load_records(args.records, require_range=model.config.mapping.kind == "log_inverse_distance")
     if args.limit > 0:
         records = records[: args.limit]
     written = export_boards(records, model, k=PCA_W_K, method=args.method, out_dir=args.out)

@@ -28,7 +28,11 @@ from .model import check_type, prototype_contributions, write_file
 
 
 _RECORD_INTS = ("sample_id", "clean_prediction", "adapted_prediction", "ground_truth")
-_RECORD_ARRAYS = ("clean_activations", "adapted_activations", "mapped_activations")
+_RECORD_ARRAYS = ("clean_activations", "adapted_activations")
+# a records line's fields in the order a line's checks take them; the clean pair and the range may be left out
+_RECORD_FIELDS = (*_RECORD_INTS, *_RECORD_ARRAYS, "log_inverse_range")
+_CLEAN_PAIR = frozenset({"clean_activations", "clean_prediction"})
+_ADAPTED_FIELDS = frozenset({"sample_id", "adapted_prediction", "ground_truth", "adapted_activations"})
 # prototypes per sample that PCA-W scores: the bench's pca_w column and every board
 PCA_W_K = 5
 
@@ -43,37 +47,38 @@ class ActivationRecord:
     clean_prediction: int
     adapted_prediction: int
     ground_truth: int
-    mapped_activations: np.ndarray | None = None  # adapted s-bar values, length P
+    mapped_activations: np.ndarray | None = None  # adapted s-bar values, length P; not written to records files
+    log_inverse_range: tuple[float, float] | None = None  # the (min, max) kernel value of the sample's batch
 
     def to_json(self) -> str:
         """The record's line: what ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` gives for its
-        dict of ints and float64 activation lists, filled into a fixed layout instead of built as a dict.
+        dict of ints, float64 activation lists and log-inverse range, filled into a fixed layout instead of
+        built as a dict.
 
-        Floats are written by ``float.__repr__``, as the encoder writes them. Clean and adapted
-        activations that are bitwise equal (so ``-0.0`` and ``0.0`` differ) are formatted once. An id,
-        prediction or label that is not an int, or a non-finite activation, which JSON cannot hold,
-        is a DomainError naming the sample and the field.
+        A line holds only what cannot be derived. The clean activations and prediction are written only where
+        they differ from the adapted ones (the activations bitwise, so ``-0.0`` and ``0.0`` differ). Mapped
+        activations are never written: they follow from the adapted activations and the range. Floats are
+        written by ``float.__repr__``, as the encoder writes them. An id, prediction or label that is not an
+        int, or a non-finite activation or range value, which JSON cannot hold, is a DomainError naming the
+        sample and the field.
         """
         for key in _RECORD_INTS:
             if type(getattr(self, key)) is not int:
                 raise DomainError(f"record {self.sample_id!r}: {key} must be int, got {getattr(self, key)!r}")
         clean = np.asarray(self.clean_activations, dtype=np.float64)
         adapted = np.asarray(self.adapted_activations, dtype=np.float64)
-        clean_text = self._floats_text("clean_activations", clean)
-        if adapted.shape == clean.shape and adapted.tobytes() == clean.tobytes():
-            adapted_text = clean_text
-        else:
-            adapted_text = self._floats_text("adapted_activations", adapted)
-        mapped_text = ""
-        if self.mapped_activations is not None:
-            mapped_text = f'"mapped_activations":{self._floats_text("mapped_activations", self.mapped_activations)},'
+        clean_text = range_text = ""
+        same = clean.shape == adapted.shape and clean.tobytes() == adapted.tobytes()
+        if not same or self.clean_prediction != self.adapted_prediction:
+            clean_text = _CLEAN_TEXT % (self._floats_text("clean_activations", clean), self.clean_prediction)
+        if self.log_inverse_range is not None:
+            range_text = _RANGE_TEXT % self._floats_text("log_inverse_range", self.log_inverse_range)
         return _RECORD_TEXT % (
-            adapted_text,
+            self._floats_text("adapted_activations", adapted),
             self.adapted_prediction,
             clean_text,
-            self.clean_prediction,
             self.ground_truth,
-            mapped_text,
+            range_text,
             self.sample_id,
         )
 
@@ -85,13 +90,10 @@ class ActivationRecord:
         return text
 
 
-# a records line: the keys in sorted order, and before "sample_id" the mapped activations' member or nothing
-_RECORD_TEXT = (
-    '{"adapted_activations":%s,"adapted_prediction":%d,"clean_activations":%s,"clean_prediction":%d,'
-    '"ground_truth":%d,%s"sample_id":%d}'
-)
-_REQUIRED_FIELDS = (*_RECORD_INTS, "clean_activations", "adapted_activations")
-_REQUIRED_SET = frozenset(_REQUIRED_FIELDS)
+# a records line: the keys in sorted order, the clean pair's and the range's members where they are written
+_RECORD_TEXT = '{"adapted_activations":%s,"adapted_prediction":%d,%s"ground_truth":%d,%s"sample_id":%d}'
+_CLEAN_TEXT = '"clean_activations":%s,"clean_prediction":%d,'
+_RANGE_TEXT = '"log_inverse_range":%s,'
 
 
 def check_index(key: str, value) -> None:
@@ -115,9 +117,19 @@ def _check_activations(key: str, value) -> None:
         raise ConfigError(f"{key} must be finite")
 
 
-def _check_fields(obj: dict) -> None:
-    for key in _REQUIRED_FIELDS:
-        if key not in obj:
+def _check_range(value) -> None:
+    """A ConfigError unless ``value`` is a list of two finite numbers, the first at most the second."""
+    _check_activations("log_inverse_range", value)
+    if len(value) != 2 or not value[0] <= value[1]:
+        raise ConfigError(f"log_inverse_range must be [lo, hi] with lo <= hi, got {value}")
+
+
+def _check_fields(obj: dict, required: frozenset) -> None:
+    """A ConfigError naming the first missing field of ``required``, or of the clean pair if the line holds half of it."""
+    if not obj.keys().isdisjoint(_CLEAN_PAIR):
+        required |= _CLEAN_PAIR
+    for key in _RECORD_FIELDS:
+        if key in required and key not in obj:
             raise ConfigError(f"missing field {key!r}")
 
 
@@ -159,10 +171,22 @@ def _activation_column(key: str, values: list) -> tuple[_BadLine | None, list[np
     return _first_failure(lambda value: _check_activations(key, value), values), []
 
 
-def _parse_records(lines: Sequence[str]) -> list[ActivationRecord]:
+def _range_column(values: list) -> tuple[_BadLine | None, list[tuple[float, float]]]:
+    """``values`` as (lo, hi) float pairs, checked as ``_check_range`` checks each, or the first value it refuses."""
+    if all(type(v) is list and len(v) == 2 for v in values) and not _activation_column("log_inverse_range", values)[0]:
+        pairs = [(float(lo), float(hi)) for lo, hi in values]
+        if all(lo <= hi for lo, hi in pairs):
+            return None, pairs
+    return _first_failure(_check_range, values), []
+
+
+def _parse_records(lines: Sequence[str], require_range: bool = False) -> list[ActivationRecord]:
     """The records of JSON ``lines``, checked strictly, each check once per column: the ids, predictions and
-    label are non-negative ints (not bools or floats), but for the label -1 of an unlabeled sample, and the
-    activations, of which ``mapped_activations`` may be left out, non-empty finite number lists of one length.
+    label are non-negative ints (not bools or floats), but for the label -1 of an unlabeled sample; the
+    activations are non-empty finite number lists of one length; the log-inverse range is a list of two
+    finite numbers, the first at most the second. The clean activations and prediction are left out together
+    or not at all, and where they are, the record's clean fields are its adapted ones; the range may be left
+    out unless ``require_range``.
 
     A column that fails a check is searched for its first bad line. Each check sees only the lines before
     the first bad line found so far, and the checks run in the order one line's would, so the ``_BadLine``
@@ -179,37 +203,52 @@ def _parse_records(lines: Sequence[str]) -> list[ActivationRecord]:
     def good() -> list:
         return objs[: bad.index] if bad else objs
 
-    if set(map(type, good())) - {dict}:
-        bad = _first_failure(lambda obj: check_type(dict, "record", obj), good()) or bad
-    if not all(obj.keys() >= _REQUIRED_SET for obj in good()):
-        bad = _first_failure(_check_fields, good()) or bad
-    for key in _RECORD_INTS:
-        values = [obj[key] for obj in good()]
-        if set(map(type, values)) - {int} or min(values, default=0) < (-1 if key == "ground_truth" else 0):
-            bad = _first_failure(lambda value: check_index(key, value), values) or bad
-    rows = {}
-    for key in _RECORD_ARRAYS:
+    def column(key: str) -> tuple[list[int], list]:
+        """The indices of the good lines that hold ``key``, and their values of it."""
         numbers = [i for i, obj in enumerate(good()) if key in obj]
-        found, column = _activation_column(key, [objs[i][key] for i in numbers])
+        return numbers, [objs[i][key] for i in numbers]
+
+    def mark(numbers: list[int], found: _BadLine | None) -> None:
+        nonlocal bad
         if found:
             bad = _BadLine(numbers[found.index], str(found))
-        rows[key] = dict(zip(numbers, column))
-    # a line without mapped activations counts its clean length for them
-    lengths = [[len(obj.get(key, obj["clean_activations"])) for obj in good()] for key in _RECORD_ARRAYS]
-    if not lengths[0] == lengths[1] == lengths[2]:
+
+    if set(map(type, good())) - {dict}:
+        bad = _first_failure(lambda obj: check_type(dict, "record", obj), good()) or bad
+    required = _ADAPTED_FIELDS | ({"log_inverse_range"} if require_range else set())
+    if not all(
+        obj.keys() >= required and (obj.keys() >= _CLEAN_PAIR or obj.keys().isdisjoint(_CLEAN_PAIR)) for obj in good()
+    ):
+        bad = _first_failure(lambda obj: _check_fields(obj, required), good()) or bad
+    for key in _RECORD_INTS:
+        numbers, values = column(key)
+        if set(map(type, values)) - {int} or min(values, default=0) < (-1 if key == "ground_truth" else 0):
+            mark(numbers, _first_failure(lambda value: check_index(key, value), values))
+    rows = {}
+    for key in _RECORD_ARRAYS:
+        numbers, values = column(key)
+        found, arrays = _activation_column(key, values)
+        mark(numbers, found)
+        rows[key] = dict(zip(numbers, arrays))
+    paired = [obj for obj in good() if "clean_activations" in obj]
+    if any(len(obj["clean_activations"]) != len(obj["adapted_activations"]) for obj in paired):
         bad = _first_failure(_check_lengths, good()) or bad
+    numbers, values = column("log_inverse_range")
+    found, pairs = _range_column(values)
+    mark(numbers, found)
+    ranges = dict(zip(numbers, pairs))
     if bad:
         raise bad
-    clean, adapted, mapped = (rows[key] for key in _RECORD_ARRAYS)
+    clean, adapted = (rows[key] for key in _RECORD_ARRAYS)
     return [
         ActivationRecord(
             obj["sample_id"],
-            clean[i],
+            clean.get(i, adapted[i]),
             adapted[i],
-            obj["clean_prediction"],
+            obj.get("clean_prediction", obj["adapted_prediction"]),
             obj["adapted_prediction"],
             obj["ground_truth"],
-            mapped.get(i),
+            log_inverse_range=ranges.get(i),
         )
         for i, obj in enumerate(objs)
     ]
@@ -220,16 +259,17 @@ def dump_records(records: Iterable[ActivationRecord], path) -> None:
     write_file(path, "".join([f"{rec.to_json()}\n" for rec in records]))
 
 
-def load_records(path) -> list[ActivationRecord]:
-    """Records from a ``.jsonl`` file, checked as ``_parse_records`` says once every line is read;
-    blank lines are passed over, and a bad line is a FormatError naming ``path:line``."""
+def load_records(path, require_range: bool = False) -> list[ActivationRecord]:
+    """Records from a ``.jsonl`` file, checked as ``_parse_records`` says once every line is read, where
+    ``require_range`` asks every line for its log-inverse range; blank lines are passed over, and a bad
+    line is a FormatError naming ``path:line``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             numbered = [(n, line) for n, line in enumerate(map(str.strip, fh), start=1) if line]
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
     try:
-        return _parse_records([line for _, line in numbered])
+        return _parse_records([line for _, line in numbered], require_range)
     except _BadLine as exc:
         raise FormatError(f"{path}:{numbered[exc.index][0]}: bad activation record: {exc}") from None
 

@@ -325,22 +325,24 @@ def log_inverse_kernel(d: Tensor | np.ndarray | float) -> Tensor:
     return ad.unary(d, _log_inverse(d.data), lambda g: g * _log_inverse_slope(d.data))
 
 
-def map_similarity(raw: Tensor, scheme: MappingScheme) -> Tensor:
+def map_similarity(raw: Tensor, scheme: MappingScheme, log_inverse_range: tuple[float, float] | None = None) -> Tensor:
     """Map raw similarities (or distances) into clamped [eps, 1-eps] scores, as one recorded op.
 
     linear and temp_sigmoid read ``raw`` as cosine-like values in [-1, 1];
     log_inverse_distance reads it as non-negative distances, applies the
-    log-inverse kernel, then min-max normalizes over the whole block. The
-    gradient is zero at and beyond the clamp bounds; the block's min and max
-    pass theirs to their first occurrence. A block whose kernel values span at
-    most 1e-12 maps to 0.5 with zero gradient.
+    log-inverse kernel, then min-max normalizes over ``log_inverse_range``,
+    a (min, max) of kernel values, by default the whole block's own. The
+    gradient is zero at and beyond the clamp bounds; the block's own min and
+    max pass theirs to their first occurrence, and a given range is a constant.
+    A range that spans at most 1e-12 maps to 0.5 with zero gradient.
     """
     raw = ad.as_tensor(raw)
     r = raw.data
     lo, hi = EPS_CLAMP, 1.0 - EPS_CLAMP
     if scheme.kind == "log_inverse_distance":
         s = _log_inverse(r)
-        s_min, s_max = s.min(), s.max()
+        own = log_inverse_range is None
+        s_min, s_max = (s.min(), s.max()) if own else log_inverse_range
         span = s_max - s_min
         if span <= 1e-12:
             # all distances equal: no ordering information, call everything 0.5
@@ -349,12 +351,13 @@ def map_similarity(raw: Tensor, scheme: MappingScheme) -> Tensor:
         mapped = shifted / span
 
         def inner(g: np.ndarray) -> np.ndarray:
-            # through (s - min) / (max - min), the min and max at their first occurrence, then the kernel
+            # through (s - min) / (max - min), the block's own min and max at their first occurrence, then the kernel
             gs = g / span
-            g_max = (-g * shifted / (span * span)).sum()
-            g_min = -(g_max + gs.sum())
-            gs.flat[np.argmax(s)] += g_max
-            gs.flat[np.argmin(s)] += g_min
+            if own:
+                g_max = (-g * shifted / (span * span)).sum()
+                g_min = -(g_max + gs.sum())
+                gs.flat[np.argmax(s)] += g_max
+                gs.flat[np.argmin(s)] += g_min
             return gs * _log_inverse_slope(r)
 
     else:
@@ -381,12 +384,25 @@ def map_similarity(raw: Tensor, scheme: MappingScheme) -> Tensor:
     return ad.unary(raw, np.clip(mapped, lo, hi), lambda g: inner(g * ((mapped > lo) & (mapped < hi))))
 
 
-def map_activations(agg_sims: Tensor, scheme: MappingScheme) -> Tensor:
-    """An n x P block of aggregated cosines as s-bar values; the log-inverse range is the block's own."""
+def _unit_distances(agg_sims: Tensor) -> Tensor:
+    """Squared euclidean distances between unit vectors of the given cosines: 2 * (1 - cos)."""
+    return ad.scale(ad.sub(1.0, agg_sims), 2.0)
+
+
+def map_activations(
+    agg_sims: Tensor, scheme: MappingScheme, log_inverse_range: tuple[float, float] | None = None
+) -> Tensor:
+    """An n x P block of aggregated cosines as s-bar values; the log-inverse range is the block's own unless given."""
     if scheme.kind == "log_inverse_distance":
-        # squared euclidean distance between unit vectors: 2 * (1 - cos)
-        return map_similarity(ad.scale(ad.sub(1.0, agg_sims), 2.0), scheme)
+        return map_similarity(_unit_distances(agg_sims), scheme, log_inverse_range)
     return map_similarity(agg_sims, scheme)
+
+
+def kernel_range(agg_sims: np.ndarray) -> tuple[float, float]:
+    """The (min, max) log-inverse kernel value of a block of aggregated cosines: the range that
+    ``map_activations`` normalizes the block over by default."""
+    s = _log_inverse(_unit_distances(Tensor(agg_sims)).data)
+    return float(s.min()), float(s.max())
 
 
 def _backbone_layer(model: PrototypeModel, i: int, h: Tensor, use_batch_stats: bool) -> tuple[Tensor, np.ndarray]:

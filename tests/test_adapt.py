@@ -555,6 +555,7 @@ class TestRunStream:
                 assert r.clean_activations.base is block.clean_activations
                 assert r.adapted_activations.base is block.adapted_activations
                 assert r.mapped_activations.base is block.mapped_activations
+                assert r.log_inverse_range is block.log_inverse_range  # one range per block, not per row
                 if method == "prototta":
                     assert not np.shares_memory(r.clean_activations, r.adapted_activations)
                 assert (r.clean_prediction, r.adapted_prediction, r.ground_truth) == (

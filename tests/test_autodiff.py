@@ -424,6 +424,18 @@ class TestFusedOps:
         weights = rng.uniform(0.5, 1.5, (4, 5))
         check_grad(lambda a: ad.reduce_sum(ad.mul(mapping(kind)(a), weights)), raw)
 
+    def test_mapping_gradient_over_a_given_range(self, rng):
+        # a range wider than the block's own, so no entry is clamped and the range is a constant
+        raw = rng.uniform(0.2, 3.8, (4, 5))
+        weights = rng.uniform(0.5, 1.5, (4, 5))
+        s = np.log((raw + 1.0) / (raw + 1e-4))
+        lo_hi = (float(s.min()) - 0.1, float(s.max()) + 0.1)
+        scheme = MappingScheme("log_inverse_distance")
+        check_grad(lambda a: ad.reduce_sum(ad.mul(map_similarity(a, scheme, lo_hi), weights)), raw)
+        # the block's own range as given takes the same values as the default, but not its moving min and max
+        own = (float(s.min()), float(s.max()))
+        assert np.array_equal(map_similarity(Tensor(raw), scheme, own).data, map_similarity(Tensor(raw), scheme).data)
+
     def test_entropy_and_kernel_gradients(self, rng):
         weights = rng.uniform(0.5, 1.5, (4, 5))
         check_grad(lambda a: ad.reduce_sum(ad.mul(binary_entropy(a), weights)), rng.uniform(0.01, 0.99, (4, 5)))

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prototta.adapt import TTAConfig, iter_batches, run_stream
+from prototta.autodiff import Tensor
 from prototta.bench import (
     INTERP_METRICS,
     REPORT_FILES,
@@ -33,7 +34,7 @@ from prototta.bench import (
     run_benchmark,
 )
 from prototta.cli import main
-from prototta.errors import ConfigError, DegenerateInputError, FormatError, InsufficientDataError
+from prototta.errors import ConfigError, FormatError, InsufficientDataError
 from prototta.harness import (
     CorruptionSpec,
     SyntheticTaskSpec,
@@ -57,9 +58,12 @@ from prototta.metrics import (
 )
 from prototta.model import (
     BackboneConfig,
+    MappingScheme,
     ModelConfig,
     PrototypeModel,
+    kernel_range,
     load_model,
+    map_activations,
     model_forward,
     prototype_contributions,
     save_model,
@@ -361,9 +365,9 @@ class TestRunBenchmark:
         calls = []
         mapping = pmodel.map_similarity
 
-        def counting(raw, scheme):
+        def counting(raw, scheme, *log_inverse_range):
             calls.append(raw.shape)
-            return mapping(raw, scheme)
+            return mapping(raw, scheme, *log_inverse_range)
 
         monkeypatch.setattr(pmodel, "map_similarity", counting)
         plan = BenchmarkPlan(**{**plan_kwargs, "num_batches": 16, "record_batches": 2})
@@ -477,6 +481,7 @@ class TestRunBenchmark:
                 assert np.array_equal(got.clean_activations, want.clean_activations)
                 assert np.array_equal(got.adapted_activations, want.adapted_activations)
                 assert np.array_equal(got.mapped_activations, want.mapped_activations)
+                assert got.log_inverse_range == want.log_inverse_range
                 assert (got.clean_prediction, got.adapted_prediction, got.ground_truth) == (
                     want.clean_prediction, want.adapted_prediction, want.ground_truth
                 )
@@ -547,11 +552,21 @@ EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-05, 1e-04, 1e16, 1
 METHOD_NAMES = st.sampled_from(['q"uote', "back\\slash", "ctrl\x00\x01\x1f\n\t\x7f", "non-ASCII é 漢 \U0001f600", "\ud800"])
 
 
+# cosines in every form float.__repr__ writes within [-1, 1]: signed zero, subnormal, exponent, long mantissa
+EDGE_COSINES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-05, 1e-04, 0.1, 1.0, -1.0, 1e-300, -0.9999999999999999])
+# log-inverse kernel values: ln(1e4) at distance 0, ln(5 / 4.0001) at distance 4, and any finite float
+KERNEL_VALUES = st.sampled_from([0.0, -0.0, 9.210340371976184, 0.22311943358273162]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
 def records_strategy(num_prototypes, num_classes):
-    """Records with any finite activations (edge floats among them) and ids, and the model's labels and predictions."""
-    floats = st.floats(allow_nan=False, allow_infinity=False) | EDGE_FLOATS
+    """Records with any cosine activations (edge values among them), any ordered pair of kernel values as their
+    range (at times one value twice), and ids, and the model's labels and predictions."""
+    cosines = st.floats(-1.0, 1.0) | EDGE_COSINES
     ints = st.integers(0, 2**40)
-    activations = st.lists(floats, min_size=num_prototypes, max_size=num_prototypes).map(np.array)
+    activations = st.lists(cosines, min_size=num_prototypes, max_size=num_prototypes).map(np.array)
+    lo_hi = st.lists(KERNEL_VALUES, min_size=2, max_size=2).map(lambda pair: tuple(sorted(pair)))
     record = st.builds(
         ActivationRecord,
         sample_id=ints,
@@ -560,7 +575,7 @@ def records_strategy(num_prototypes, num_classes):
         clean_prediction=st.just(0),
         adapted_prediction=st.integers(0, num_classes - 1),
         ground_truth=st.integers(-1, num_classes - 1),
-        mapped_activations=activations,
+        log_inverse_range=lo_hi | KERNEL_VALUES.map(lambda v: (v, v)),
     )
     return st.lists(record, min_size=1, max_size=3)
 
@@ -630,7 +645,7 @@ class TestBoards:
             clean_prediction=int(out.pseudo_labels[i]),
             adapted_prediction=int(out.pseudo_labels[i]),
             ground_truth=int(tiny_dataset.test_y[i]),
-            mapped_activations=out.mapped_sims.data[i].copy(),
+            log_inverse_range=kernel_range(out.agg_sims.data),
         )
         board = json.loads(render_boards([record], tiny_model, k=5, method="m")[0])
         expected = prototype_contributions(out.agg_sims.data, tiny_model.head.data, int(out.pseudo_labels[i]))[i]
@@ -639,6 +654,8 @@ class TestBoards:
                 expected[entry["prototype_id"]], abs=1e-12
             )
             assert entry["owning_class"] == int(tiny_model.class_of[entry["prototype_id"]])
+            # the batch's range gives back the forward's mapped similarity, bit for bit
+            assert repr(entry["mapped_similarity"]) == repr(float(out.mapped_sims.data[i, entry["prototype_id"]]))
 
     def test_wrong_length_record_rejected(self, tiny_model):
         bad = ActivationRecord(
@@ -648,16 +665,45 @@ class TestBoards:
             clean_prediction=0,
             adapted_prediction=0,
             ground_truth=0,
-            mapped_activations=np.ones(3),
+            log_inverse_range=(0.0, 1.0),
         )
         with pytest.raises(FormatError, match="record 7"):
             render_boards([bad], tiny_model, k=2, method="m")
 
-    def test_missing_mapped_activations_rejected(self, tiny_model, tiny_dataset, rng):
-        record = stream_records(tiny_model, tiny_dataset, rng)[0]
-        record.mapped_activations = None
-        with pytest.raises(FormatError, match="mapped"):
-            render_boards([record], tiny_model, k=2, method="m")
+    def test_missing_log_inverse_range_rejected(self, tiny_model, tiny_dataset, rng):
+        records = stream_records(tiny_model, tiny_dataset, rng)[:2]
+        records[1].log_inverse_range = None
+        match = f"^record {records[1].sample_id}: missing log_inverse_range"
+        with pytest.raises(FormatError, match=match):
+            render_boards(records, tiny_model, k=2, method="m")
+
+    @pytest.mark.parametrize("kind", ["linear", "temp_sigmoid"])
+    def test_a_mapping_without_a_range_needs_none(self, tiny_model, tiny_dataset, rng, kind):
+        records = stream_records(tiny_model, tiny_dataset, rng)[:3]
+        for record in records:
+            record.log_inverse_range = None
+        config = replace(tiny_model.config, mapping=MappingScheme(kind))
+        model = tiny_model.copy(config)
+        want = map_activations(Tensor(np.stack([r.adapted_activations for r in records])), config.mapping).data
+        for i, text in enumerate(render_boards(records, model, k=4, method="m")):
+            for entry in json.loads(text)["prototypes"]:
+                assert repr(entry["mapped_similarity"]) == repr(float(want[i, entry["prototype_id"]]))
+
+    @pytest.mark.parametrize("lo_hi", [(1.0, 0.5), (0.5,), (0.5, math.nan), (-math.inf, 1.0)])
+    def test_a_range_that_is_not_two_ordered_finite_numbers_is_refused(self, tiny_model, tiny_dataset, rng, lo_hi):
+        records = stream_records(tiny_model, tiny_dataset, rng)[:2]
+        records[1].log_inverse_range = lo_hi
+        match = f"^record {records[1].sample_id}: log_inverse_range must be two finite numbers lo <= hi"
+        with pytest.raises(FormatError, match=match):
+            render_boards(records, tiny_model, k=2, method="m")
+
+    @pytest.mark.parametrize("value", [1.0 + 1e-6, -1.0 - 1e-6, 2.0])
+    def test_a_raw_similarity_outside_the_cosine_range_is_refused(self, tiny_model, tiny_dataset, rng, value):
+        records = stream_records(tiny_model, tiny_dataset, rng)[:2]
+        records[1].adapted_activations[3] = value
+        match = f"^board of sample {records[1].sample_id}: raw similarity outside \\[-1, 1\\]$"
+        with pytest.raises(FormatError, match=match):
+            render_boards(records, tiny_model, k=len(tiny_model.class_of), method="m")
 
     @pytest.mark.parametrize("k", ["one", "all"])
     def test_exported_boards_are_the_indented_encoding(self, tiny_model, tiny_dataset, rng, tmp_path, k):
@@ -673,9 +719,10 @@ class TestBoards:
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_board_text_is_the_indented_encoding(self, data):
-        # with |head weight| 1 everywhere, each contribution is its activation, bit for bit
+        # with one |head weight| w everywhere, each contribution is its activation times w, bit for bit
         model = PrototypeModel(ModelConfig(BackboneConfig(input_dim=2), num_classes=3, protos_per_class=2), seed=0)
-        model.head.data[:] = np.where(model.head.data < 0, -1.0, 1.0)
+        w = data.draw(EDGE_FLOATS.filter(lambda v: v > 0) | st.just(1.0))
+        model.head.data[:] = np.where(model.head.data < 0, -w, w)
         P = len(model.class_of)
         records = data.draw(records_strategy(P, model.head.shape[0]))
         k = data.draw(st.integers(1, P))
@@ -686,11 +733,13 @@ class TestBoards:
             head = (board["sample_id"], board["method"], board["predicted_class"], board["ground_truth"])
             assert head == (record.sample_id, method, record.adapted_prediction, record.ground_truth)
             assert len(board["prototypes"]) == k
+            # the record's row alone through the model's mapping, over its range
+            row = map_activations(Tensor(record.adapted_activations), model.config.mapping, record.log_inverse_range)
             for p in board["prototypes"]:
-                raw, mapped = record.adapted_activations[p["prototype_id"]], record.mapped_activations[p["prototype_id"]]
+                raw, mapped = record.adapted_activations[p["prototype_id"]], row.data[p["prototype_id"]]
                 # repr tells -0.0 from 0.0
                 got = (p["contribution"], p["raw_similarity"], p["mapped_similarity"])
-                assert repr(got) == repr((float(raw), float(raw), float(mapped)))
+                assert repr(got) == repr((float(raw) * w, float(raw), float(mapped)))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("key", ["contribution", "raw_similarity", "mapped_similarity"])
@@ -700,9 +749,12 @@ class TestBoards:
         model = tiny_model.copy()
         if key == "contribution":
             model.head.data[record.adapted_prediction, 7] = value
-        else:
-            (record.adapted_activations if key == "raw_similarity" else record.mapped_activations)[7] = value
-        with pytest.raises(FormatError, match=f"board of sample {record.sample_id}: non-finite"):
+        elif key == "raw_similarity":
+            record.adapted_activations[7] = value
+        else:  # a mapped similarity is made from the raw one and the range
+            record.log_inverse_range = (value, value)
+        problem = "log_inverse_range must be two finite" if key == "mapped_similarity" else "non-finite"
+        with pytest.raises(FormatError, match=f"(board of sample|record) {record.sample_id}: {problem}"):
             render_boards([record], model, k=len(model.class_of), method="m")
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -778,12 +830,46 @@ class TestCorrelateScores:
         with pytest.raises(InsufficientDataError):
             correlate_scores(boards_dir, scores)
 
-    def test_constant_scores_are_degenerate(self, boards_dir, tmp_path):
+    def test_constant_scores_skip_every_row(self, boards_dir, tmp_path):
         boards = [json.loads(p.read_text()) for p in sorted(boards_dir.glob("*.json"))]
         scores = tmp_path / "scores.csv"
         self.write_scores(scores, [(b["sample_id"], 0.5) for b in boards])
-        with pytest.raises(DegenerateInputError):
-            correlate_scores(boards_dir, scores)
+        report = correlate_scores(boards_dir, scores, tmp_path / "correlations.csv")
+        assert report.rows == []
+        assert report.warnings == [
+            "pooled: zero variance makes the correlation undefined, skipped",
+            "method prototta: zero variance makes the correlation undefined, skipped",
+        ]
+        assert (tmp_path / "correlations.csv").read_text() == "scope,n,pearson,spearman\n"
+
+    def test_boards_that_all_have_ratio_one_write_the_header_alone(self, tmp_path, capsys):
+        # every board's top contributions all belong to the true class, as on a model that gets every sample right
+        boards_dir = tmp_path / "boards"
+        boards_dir.mkdir()
+        for sid in range(6):
+            method = "a" if sid < 3 else "b"
+            board = {
+                "sample_id": sid,
+                "method": method,
+                "predicted_class": sid % 2,
+                "ground_truth": sid % 2,
+                "prototypes": [
+                    {"prototype_id": p, "owning_class": sid % 2, "contribution": 0.1 * (sid + p + 1)} for p in range(3)
+                ],
+            }
+            assert board_sample_pca_w(board) == 1.0
+            (boards_dir / f"{method}_{sid:06d}.json").write_text(json.dumps(board))
+        scores = tmp_path / "scores.csv"
+        self.write_scores(scores, [(sid, 0.3 * sid - 0.01 * sid * sid) for sid in range(6)])
+        out = tmp_path / "correlations.csv"
+        assert main(["correlate", "--boards", str(boards_dir), "--scores", str(scores), "--out", str(out)]) == 0
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err.splitlines() == [
+            f"warning: {scope}: zero variance makes the correlation undefined, skipped"
+            for scope in ("pooled", "method a", "method b")
+        ]
+        assert out.read_text() == "scope,n,pearson,spearman\n"
 
     def test_constant_method_row_skipped_with_warning(self, tmp_path):
         boards_dir = tmp_path / "boards"
@@ -1127,6 +1213,45 @@ class TestCli:
         assert main(argv) == 2
         assert f"record {records[1].sample_id}: ground truth 7 is out of range for the model's 5 classes" in capsys.readouterr().err
         assert not out.exists()
+
+    @staticmethod
+    def write_old_records(path, records):
+        """``records`` in the layout of records files written before the range: every record's clean pair
+        and its mapped activations, and no range."""
+        lines = []
+        for r in records:
+            obj = {key: getattr(r, key) for key in ("sample_id", "clean_prediction", "adapted_prediction", "ground_truth")}
+            for key in ("clean_activations", "adapted_activations", "mapped_activations"):
+                obj[key] = getattr(r, key).tolist()
+            lines.append(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+        path.write_text("".join(lines))
+
+    def test_boards_of_an_old_records_file_exit_2_naming_the_range(
+        self, saved_files, tiny_model, tiny_dataset, rng, tmp_path, capsys
+    ):
+        path, out = tmp_path / "old.jsonl", tmp_path / "boards"
+        self.write_old_records(path, stream_records(tiny_model, tiny_dataset, rng)[:3])
+        argv = ["boards", "--records", str(path), "--model", str(saved_files["model"]), "--method", "m", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {path}:1: bad activation record: missing field 'log_inverse_range'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["linear", "temp_sigmoid"])
+    def test_boards_of_an_old_records_file_under_a_mapping_without_a_range(
+        self, tiny_model, tiny_dataset, rng, tmp_path, kind
+    ):
+        model = tiny_model.copy(replace(tiny_model.config, mapping=MappingScheme(kind)))
+        save_model(model, tmp_path / "model.ptta")
+        records = stream_records(model, tiny_dataset, rng)[:4]
+        path, out = tmp_path / "old.jsonl", tmp_path / "boards"
+        self.write_old_records(path, records)
+        argv = ["boards", "--records", str(path), "--model", str(tmp_path / "model.ptta"), "--method", "m"]
+        assert main([*argv, "--out", str(out)]) == 0
+        for r in records:
+            board = json.loads((out / f"m_{r.sample_id:06d}.json").read_text())
+            for entry in board["prototypes"]:
+                # the mapped similarity the old file held, now made from the raw one
+                assert repr(entry["mapped_similarity"]) == repr(float(r.mapped_activations[entry["prototype_id"]]))
 
     def test_thread_setting_is_ignored(self, saved_files, tmp_path, monkeypatch):
         monkeypatch.setenv("PTTA_THREADS", "two")
@@ -1740,6 +1865,8 @@ class TestCli:
         export_boards(records[:5], tiny_model, k=3, method="m", out_dir=boards)
         scores = tmp_path / "scores.csv"
         ids = [json.loads(p.read_text())["sample_id"] for p in sorted(boards.glob("*.json"))]
-        scores.write_text("sample_id,score\n" + "".join(f"{i},0.5\n" for i in ids))
+        # two of the five boards have a score: too few matches to correlate
+        scores.write_text("sample_id,score\n" + "".join(f"{i},{0.5 * n}\n" for n, i in enumerate(ids[:2])))
         code = main(["correlate", "--boards", str(boards), "--scores", str(scores)])
         assert code == 3
+        assert "need at least 3 matched samples, got 2" in capsys.readouterr().err

@@ -66,7 +66,7 @@ def make_records(rng, n=20, num_protos=8, num_classes=4, identical=False):
                 clean_prediction=int(rng.integers(num_classes)),
                 adapted_prediction=int(rng.integers(num_classes)),
                 ground_truth=int(rng.integers(num_classes)),
-                mapped_activations=rng.uniform(0, 1, num_protos),
+                log_inverse_range=tuple(sorted(rng.uniform(0, 10, 2).tolist())),
             )
         )
     return records
@@ -123,7 +123,7 @@ class TestActivationRecords:
             assert a.sample_id == b.sample_id
             np.testing.assert_array_equal(a.clean_activations, b.clean_activations)
             np.testing.assert_array_equal(a.adapted_activations, b.adapted_activations)
-            np.testing.assert_array_equal(a.mapped_activations, b.mapped_activations)
+            assert a.log_inverse_range == b.log_inverse_range
             assert (a.clean_prediction, a.adapted_prediction, a.ground_truth) == (
                 b.clean_prediction,
                 b.adapted_prediction,
@@ -149,15 +149,24 @@ class TestActivationRecords:
             ({"clean_activations": []}, "clean_activations must be a non-empty list"),
             ({"adapted_activations": [0.5, True]}, "adapted_activations must be a non-empty list of numbers"),
             ({"adapted_activations": ["0.5", 0.5]}, "adapted_activations must be a non-empty list of numbers"),
-            ({"mapped_activations": [[0.5]]}, "mapped_activations must be a non-empty list of numbers"),
+            ({"adapted_activations": [[0.5], 0.5]}, "adapted_activations must be a non-empty list of numbers"),
             ({"clean_activations": [float("nan"), 1.0]}, "clean_activations must be finite"),
-            ({"mapped_activations": [0.5]}, "activation lists differ in length"),
+            ({"clean_activations": [0.5]}, "activation lists differ in length"),
             ({"clean_activations": [10**400, 1.0]}, "clean_activations holds a number too large for a float"),
+            ({"log_inverse_range": None}, "log_inverse_range must be list"),
+            ({"log_inverse_range": [[0.5], 0.6]}, "log_inverse_range must be a non-empty list of numbers"),
+            ({"log_inverse_range": [0.5, float("inf")]}, "log_inverse_range must be finite"),
+            ({"log_inverse_range": [10**400, 0.6]}, "log_inverse_range holds a number too large for a float"),
+            ({"log_inverse_range": [0.5]}, re.escape("log_inverse_range must be [lo, hi] with lo <= hi, got [0.5]")),
+            ({"log_inverse_range": [0.1, 0.2, 0.3]}, re.escape("log_inverse_range must be [lo, hi] with lo <= hi")),
+            ({"log_inverse_range": [0.6, 0.5]}, re.escape("log_inverse_range must be [lo, hi] with lo <= hi")),
         ],
         ids=[
             "sample-id-float", "ground-truth-bool", "prediction-string", "prediction-negative",
             "ground-truth-below-minus-one", "activations-null", "activations-empty", "activation-bool",
             "activation-string", "activation-nested", "activation-nan", "length-mismatch", "activation-int-overflow",
+            "range-null", "range-nested", "range-inf", "range-int-overflow", "range-one-number", "range-three-numbers",
+            "range-reversed",
         ],
     )
     def test_ill_typed_field_rejected(self, tmp_path, edit, problem):
@@ -166,7 +175,7 @@ class TestActivationRecords:
             "sample_id": 3,
             "clean_activations": [0.1, 0.2],
             "adapted_activations": [0.3, 0.4],
-            "mapped_activations": [0.5, 0.6],
+            "log_inverse_range": [0.5, 0.6],
             "clean_prediction": 0,
             "adapted_prediction": 1,
             "ground_truth": 1,
@@ -198,7 +207,7 @@ class TestActivationRecords:
         path = tmp_path / "records.jsonl"
         dump_records(make_records(rng, n=2), path)
         path.write_text(path.read_text() + "\n" + '{"sample_id": 1}\n')
-        with pytest.raises(FormatError, match=f"^{path}:4: bad activation record: missing field 'clean_prediction'"):
+        with pytest.raises(FormatError, match=f"^{path}:4: bad activation record: missing field 'adapted_prediction'"):
             load_records(path)
 
     def test_binary_file_is_format_error(self, tmp_path):
@@ -207,11 +216,34 @@ class TestActivationRecords:
         with pytest.raises(FormatError, match="not UTF-8"):
             load_records(path)
 
-    def test_mapped_activations_optional(self, rng, tmp_path):
-        rec = make_records(rng, n=1)[0]
-        rec.mapped_activations = None
-        (again,) = load_line(tmp_path / "records.jsonl", rec.to_json())
-        assert again.mapped_activations is None
+    def test_clean_pair_and_range_optional(self, rng, tmp_path):
+        rec = make_records(rng, n=1, identical=True)[0]
+        rec.clean_prediction, rec.log_inverse_range = rec.adapted_prediction, None
+        line = rec.to_json()
+        assert "clean" not in line and "log_inverse_range" not in line
+        (again,) = load_line(tmp_path / "records.jsonl", line)
+        assert again.clean_activations is again.adapted_activations
+        assert again.clean_prediction == again.adapted_prediction == rec.adapted_prediction
+        assert again.log_inverse_range is None and again.mapped_activations is None
+
+    @pytest.mark.parametrize("key", ["clean_activations", "clean_prediction"])
+    def test_half_a_clean_pair_rejected(self, rng, tmp_path, key):
+        obj = json.loads(make_records(rng, n=1)[0].to_json())
+        del obj[key]
+        other = ({"clean_activations", "clean_prediction"} - {key}).pop()
+        assert other in obj
+        path = tmp_path / "records.jsonl"
+        with pytest.raises(FormatError, match=line_error(path, f"missing field '{key}'$")):
+            load_line(path, json.dumps(obj))
+
+    def test_required_range(self, rng, tmp_path):
+        path = tmp_path / "records.jsonl"
+        records = make_records(rng, n=3)
+        records[1].log_inverse_range = None
+        dump_records(records, path)
+        assert [r.log_inverse_range for r in load_records(path)] == [r.log_inverse_range for r in records]
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:2: bad activation record: missing field 'log_inverse_range'$"):
+            load_records(path, require_range=True)
 
 
 
@@ -226,9 +258,9 @@ RECORD_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | RECORD_EDGE_F
 @st.composite
 def record_lists(draw):
     """Records of any finite activations, each with its own length. A record's adapted row is drawn, a bitwise
-    copy of its clean row, or that copy with every zero's sign flipped; its mapped row is left out of all,
-    none or some of the records."""
-    mapped_on = draw(st.sampled_from(["all", "none", "some"]))
+    copy of its clean row, or that copy with every zero's sign flipped, and its adapted prediction is drawn or
+    its clean one; its range, two drawn values in order, is left out of all, none or some of the records."""
+    range_on = draw(st.sampled_from(["all", "none", "some"]))
     records = []
     for _ in range(draw(st.integers(0, 5))):
         P = draw(st.integers(1, 6))
@@ -242,21 +274,33 @@ def record_lists(draw):
             if kind == "signed zeros":
                 clean[draw(st.integers(0, P - 1))] = draw(st.sampled_from([0.0, -0.0]))
                 adapted = np.where(clean == 0, -clean, clean)
-        mapped = draw(row) if mapped_on == "all" or (mapped_on == "some" and draw(st.booleans())) else None
+        lo_hi = None
+        if range_on == "all" or (range_on == "some" and draw(st.booleans())):
+            lo_hi = tuple(sorted(draw(st.lists(RECORD_FLOATS, min_size=2, max_size=2))))
         ints = st.integers(0, 2**70)
+        clean_prediction = draw(ints)
+        adapted_prediction = draw(st.just(clean_prediction) | ints)
         records.append(
-            ActivationRecord(draw(ints), clean, adapted, draw(ints), draw(ints), draw(st.integers(-1, 2**70)), mapped)
+            ActivationRecord(
+                draw(ints), clean, adapted, clean_prediction, adapted_prediction, draw(st.integers(-1, 2**70)),
+                log_inverse_range=lo_hi,
+            )
         )
     return records
 
 
 def record_dict(record):
-    """The record as a dict of ints and lists, which ``json.dumps`` writes."""
-    keys = ("sample_id", "clean_prediction", "adapted_prediction", "ground_truth")
+    """The record as the dict of ints and lists that ``json.dumps`` writes: the clean pair only where it differs
+    from the adapted one (the activations bitwise), the range where there is one, and never mapped activations."""
+    keys = ("sample_id", "adapted_prediction", "ground_truth")
     obj = {key: getattr(record, key) for key in keys}
-    for key in ("clean_activations", "adapted_activations", "mapped_activations"):
-        if getattr(record, key) is not None:
-            obj[key] = getattr(record, key).tolist()
+    obj["adapted_activations"] = record.adapted_activations.tolist()
+    same = record.clean_activations.tobytes() == record.adapted_activations.tobytes()
+    if not same or record.clean_prediction != record.adapted_prediction:
+        obj["clean_activations"] = record.clean_activations.tolist()
+        obj["clean_prediction"] = record.clean_prediction
+    if record.log_inverse_range is not None:
+        obj["log_inverse_range"] = list(record.log_inverse_range)
     return obj
 
 
@@ -274,26 +318,30 @@ def reference_activations(key, value):
     return arr
 
 
-def reference_problem(line):
+def reference_problem(line, require_range=False):
     """The first failing check of one records line, checked on its own, or None for a good line."""
     try:
         obj = json.loads(line)
         check_type(dict, "record", obj)
+        clean_pair = "clean_activations" in obj or "clean_prediction" in obj
         for key in ("sample_id", "clean_prediction", "adapted_prediction", "ground_truth"):
-            if key not in obj:
+            if key not in obj and (key != "clean_prediction" or clean_pair):
                 raise ConfigError(f"missing field {key!r}")
         for key in ("clean_activations", "adapted_activations"):
-            if key not in obj:
+            if key not in obj and (key != "clean_activations" or clean_pair):
                 raise ConfigError(f"missing field {key!r}")
+        if require_range and "log_inverse_range" not in obj:
+            raise ConfigError("missing field 'log_inverse_range'")
         for key in ("sample_id", "clean_prediction", "adapted_prediction", "ground_truth"):
-            check_index(key, obj[key])
-        arrays = [
-            reference_activations(key, obj[key])
-            for key in ("clean_activations", "adapted_activations", "mapped_activations")
-            if key in obj
-        ]
+            if key in obj:
+                check_index(key, obj[key])
+        arrays = [reference_activations(key, obj[key]) for key in ("clean_activations", "adapted_activations") if key in obj]
         if len({len(a) for a in arrays}) != 1:
             raise ConfigError(f"activation lists differ in length: {[len(a) for a in arrays]}")
+        if "log_inverse_range" in obj:
+            lo_hi = reference_activations("log_inverse_range", obj["log_inverse_range"])
+            if len(lo_hi) != 2 or not obj["log_inverse_range"][0] <= obj["log_inverse_range"][1]:
+                raise ConfigError(f"log_inverse_range must be [lo, hi] with lo <= hi, got {obj['log_inverse_range']}")
     except (ValueError, ConfigError) as exc:
         return f"bad activation record: {exc}"
     return None
@@ -308,14 +356,16 @@ LINE_EDITS = {
 }
 FIELD_EDITS = [
     *[(key, None) for key in ("sample_id", "clean_prediction", "adapted_prediction", "ground_truth")],
-    *[(key, None) for key in ("clean_activations", "adapted_activations", "mapped_activations")],
+    *[(key, None) for key in ("clean_activations", "adapted_activations", "log_inverse_range")],
     ("sample_id", 1.5), ("sample_id", True), ("sample_id", -1), ("sample_id", "3"),
     ("clean_prediction", -1), ("adapted_prediction", 2.0), ("ground_truth", -2), ("ground_truth", -1),
     ("ground_truth", 10**30), ("clean_activations", []), ("clean_activations", "x"), ("clean_activations", {}),
     ("clean_activations", [0.5, True]), ("adapted_activations", ["0.5"]), ("adapted_activations", [[0.5]]),
-    ("adapted_activations", [float("nan")]), ("mapped_activations", [float("inf"), 1.0]),
-    ("mapped_activations", [10**400]), ("clean_activations", [10**400, float("nan")]),
-    ("mapped_activations", [None]), ("adapted_activations", [3, 4]),
+    ("adapted_activations", [float("nan")]), ("log_inverse_range", [float("inf"), 1.0]),
+    ("log_inverse_range", [10**400, 1]), ("clean_activations", [10**400, float("nan")]),
+    ("log_inverse_range", [None, 1]), ("adapted_activations", [3, 4]), ("log_inverse_range", [2.0, 1.0]),
+    ("log_inverse_range", [1.0]), ("log_inverse_range", [1, 2, 3]), ("log_inverse_range", [-0.0, 0.0]),
+    ("log_inverse_range", "x"),
 ]
 
 
@@ -332,23 +382,30 @@ class TestRecordsText:
         assert len(loaded) == len(records)
         for a, b in zip(records, loaded):
             assert record_dict(a) == record_dict(b)
-            for key in ("clean_activations", "adapted_activations", "mapped_activations"):
-                if getattr(a, key) is None:
-                    assert getattr(b, key) is None
-                else:
-                    # bytes, so that -0.0 and 0.0 differ
-                    assert getattr(b, key).dtype == np.float64
-                    assert getattr(b, key).tobytes() == getattr(a, key).tobytes()
+            assert (a.sample_id, a.clean_prediction, a.adapted_prediction, a.ground_truth) == (
+                b.sample_id, b.clean_prediction, b.adapted_prediction, b.ground_truth
+            )
+            # repr and bytes, so that -0.0 and 0.0 differ
+            assert repr(a.log_inverse_range) == repr(b.log_inverse_range)
+            assert b.mapped_activations is None
+            for key in ("clean_activations", "adapted_activations"):
+                assert getattr(b, key).dtype == np.float64
+                assert getattr(b, key).tobytes() == getattr(a, key).tobytes()
+            if "clean_activations" not in record_dict(a):
+                assert b.clean_activations is b.adapted_activations
 
     @given(data=st.data())
     @settings(max_examples=400, deadline=None)
     def test_reader_reports_what_the_per_line_reference_reports(self, data, tmp_path_factory):
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         records = make_records(rng, n=data.draw(st.integers(1, 6)), num_protos=data.draw(st.integers(1, 4)))
+        require_range = data.draw(st.booleans())
         lines = []
         for record in records:
             if data.draw(st.booleans()):
-                record.mapped_activations = None
+                record.log_inverse_range = None
+            if data.draw(st.booleans()):
+                record.clean_activations, record.clean_prediction = record.adapted_activations, record.adapted_prediction
             obj = json.loads(record.to_json())
             for key, value in data.draw(st.lists(st.sampled_from(FIELD_EDITS), max_size=3)):
                 if value is None:
@@ -364,21 +421,26 @@ class TestRecordsText:
         path = tmp_path_factory.mktemp("records") / "records.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         # the reader strips each line and passes over blank ones
-        problems = [(n, reference_problem(line.strip())) for n, line in enumerate(lines, start=1) if line.strip()]
+        problems = [
+            (n, reference_problem(line.strip(), require_range)) for n, line in enumerate(lines, start=1) if line.strip()
+        ]
         problems = [(n, problem) for n, problem in problems if problem]
         if problems:
             n, problem = problems[0]
             with pytest.raises(FormatError) as info:
-                load_records(path)
+                load_records(path, require_range=require_range)
             assert str(info.value) == f"{path}:{n}: {problem}"
         else:
-            assert len(load_records(path)) == len(records)
+            assert len(load_records(path, require_range=require_range)) == len(records)
 
-    @pytest.mark.parametrize("key", ["clean_activations", "adapted_activations", "mapped_activations"])
+    @pytest.mark.parametrize("key", ["clean_activations", "adapted_activations", "log_inverse_range"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_activation_refused_before_the_file_is_touched(self, rng, tmp_path, key, value):
         records = make_records(rng, n=3)
-        getattr(records[1], key)[2] = value
+        if key == "log_inverse_range":
+            records[1].log_inverse_range = (records[1].log_inverse_range[0], value)
+        else:
+            getattr(records[1], key)[2] = value
         path = tmp_path / "records.jsonl"
         path.write_text("earlier\n")
         with pytest.raises(DomainError, match=f"^record 1: {key} holds a non-finite value$"):

@@ -495,9 +495,9 @@ class TestLazyMapping:
     def map_calls(self, monkeypatch):
         calls = []
 
-        def counting(raw, scheme):
+        def counting(raw, scheme, *log_inverse_range):
             calls.append(raw.shape)
-            return map_similarity(raw, scheme)
+            return map_similarity(raw, scheme, *log_inverse_range)
 
         monkeypatch.setattr("prototta.model.map_similarity", counting)
         return calls
