@@ -33,7 +33,6 @@ from .model import (
     check_domain,
     frozen_prototypes,
     kernel_range,
-    map_activations,
     model_forward,
 )
 
@@ -144,12 +143,6 @@ class SampleBlock:
     mapping: MappingScheme  # the adapting model's
 
     @cached_property
-    def mapped_activations(self) -> np.ndarray:
-        """n x P adapted s-bar values, mapped from ``adapted_activations`` on first read as the
-        batch's forward maps them; the log-inverse range is this block's own."""
-        return map_activations(Tensor(self.adapted_activations), self.mapping).data
-
-    @cached_property
     def log_inverse_range(self) -> tuple[float, float] | None:
         """The (min, max) log-inverse kernel value of ``adapted_activations``, which every row's mapped
         values are normalized over, taken on first read; None under another mapping, which needs no range."""
@@ -158,7 +151,7 @@ class SampleBlock:
 
 def block_records(blocks: Sequence[SampleBlock]) -> list[ActivationRecord]:
     """One record per row of the blocks, numbered from 0; its arrays are row views, and the rows of a
-    block share its ``log_inverse_range``."""
+    block share its ``mapping`` and ``log_inverse_range``."""
     records: list[ActivationRecord] = []
     for b in blocks:
         base = len(records)
@@ -171,7 +164,7 @@ def block_records(blocks: Sequence[SampleBlock]) -> list[ActivationRecord]:
                 b.clean_predictions.tolist(),
                 b.adapted_predictions.tolist(),
                 b.labels.tolist(),
-                b.mapped_activations,
+                repeat(b.mapping),
                 repeat(b.log_inverse_range),
             )
         )
@@ -404,9 +397,8 @@ def run_stream(
     holds one copy of its outputs as both clean and adapted fields.
     The prototype constants of every frozen forward are computed once, at
     the start of the stream, and shared by the adapting model and its clean
-    copy (``model.frozen_prototypes``). A sample block maps its activations
-    only when ``mapped_activations`` is first read. Prototypes and head
-    weights are verified unchanged at the end.
+    copy (``model.frozen_prototypes``). Prototypes and head weights are
+    verified unchanged at the end.
 
     A batch that raises ends the stream with its exception. Every parameter
     is then frozen again (``requires_grad`` off, no gradient), no prototype

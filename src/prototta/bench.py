@@ -223,7 +223,7 @@ def _run_cell(
     stream_x, stream_y = stream_x[order[:take]], dataset.test_y[order[:take]]
     work = model.copy()
     report = run_stream(work, iter_batches(stream_x, stream_y, STREAM_BATCH_SIZE), cfg)
-    # only the arrays the metrics read are joined: a block maps its activations only when they are read
+    # only the arrays the metrics read are joined
     joined: dict[tuple[int, ...], np.ndarray] = {}
 
     def join(key: str) -> np.ndarray:

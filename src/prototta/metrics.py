@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    ContractError,
     DegenerateInputError,
     DomainError,
     FormatError,
@@ -24,7 +25,8 @@ from .errors import (
     MeasurementError,
     ShapeError,
 )
-from .model import check_type, prototype_contributions, write_file
+from .autodiff import Tensor
+from .model import MappingScheme, check_type, map_activations, prototype_contributions, write_file
 
 
 _RECORD_INTS = ("sample_id", "clean_prediction", "adapted_prediction", "ground_truth")
@@ -47,8 +49,16 @@ class ActivationRecord:
     clean_prediction: int
     adapted_prediction: int
     ground_truth: int
-    mapped_activations: np.ndarray | None = None  # adapted s-bar values, length P; not written to records files
+    mapping: MappingScheme | None = None  # the adapting model's; None for a record read from a file
     log_inverse_range: tuple[float, float] | None = None  # the (min, max) kernel value of the sample's batch
+
+    @property
+    def mapped_activations(self) -> np.ndarray | None:
+        """The adapted s-bar values, length P, as the batch's forward maps them: the adapted activations
+        through ``map_activations`` over the record's range; None without a mapping. Never written."""
+        if self.mapping is None:
+            return None
+        return map_activations(Tensor(self.adapted_activations), self.mapping, self.log_inverse_range).data
 
     def to_json(self) -> str:
         """The record's line: what ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` gives for its
@@ -117,49 +127,37 @@ def _check_activations(key: str, value) -> None:
         raise ConfigError(f"{key} must be finite")
 
 
-def _check_range(value) -> None:
-    """A ConfigError unless ``value`` is a list of two finite numbers, the first at most the second."""
-    _check_activations("log_inverse_range", value)
-    if len(value) != 2 or not value[0] <= value[1]:
-        raise ConfigError(f"log_inverse_range must be [lo, hi] with lo <= hi, got {value}")
-
-
-def _check_fields(obj: dict, required: frozenset) -> None:
-    """A ConfigError naming the first missing field of ``required``, or of the clean pair if the line holds half of it."""
+def _check_line(obj, required: frozenset) -> None:
+    """A ConfigError with the first failing check of one parsed records line. The line is a dict that holds
+    ``required``, and the clean pair whole or not at all. Its ids, predictions and label are non-negative
+    ints (not bools or floats), but for the label -1 of an unlabeled sample. Its activations pass
+    ``_check_activations`` and have one length. Its log-inverse range is two finite numbers, the first at
+    most the second as written."""
+    check_type(dict, "record", obj)
     if not obj.keys().isdisjoint(_CLEAN_PAIR):
         required |= _CLEAN_PAIR
     for key in _RECORD_FIELDS:
         if key in required and key not in obj:
             raise ConfigError(f"missing field {key!r}")
-
-
-def _check_lengths(obj: dict) -> None:
+    for key in _RECORD_INTS:
+        if key in obj:
+            check_index(key, obj[key])
+    for key in _RECORD_ARRAYS:
+        if key in obj:
+            _check_activations(key, obj[key])
     lengths = [len(obj[key]) for key in _RECORD_ARRAYS if key in obj]
     if len(set(lengths)) != 1:
         raise ConfigError(f"activation lists differ in length: {lengths}")
+    if "log_inverse_range" in obj:
+        lo_hi = obj["log_inverse_range"]
+        _check_activations("log_inverse_range", lo_hi)
+        if len(lo_hi) != 2 or not lo_hi[0] <= lo_hi[1]:
+            raise ConfigError(f"log_inverse_range must be [lo, hi] with lo <= hi, got {lo_hi}")
 
 
-class _BadLine(Exception):
-    """A bad records line, by its index among the lines parsed, with its first failing check as the message."""
-
-    def __init__(self, index: int, problem: str):
-        super().__init__(problem)
-        self.index = index
-
-
-def _first_failure(check, values) -> _BadLine | None:
-    """The first of ``values`` that ``check`` raises a ConfigError for, or None."""
-    for i, value in enumerate(values):
-        try:
-            check(value)
-        except ConfigError as exc:
-            return _BadLine(i, str(exc))
-    return None
-
-
-def _activation_column(key: str, values: list) -> tuple[_BadLine | None, list[np.ndarray]]:
-    """``values`` as float64 rows of one array, checked as ``_check_activations`` checks each (one type
-    check, ``np.array`` and ``np.isfinite`` for them all), or the first value it refuses."""
+def _activation_column(values: list) -> list[np.ndarray] | None:
+    """``values`` as float64 row views of one array if each passes ``_check_activations`` (one type check,
+    ``np.array`` and ``np.isfinite`` for them all), else None."""
     if all(type(v) is list and v for v in values):
         flat = list(chain.from_iterable(values))
         if set(map(type, flat)) <= {int, float}:
@@ -167,88 +165,46 @@ def _activation_column(key: str, values: list) -> tuple[_BadLine | None, list[np
                 array = np.array(flat, dtype=np.float64)
                 if np.isfinite(array).all():
                     ends = accumulate(map(len, values))
-                    return None, [array[end - len(v) : end] for v, end in zip(values, ends)]
-    return _first_failure(lambda value: _check_activations(key, value), values), []
+                    return [array[end - len(v) : end] for v, end in zip(values, ends)]
+    return None
 
 
-def _range_column(values: list) -> tuple[_BadLine | None, list[tuple[float, float]]]:
-    """``values`` as (lo, hi) float pairs, checked as ``_check_range`` checks each, or the first value it refuses."""
-    if all(type(v) is list and len(v) == 2 for v in values) and not _activation_column("log_inverse_range", values)[0]:
-        pairs = [(float(lo), float(hi)) for lo, hi in values]
-        if all(lo <= hi for lo, hi in pairs):
-            return None, pairs
-    return _first_failure(_check_range, values), []
-
-
-def _parse_records(lines: Sequence[str], require_range: bool = False) -> list[ActivationRecord]:
-    """The records of JSON ``lines``, checked strictly, each check once per column: the ids, predictions and
-    label are non-negative ints (not bools or floats), but for the label -1 of an unlabeled sample; the
-    activations are non-empty finite number lists of one length; the log-inverse range is a list of two
-    finite numbers, the first at most the second. The clean activations and prediction are left out together
-    or not at all, and where they are, the record's clean fields are its adapted ones; the range may be left
-    out unless ``require_range``.
-
-    A column that fails a check is searched for its first bad line. Each check sees only the lines before
-    the first bad line found so far, and the checks run in the order one line's would, so the ``_BadLine``
-    raised is the first bad line with its first failing check.
-    """
-    objs, bad = [], None
-    for i, line in enumerate(lines):
-        try:
-            objs.append(json.loads(line))
-        except ValueError as exc:
-            bad = _BadLine(i, str(exc))
-            break
-
-    def good() -> list:
-        return objs[: bad.index] if bad else objs
-
-    def column(key: str) -> tuple[list[int], list]:
-        """The indices of the good lines that hold ``key``, and their values of it."""
-        numbers = [i for i, obj in enumerate(good()) if key in obj]
-        return numbers, [objs[i][key] for i in numbers]
-
-    def mark(numbers: list[int], found: _BadLine | None) -> None:
-        nonlocal bad
-        if found:
-            bad = _BadLine(numbers[found.index], str(found))
-
-    if set(map(type, good())) - {dict}:
-        bad = _first_failure(lambda obj: check_type(dict, "record", obj), good()) or bad
-    required = _ADAPTED_FIELDS | ({"log_inverse_range"} if require_range else set())
-    if not all(
-        obj.keys() >= required and (obj.keys() >= _CLEAN_PAIR or obj.keys().isdisjoint(_CLEAN_PAIR)) for obj in good()
+def _records(objs: list, required: frozenset) -> list[ActivationRecord] | None:
+    """The records of parsed lines if every line passes ``_check_line``, else None. Each check runs once
+    per column; a line without the clean pair takes its adapted fields as its clean ones."""
+    if set(map(type, objs)) - {dict} or not all(
+        obj.keys() >= required and (obj.keys() >= _CLEAN_PAIR or obj.keys().isdisjoint(_CLEAN_PAIR)) for obj in objs
     ):
-        bad = _first_failure(lambda obj: _check_fields(obj, required), good()) or bad
+        return None
     for key in _RECORD_INTS:
-        numbers, values = column(key)
+        values = [obj[key] for obj in objs if key in obj]
         if set(map(type, values)) - {int} or min(values, default=0) < (-1 if key == "ground_truth" else 0):
-            mark(numbers, _first_failure(lambda value: check_index(key, value), values))
-    rows = {}
-    for key in _RECORD_ARRAYS:
-        numbers, values = column(key)
-        found, arrays = _activation_column(key, values)
-        mark(numbers, found)
-        rows[key] = dict(zip(numbers, arrays))
-    paired = [obj for obj in good() if "clean_activations" in obj]
-    if any(len(obj["clean_activations"]) != len(obj["adapted_activations"]) for obj in paired):
-        bad = _first_failure(_check_lengths, good()) or bad
-    numbers, values = column("log_inverse_range")
-    found, pairs = _range_column(values)
-    mark(numbers, found)
-    ranges = dict(zip(numbers, pairs))
-    if bad:
-        raise bad
-    clean, adapted = (rows[key] for key in _RECORD_ARRAYS)
+            return None
+    paired = [i for i, obj in enumerate(objs) if "clean_activations" in obj]
+    ranged = [i for i, obj in enumerate(objs) if "log_inverse_range" in obj]
+    adapted = _activation_column([obj["adapted_activations"] for obj in objs])
+    clean = _activation_column([objs[i]["clean_activations"] for i in paired])
+    ranges = [objs[i]["log_inverse_range"] for i in ranged]
+    if (
+        adapted is None
+        or clean is None
+        or any(len(row) != len(adapted[i]) for i, row in zip(paired, clean))
+        or not all(type(v) is list and len(v) == 2 for v in ranges)
+        or _activation_column(ranges) is None
+        or not all(lo <= hi for lo, hi in ranges)  # as written: two ints past 2**53 may meet as floats
+    ):
+        return None
+    clean_rows = dict(zip(paired, clean))
+    range_of = dict(zip(ranged, [(float(lo), float(hi)) for lo, hi in ranges]))
     return [
         ActivationRecord(
             obj["sample_id"],
-            clean.get(i, adapted[i]),
+            clean_rows.get(i, adapted[i]),
             adapted[i],
             obj.get("clean_prediction", obj["adapted_prediction"]),
             obj["adapted_prediction"],
             obj["ground_truth"],
-            log_inverse_range=ranges.get(i),
+            log_inverse_range=range_of.get(i),
         )
         for i, obj in enumerate(objs)
     ]
@@ -260,18 +216,29 @@ def dump_records(records: Iterable[ActivationRecord], path) -> None:
 
 
 def load_records(path, require_range: bool = False) -> list[ActivationRecord]:
-    """Records from a ``.jsonl`` file, checked as ``_parse_records`` says once every line is read, where
-    ``require_range`` asks every line for its log-inverse range; blank lines are passed over, and a bad
-    line is a FormatError naming ``path:line``."""
+    """Records from a ``.jsonl`` file, where ``require_range`` asks every line for its log-inverse range;
+    blank lines are passed over. The lines are checked once per column (``_records``). Only a file that
+    fails there is checked line by line (``_check_line``), so that a bad line is a FormatError naming
+    ``path:line`` and its first failing check."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             numbered = [(n, line) for n, line in enumerate(map(str.strip, fh), start=1) if line]
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
+    required = _ADAPTED_FIELDS | ({"log_inverse_range"} if require_range else set())
     try:
-        return _parse_records([line for _, line in numbered], require_range)
-    except _BadLine as exc:
-        raise FormatError(f"{path}:{numbered[exc.index][0]}: bad activation record: {exc}") from None
+        objs = [json.loads(line) for _, line in numbered]
+    except ValueError:  # a line that is not JSON
+        objs = None
+    records = None if objs is None else _records(objs, required)
+    if records is not None:
+        return records
+    for n, line in numbered:
+        try:
+            _check_line(json.loads(line), required)
+        except (ValueError, ConfigError) as exc:
+            raise FormatError(f"{path}:{n}: bad activation record: {exc}") from None
+    raise ContractError(f"{path}: the column checks refused records that every line check passes")
 
 
 def mean_std(values) -> tuple[float, float]:

@@ -544,17 +544,20 @@ class TestRunStream:
             assert (r.clean_prediction, r.adapted_prediction) == (clean.pseudo_labels[j], adapted.pseudo_labels[j])
             assert not np.shares_memory(r.adapted_activations, adapted.agg_sims.data)
 
-    def test_sample_records_are_views_of_the_batch_blocks(self, tiny_model, tiny_dataset, rng):
-        x, y = self._batches(tiny_dataset, rng)
+    def test_sample_records_are_views_of_the_batch_blocks(self, tiny_model, tiny_dataset, rng, monkeypatch):
         for method in ("unadapted", "prototta"):
-            report = run_stream(tiny_model.copy(), iter_batches(x, y, 64), TTAConfig(method=method))
+            report, calls, _ = self._recorded_stream(method, tiny_model, tiny_dataset, rng, monkeypatch)
             assert len(report.sample_blocks) == 3
             assert report.sample_records is report.sample_records  # built once
+            forwards = len(calls) // 3  # per batch: the adapting forward, after a clean one when it adapts
             for i, r in enumerate(report.sample_records):
                 block, j = report.sample_blocks[i // 64], i % 64
                 assert r.clean_activations.base is block.clean_activations
                 assert r.adapted_activations.base is block.adapted_activations
-                assert r.mapped_activations.base is block.mapped_activations
+                # derived from the row and the block's range, the same bits as the forward's
+                mapped = calls[forwards * (i // 64) + forwards - 1].mapped_sims.data[j]
+                assert r.mapped_activations.tobytes() == mapped.tobytes()
+                assert r.mapping is block.mapping
                 assert r.log_inverse_range is block.log_inverse_range  # one range per block, not per row
                 if method == "prototta":
                     assert not np.shares_memory(r.clean_activations, r.adapted_activations)

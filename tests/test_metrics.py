@@ -11,10 +11,12 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prototta import metrics
 from prototta.adapt import AdaptationReport, StepRecord, iter_batches, run_stream
 from prototta.bench import board_sample_pca_w, method_presets
 from prototta.errors import (
     ConfigError,
+    ContractError,
     DegenerateInputError,
     DomainError,
     FormatError,
@@ -365,8 +367,16 @@ FIELD_EDITS = [
     ("log_inverse_range", [10**400, 1]), ("clean_activations", [10**400, float("nan")]),
     ("log_inverse_range", [None, 1]), ("adapted_activations", [3, 4]), ("log_inverse_range", [2.0, 1.0]),
     ("log_inverse_range", [1.0]), ("log_inverse_range", [1, 2, 3]), ("log_inverse_range", [-0.0, 0.0]),
-    ("log_inverse_range", "x"),
+    ("log_inverse_range", "x"), ("log_inverse_range", [2**53 + 1, 2**53]),
 ]
+
+
+class LineChecksTaken(Exception):
+    """Raised in place of ``metrics._check_line``, to show that a file took the line-by-line checks."""
+
+
+def refuse_line(obj, required):
+    raise LineChecksTaken
 
 
 class TestRecordsText:
@@ -432,6 +442,27 @@ class TestRecordsText:
             assert str(info.value) == f"{path}:{n}: {problem}"
         else:
             assert len(load_records(path, require_range=require_range)) == len(records)
+
+    @given(records=record_lists(), require_range=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_good_files_never_take_the_line_checks(self, records, require_range, tmp_path_factory):
+        path = tmp_path_factory.mktemp("records") / "records.jsonl"
+        dump_records(records, path)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "_check_line", refuse_line)
+            if require_range and any(r.log_inverse_range is None for r in records):
+                with pytest.raises(LineChecksTaken):
+                    load_records(path, require_range=True)
+            else:
+                loaded = load_records(path, require_range=require_range)
+                assert [r.to_json() for r in loaded] == [r.to_json() for r in records]
+
+    def test_records_are_built_one_way_only(self, rng, tmp_path, monkeypatch):
+        path = tmp_path / "records.jsonl"
+        dump_records(make_records(rng, n=3), path)
+        monkeypatch.setattr(metrics, "_records", lambda objs, required: None)
+        with pytest.raises(ContractError, match="column checks refused records that every line check passes"):
+            load_records(path)
 
     @pytest.mark.parametrize("key", ["clean_activations", "adapted_activations", "log_inverse_range"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])

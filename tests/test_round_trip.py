@@ -12,10 +12,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prototta.adapt import SampleBlock, TTAConfig, block_records
+from prototta.autodiff import Tensor
 from prototta.bench import BenchmarkPlan, render_boards
 from prototta.harness import SyntheticTaskSpec, generate_dataset, load_dataset, save_dataset
 from prototta.metrics import dump_records, load_records
-from prototta.model import BackboneConfig, MappingScheme, ModelConfig, PrototypeModel, load_model, save_model
+from prototta.model import (
+    BackboneConfig,
+    MappingScheme,
+    ModelConfig,
+    PrototypeModel,
+    load_model,
+    map_activations,
+    save_model,
+)
 
 
 def assert_no_default_fields(obj) -> None:
@@ -187,9 +196,12 @@ def test_records_survive_their_file_and_give_the_same_boards(blocks, tmp_path_fa
     P = len(BOARD_MODEL.class_of)
     texts = render_boards(records, BOARD_MODEL, k=P, method="m")
     assert render_boards(loaded, BOARD_MODEL, k=P, method="m") == texts
-    # every mapped similarity on a board is the block's own mapping of the row, bit for bit
-    assert any((b.mapped_activations == 0.5).all() for b in blocks)  # the flat block
-    mapped = np.concatenate([b.mapped_activations for b in blocks])
+    # every mapped similarity on a board, and every record's, is the block's own mapping of the row, bit for bit:
+    # the forward's, over the block's own kernel range
+    per_block = [map_activations(Tensor(b.adapted_activations), b.mapping).data for b in blocks]
+    assert any((m == 0.5).all() for m in per_block)  # the flat block
+    mapped = np.concatenate(per_block)
+    assert [r.mapped_activations.tobytes() for r in records] == [row.tobytes() for row in mapped]
     for row, text in zip(mapped, texts):
         for entry in json.loads(text)["prototypes"]:
             assert repr(entry["mapped_similarity"]) == repr(float(row[entry["prototype_id"]]))
